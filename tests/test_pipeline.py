@@ -3,7 +3,11 @@
 import csv
 import dataclasses
 import filecmp
+import hashlib
+import importlib
+import importlib.util
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -33,6 +37,20 @@ from quantsynth.pipeline import (
 from quantsynth.quarters import format_time, int_to_quarter, parse_time, quarter_to_int
 
 STAGE_FILES = ("agent_forecasts.csv", "forecasts.csv", "scores.csv", "ratios.csv", "pit.csv")
+PLOT_FILES = tuple(
+    f"plots/{name}" for name in ("rcs_curve.csv", "fan.csv", "pit_ecdf.csv", "correlation.csv")
+)
+
+# SHA-256 of the ``mini_run`` artifacts.  Any change to these bytes is a change
+# of behaviour and must be made on purpose, with the pins updated beside it.
+GOLDEN_SHA256 = {
+    "agent_forecasts.csv": "84dd5f3b8c2905120a802a1b0c536a9d86bfa32276952610a6f5db8654d935d3",
+    "forecasts.csv": "3d6b60ee705a8629d8fb7d09503c88aa16471a95a3ae16c0794b5adc05560b7c",
+    "scores.csv": "577155e0ccf787c0128f59658bf9b82794585081e1d2ff25133165bc827082c1",
+    "ratios.csv": "f1cfb9600c5ac79fc6060d7c2a0f1c603f59cfdae006726aff5a9a2220ee58b1",
+    "pit.csv": "088ce76202ee44ecc8840e3f87a4d8f2f5f4993093c5446cd3407aac566b2e24",
+    "plots/rcs_curve.csv": "e145913f494a7fd01edd6d2d50c73e69b95ff7bed93d76065d8b53d9373f123c",
+}
 
 
 class TestQuarters:
@@ -458,6 +476,36 @@ class TestBacktest:
         for name in STAGE_FILES:
             assert filecmp.cmp(root / "out" / name, staged / name, shallow=False), name
 
+    def test_golden_artifact_digests(self, mini_run):
+        _, root, _ = mini_run
+        got = {
+            name: hashlib.sha256((root / "out" / name).read_bytes()).hexdigest()
+            for name in GOLDEN_SHA256
+        }
+        assert got == GOLDEN_SHA256
+
+    def test_staged_factor_cli_matches_factor_backtest(self, mini_run, capsys):
+        cfg, root, _ = mini_run
+        # Cheaper agents than the mini run's: this test is about the stage path.
+        cfg = dataclasses.replace(
+            cfg,
+            agents=tuple(dataclasses.replace(a, draws=50, burn=10) for a in cfg.agents),
+            plan=dataclasses.replace(cfg.plan, factor=True),
+            factor=dataclasses.replace(cfg.factor, draws=60, burn=20, write_joint_draws=True),
+            out_dir=str(root / "out_factor"),
+        )
+        run_backtest(cfg)
+        staged = root / "out_factor_staged"
+        cfg_path = root / "factor.yaml"
+        dump_config(cfg, cfg_path)
+        for command in ("fit-agents", "synth-factor", "evaluate"):
+            assert cli.main([command, "--config", str(cfg_path), "--out-dir", str(staged)]) == 0
+        capsys.readouterr()
+        for name in (*STAGE_FILES, "joint_draws.csv", *PLOT_FILES):
+            assert filecmp.cmp(root / "out_factor" / name, staged / name, shallow=False), name
+        with open(staged / "plots" / "correlation.csv", newline="", encoding="utf-8") as fh:
+            assert len(list(csv.DictReader(fh))) == 4 * 4 * 3 * 3  # times x taus x series^2
+
     def test_audit_finds_no_lookahead(self, mini_run):
         cfg, root, _ = mini_run
         rows = audit_lookahead(cfg)
@@ -520,3 +568,17 @@ class TestArtifactIO:
         )
         with pytest.raises(ValueError, match="reference model 'other' absent"):
             emit_plots_data(out, reference="other")
+
+
+def test_benchmark_probes_resolve():
+    """Every name the benchmark's tracer wraps exists where it is looked up."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
+    spec = importlib.util.spec_from_file_location("_perfbench_spans", path)
+    spans = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(spans)
+    for module_name, attr, _, _ in spans.STAGE_PROBES + spans.LAYER_PROBES:
+        owner = importlib.import_module(module_name)
+        *cls_name, name = attr.split(".")
+        if cls_name:
+            owner = getattr(owner, cls_name[0])
+        assert name in vars(owner), f"{module_name}.{attr}"
