@@ -61,7 +61,6 @@ _EXPORTS = {
     "quantile_weights": ".evaluation",
     "rcs": ".evaluation",
     "reconstruct_predictive": ".evaluation",
-    "rtcs": ".evaluation",
     # configuration and pipeline
     "RunConfig": ".config",
     "load_config": ".config",

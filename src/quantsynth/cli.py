@@ -88,79 +88,37 @@ def _cmd_ingest(cfg) -> int:
     return 0
 
 
-def _cmd_fit_agents(cfg) -> int:
-    from .pipeline import ingest, make_plan, stage_fit_agents
-
-    panel = ingest(cfg.data.panel_csv, cfg.data.h)
-    plan = make_plan(cfg, panel)
-    fset, _ = stage_fit_agents(plan, panel, cfg.workers)
-    out = _out_dir(cfg)
-    path = out / "agent_forecasts.csv"
-    fset.to_csv(path, quarterly=plan.quarterly)
-    print(
-        f"wrote {path}: {len(fset)} forecasts "
-        f"({len(cfg.agents)} agents x {len(plan.taus)} taus x "
-        f"{plan.agent_targets.size} windows x {len(panel.series_ids)} series)"
-    )
-    return 0
+# command -> (stages it runs, the plan.factor it requires or None for either)
+_STAGE_COMMANDS = {
+    "fit-agents": (("agents",), None),
+    "synth": (("synthesis",), False),
+    "synth-factor": (("synthesis",), True),
+    "evaluate": (("evaluate",), None),
+    "backtest": (("agents", "synthesis", "evaluate"), None),
+}
 
 
-def _cmd_synth(cfg, factor: bool) -> int:
-    from .agents import AgentForecastSet
-    from .pipeline import ingest, make_plan, stage_synthesize, write_forecasts, write_joint_draws
+def _cmd_stages(cfg, command: str) -> int:
+    from .pipeline import MissingInputError, run_stages
 
-    cfg = replace(cfg, plan=replace(cfg.plan, factor=factor))
-    panel = ingest(cfg.data.panel_csv, cfg.data.h)
-    plan = make_plan(cfg, panel)
-    out = _out_dir(cfg)
-    agents_path = out / "agent_forecasts.csv"
-    if not agents_path.exists():
-        print(f"error: {agents_path} not found; run fit-agents first", file=sys.stderr)
+    stages, factor = _STAGE_COMMANDS[command]
+    if factor is not None and cfg.plan.factor != factor:
+        other = "synth" if factor else "synth-factor"
+        print(
+            f"error: {command} needs plan.factor: {str(factor).lower()}, but the config sets "
+            f"plan.factor: {str(cfg.plan.factor).lower()}; change it or run {other}",
+            file=sys.stderr,
+        )
         return 1
-    fset = AgentForecastSet.from_csv(agents_path)
-    rows, joint_rows, _ = stage_synthesize(plan, panel, fset, cfg.workers)
-    path = out / "forecasts.csv"
-    write_forecasts(rows, path, plan.quarterly)
-    print(f"wrote {path}: {len(rows)} forecast rows ({cfg.synth_model_name})")
-    if joint_rows:
-        jpath = out / "joint_draws.csv"
-        write_joint_draws(joint_rows, jpath, plan.quarterly)
-        print(f"wrote {jpath}: {len(joint_rows)} joint draw rows")
-    return 0
-
-
-def _cmd_evaluate(cfg) -> int:
-    from .agents import AgentForecastSet
-    from .pipeline import (
-        emit_plots_data,
-        ingest,
-        make_plan,
-        read_forecasts,
-        stage_evaluate,
-        write_pit,
-        write_ratios,
-        write_scores,
-    )
-
-    panel = ingest(cfg.data.panel_csv, cfg.data.h)
-    plan = make_plan(cfg, panel)
-    out = _out_dir(cfg)
-    agents_path = out / "agent_forecasts.csv"
-    forecasts_path = out / "forecasts.csv"
-    for path in (agents_path, forecasts_path):
-        if not path.exists():
-            print(f"error: {path} not found; run the earlier stages first", file=sys.stderr)
-            return 1
-    fset = AgentForecastSet.from_csv(agents_path)
-    synth_rows = read_forecasts(forecasts_path)
-    panels, pit_rows, ratio_rows = stage_evaluate(plan, panel, fset, synth_rows)
-    write_scores(panels, out / "scores.csv", plan.quarterly)
-    write_ratios(ratio_rows, out / "ratios.csv", plan.quarterly)
-    write_pit(pit_rows, out / "pit.csv", plan.quarterly)
-    written = emit_plots_data(out, reference=cfg.reference_model)
-    print(f"wrote {out / 'scores.csv'}, {out / 'ratios.csv'}, {out / 'pit.csv'}")
-    for path in written:
-        print(f"wrote {path}")
+    try:
+        manifest = run_stages(cfg, stages)
+    except MissingInputError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
+    out = Path(cfg.out_dir)
+    print(f"{command} complete: {len(manifest.windows)} jobs")
+    for name in (*manifest.outputs, "manifest.json"):
+        print(f"wrote {out / name}")
     return 0
 
 
@@ -206,17 +164,6 @@ def _cmd_reconstruct(cfg) -> int:
     return 0
 
 
-def _cmd_backtest(cfg) -> int:
-    from .pipeline import run_backtest
-
-    manifest = run_backtest(cfg)
-    out = Path(cfg.out_dir)
-    print(f"backtest complete: {len(manifest.windows)} jobs, outputs in {out}")
-    for name in manifest.outputs:
-        print(f"  {name}")
-    return 0
-
-
 def _cmd_audit(cfg) -> int:
     from .pipeline import audit_lookahead
 
@@ -231,27 +178,20 @@ def _cmd_audit(cfg) -> int:
     return 1 if violations else 0
 
 
+_HANDLERS = {
+    "ingest": _cmd_ingest,
+    "reconstruct": _cmd_reconstruct,
+    "audit-lookahead": _cmd_audit,
+}
+
+
 def main(argv=None) -> int:
     limit_worker_threads()
     args = _build_parser().parse_args(argv)
     cfg = _load_config(args)
-    if args.command == "ingest":
-        return _cmd_ingest(cfg)
-    if args.command == "fit-agents":
-        return _cmd_fit_agents(cfg)
-    if args.command == "synth":
-        return _cmd_synth(cfg, factor=False)
-    if args.command == "synth-factor":
-        return _cmd_synth(cfg, factor=True)
-    if args.command == "evaluate":
-        return _cmd_evaluate(cfg)
-    if args.command == "reconstruct":
-        return _cmd_reconstruct(cfg)
-    if args.command == "backtest":
-        return _cmd_backtest(cfg)
-    if args.command == "audit-lookahead":
-        return _cmd_audit(cfg)
-    raise AssertionError(f"unhandled command {args.command}")
+    if args.command in _STAGE_COMMANDS:
+        return _cmd_stages(cfg, args.command)
+    return _HANDLERS[args.command](cfg)
 
 
 if __name__ == "__main__":

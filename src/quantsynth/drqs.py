@@ -28,7 +28,6 @@ from .dlm import DiscountConfig, NormalGammaPrior, ffbs_conjugate, psd_sqrt
 
 __all__ = [
     "DRQSConfig",
-    "SynthesisDraw",
     "DRQSDraws",
     "QuantileForecast",
     "default_synthesis_prior",
@@ -70,16 +69,6 @@ class DRQSConfig:
 
 
 @dataclass
-class SynthesisDraw:
-    """One posterior draw of the synthesis latents."""
-
-    theta: np.ndarray  # (T, J+1) weights incl. intercept
-    sigma: np.ndarray  # (T,) scales
-    v: np.ndarray  # (T,) mixing variables
-    f: np.ndarray  # (T, J) latent predictors
-
-
-@dataclass
 class DRQSDraws:
     """Stacked retained draws plus the terminal filter quantities forecasting needs."""
 
@@ -100,11 +89,6 @@ class DRQSDraws:
     @property
     def T(self) -> int:
         return self.theta.shape[1]
-
-    def draw(self, r: int) -> SynthesisDraw:
-        return SynthesisDraw(
-            theta=self.theta[r], sigma=self.sigma[r], v=self.v[r], f=self.f[r]
-        )
 
 
 def _agent_stream(root_entropy: np.ndarray, kind: str, name: str) -> np.random.Generator:

@@ -21,7 +21,6 @@ __all__ = [
     "quantile_weights",
     "crps_quantile_weighted",
     "rcs",
-    "rtcs",
     "pit",
     "ReconstructedPredictive",
     "reconstruct_predictive",
@@ -84,13 +83,26 @@ def crps_quantile_weighted(y: float, qhat: np.ndarray, grid: QuantileGrid, kind:
     return float(np.trapezoid(integrand, taus))
 
 
-def _window_sum(values: np.ndarray, times: np.ndarray, t_start: int, t_star: int) -> float:
-    mask = (times >= t_start) & (times <= t_star)
-    covered = times[mask]
-    expected = np.arange(t_start, t_star + 1)
-    if covered.size != expected.size or np.any(np.sort(covered) != expected):
-        raise ValueError(f"scores do not cover the window [{t_start}, {t_star}]")
-    return float(np.sum(values[..., mask]))
+def _window_ratio(series, t_start: int | None, t_star: int) -> float:
+    """Summed scores over the inclusive window ``[t_start, t_star]``, self over reference.
+
+    ``series`` yields ``(times, self_scores, ref_scores)`` per series; every
+    time in the window must be scored exactly once per series.  Each series'
+    window is summed on its own and the sums are added in order.  With
+    ``t_start`` None each series' window starts at its first time.
+    """
+    num = 0.0
+    den = 0.0
+    for times, values, ref_values in series:
+        start = int(times.min()) if t_start is None else int(t_start)
+        mask = (times >= start) & (times <= t_star)
+        if not np.array_equal(np.sort(times[mask]), np.arange(start, t_star + 1)):
+            raise ValueError(f"scores do not cover the window [{start}, {t_star}]")
+        num += float(np.sum(values[mask]))
+        den += float(np.sum(ref_values[mask]))
+    if den <= 0.0:
+        raise ZeroDivisionError("reference score sum is zero over the window")
+    return num / den
 
 
 def rcs(
@@ -100,32 +112,22 @@ def rcs(
     t_star: int,
     times: np.ndarray | None = None,
 ) -> float:
-    """Cumulative score ratio sum(self)/sum(ref) over the inclusive window."""
+    """Cumulative score ratio sum(self)/sum(ref) over the inclusive window.
+
+    A 2-D input holds one series per row, sharing ``times``; the ratio is
+    then of the totals over all series.
+    """
     crps_self = np.asarray(crps_self, dtype=float)
     crps_ref = np.asarray(crps_ref, dtype=float)
     if crps_self.shape != crps_ref.shape:
         raise ValueError("score series must share a shape")
+    if crps_self.ndim not in (1, 2):
+        raise ValueError(f"scores must be 1-D or 2-D (series x time), got {crps_self.ndim}-D")
     if times is None:
         times = np.arange(crps_self.shape[-1])
     times = np.asarray(times, dtype=int)
-    num = _window_sum(crps_self, times, t_start, t_star)
-    den = _window_sum(crps_ref, times, t_start, t_star)
-    if den <= 0.0:
-        raise ZeroDivisionError("reference score sum is zero over the window")
-    return num / den
-
-
-def rtcs(
-    crps_self: np.ndarray,
-    crps_ref: np.ndarray,
-    t_start: int,
-    t_star: int,
-    times: np.ndarray | None = None,
-) -> float:
-    """Total cumulative ratio: like :func:`rcs` with an extra sum over series rows."""
-    crps_self = np.atleast_2d(np.asarray(crps_self, dtype=float))
-    crps_ref = np.atleast_2d(np.asarray(crps_ref, dtype=float))
-    return rcs(crps_self, crps_ref, t_start, t_star, times)
+    rows = zip(np.atleast_2d(crps_self), np.atleast_2d(crps_ref))
+    return _window_ratio(((times, a, b) for a, b in rows), t_start, t_star)
 
 
 def pit(y: float, draws: np.ndarray) -> float:
@@ -235,16 +237,11 @@ class ScorePanel:
     model: str
     scheme: str
     crps: dict = field(default_factory=dict)  # (series, time) -> score
-    pit: dict = field(default_factory=dict)  # (series, time) -> PIT value
 
-    def add(self, series: str, t: int, crps_value: float, pit_value: float | None = None) -> None:
+    def add(self, series: str, t: int, crps_value: float) -> None:
         if crps_value < 0.0:
             raise ValueError("scores must be nonnegative")
         self.crps[(series, int(t))] = float(crps_value)
-        if pit_value is not None:
-            if not 0.0 <= pit_value <= 1.0:
-                raise ValueError("PIT values must lie in [0, 1]")
-            self.pit[(series, int(t))] = float(pit_value)
 
     def series_ids(self) -> list[str]:
         return sorted({k[0] for k in self.crps})
@@ -252,36 +249,24 @@ class ScorePanel:
     def times(self, series: str) -> np.ndarray:
         return np.array(sorted(t for s, t in self.crps if s == series), dtype=int)
 
-    def _series_scores(self, series: str) -> tuple[np.ndarray, np.ndarray]:
-        times = self.times(series)
-        vals = np.array([self.crps[(series, t)] for t in times])
-        return times, vals
+    def _ratio(self, ref: "ScorePanel", series_ids, t_star: int, t_start: int | None) -> float:
+        rows = []
+        for s in series_ids:
+            times, rtimes = self.times(s), ref.times(s)
+            if not np.array_equal(times, rtimes):
+                raise ValueError(f"panels disagree on times for series {s}")
+            vals = np.array([self.crps[(s, t)] for t in times])
+            rvals = np.array([ref.crps[(s, t)] for t in times])
+            rows.append((times, vals, rvals))
+        return _window_ratio(rows, t_start, t_star)
 
     def rcs_vs(self, ref: "ScorePanel", series: str, t_star: int, t_start: int | None = None) -> float:
         """Per-series cumulative ratio against a reference panel."""
-        times, vals = self._series_scores(series)
-        rtimes, rvals = ref._series_scores(series)
-        if t_start is None:
-            t_start = int(times.min())
-        if not np.array_equal(times, rtimes):
-            raise ValueError(f"panels disagree on times for series {series}")
-        return rcs(vals, rvals, t_start, t_star, times)
+        return self._ratio(ref, [series], t_star, t_start)
 
     def rtcs_vs(self, ref: "ScorePanel", t_star: int, t_start: int | None = None) -> float:
         """Cumulative ratio summed over every series in the panel."""
         sids = self.series_ids()
         if sids != ref.series_ids():
             raise ValueError("panels cover different series")
-        num = 0.0
-        den = 0.0
-        for s in sids:
-            times, vals = self._series_scores(s)
-            rtimes, rvals = ref._series_scores(s)
-            if not np.array_equal(times, rtimes):
-                raise ValueError(f"panels disagree on times for series {s}")
-            start = int(times.min()) if t_start is None else t_start
-            num += _window_sum(vals, times, start, t_star)
-            den += _window_sum(rvals, times, start, t_star)
-        if den <= 0.0:
-            raise ZeroDivisionError("reference score sum is zero over the window")
-        return num / den
+        return self._ratio(ref, sids, t_star, t_start)

@@ -7,6 +7,15 @@ the realized values and accumulated agent forecasts and emits its own
 forecast for t*; finally everything is scored and written as CSV artifacts
 plus a JSON run manifest.
 
+The stages are rows of one table, :data:`STAGES`: ``agents``,
+``synthesis`` and ``evaluate``, each with the artifacts it reads, the
+artifacts it writes and the function that runs it.  One runner,
+:func:`run_stages`, executes any sequence of them: it ingests the panel and
+builds the plan, checks that every input is either produced earlier in the
+same call or present in ``out_dir``, runs the stages, writes their
+artifacts, and writes ``manifest.json``.  :func:`run_backtest` runs all
+three; each stage subcommand of the CLI runs one.
+
 Jobs are independent across (tau, window) and run under a bounded process
 pool.  Every job derives its generator from the root seed and its own
 logical identity, so outputs are bit-identical across worker counts and
@@ -22,6 +31,7 @@ import hashlib
 import json
 import re
 import time as _time
+from collections.abc import Callable
 from concurrent.futures import ProcessPoolExecutor, as_completed
 from dataclasses import dataclass, field
 from multiprocessing import get_context
@@ -44,6 +54,9 @@ __all__ = [
     "BacktestPlan",
     "RunManifest",
     "JobError",
+    "MissingInputError",
+    "Stage",
+    "STAGES",
     "ingest",
     "write_panel",
     "make_plan",
@@ -52,6 +65,7 @@ __all__ = [
     "stage_fit_agents",
     "stage_synthesize",
     "stage_evaluate",
+    "run_stages",
     "run_backtest",
     "emit_plots_data",
     "audit_lookahead",
@@ -403,9 +417,8 @@ class JobError(RuntimeError):
         )
 
 
-def _run_agent_window(payload: dict) -> dict:
+def _run_agent_window(payload: dict) -> list:
     """Fit every (series, agent) pair for one (tau, window) task."""
-    t0 = _time.perf_counter()
     tau, target, seed = payload["tau"], payload["target"], payload["seed"]
     rows = []
     for job in payload["jobs"]:
@@ -422,24 +435,14 @@ def _run_agent_window(payload: dict) -> dict:
         fit = fit_dqlm(job["y"], job["X"], spec, mcmc=(agent.draws, agent.burn), rng=rng)
         fc = forecast_dqlm(fit, job["x_next"], rng, t_next=target)
         rows.append((job["series"], target, agent.name, tau, fc.a, fc.A))
-    return {
-        "tau": tau,
-        "target": target,
-        "rows": rows,
-        "seconds": _time.perf_counter() - t0,
-    }
+    return rows
 
 
-def _run_synth_window(payload: dict) -> dict:
+def _run_synth_window(payload: dict) -> tuple[list, list]:
     """Fit the univariate synthesizer per series for one (tau, window) task."""
-    t0 = _time.perf_counter()
     tau, target, seed = payload["tau"], payload["target"], payload["seed"]
-    names = payload["agent_names"]
-    cfg = DRQSConfig(
-        tau=tau,
-        J=len(names),
-        disc=DiscountConfig(delta=payload["delta"], beta=payload["beta"]),
-    )
+    names, syn = payload["agent_names"], payload["synthesis"]
+    cfg = DRQSConfig(tau=tau, J=len(names), disc=DiscountConfig(delta=syn.delta, beta=syn.beta))
     rows = []
     for job in payload["series"]:
         rng = task_stream(seed, "synthesis", job["series"], tau, target)
@@ -447,7 +450,7 @@ def _run_synth_window(payload: dict) -> dict:
             job["y"],
             (job["a"], job["A"]),
             cfg,
-            mcmc=(payload["draws"], payload["burn"]),
+            mcmc=(syn.draws, syn.burn),
             rng=rng,
             agent_names=names,
         )
@@ -455,17 +458,11 @@ def _run_synth_window(payload: dict) -> dict:
         rows.append(
             (job["series"], target, tau, fc.point, fc.interval[0], fc.interval[1], fc.draws.size)
         )
-    return {
-        "tau": tau,
-        "target": target,
-        "rows": rows,
-        "seconds": _time.perf_counter() - t0,
-    }
+    return rows, []
 
 
-def _run_factor_window(payload: dict) -> dict:
+def _run_factor_window(payload: dict) -> tuple[list, list]:
     """Fit the factor synthesizer jointly over all series for one (tau, window)."""
-    t0 = _time.perf_counter()
     tau, target, seed = payload["tau"], payload["target"], payload["seed"]
     names, series_ids = payload["agent_names"], payload["series_ids"]
     fc_cfg = payload["factor"]
@@ -498,49 +495,57 @@ def _run_factor_window(payload: dict) -> dict:
         fc = ff.forecasts[i]
         rows.append((sid, target, tau, fc.point, fc.interval[0], fc.interval[1], fc.draws.size))
     joint = []
-    if payload["want_joint"]:
+    if fc_cfg.write_joint_draws:
         R = ff.joint.shape[0]
         for r in range(R):
             for i, sid in enumerate(series_ids):
                 joint.append((target, tau, r, sid, ff.joint[r, i]))
-    return {
-        "tau": tau,
-        "target": target,
-        "rows": rows,
-        "joint": joint,
-        "seconds": _time.perf_counter() - t0,
-    }
+    return rows, joint
 
 
-def _run_pool(fn, payloads, workers: int, stage: str, quarterly: bool) -> list:
-    """Execute independent job payloads, fail-fast, deterministic result order."""
-    results = []
+def _timed(fn, payload: dict) -> tuple:
+    """Run one job and time it where it runs: ``(result, seconds)``."""
+    t0 = _time.perf_counter()
+    result = fn(payload)
+    return result, _time.perf_counter() - t0
+
+
+def _run_pool(fn, payloads: list, workers: int, stage: str, plan: BacktestPlan) -> tuple[list, list]:
+    """Execute independent job payloads, fail-fast.
+
+    Returns the job results in payload order and one timing record per job.
+    """
+    timed = [None] * len(payloads)
+
+    def failure(i: int, exc: Exception) -> JobError:
+        p = payloads[i]
+        return JobError(stage, p["tau"], plan.time_label(p["target"]), exc)
+
     if workers <= 1:
-        for payload in payloads:
+        for i, payload in enumerate(payloads):
             try:
-                results.append(fn(payload))
+                timed[i] = _timed(fn, payload)
             except Exception as exc:
-                raise JobError(
-                    stage, payload["tau"], format_time(payload["target"], quarterly), exc
-                ) from exc
+                raise failure(i, exc) from exc
     else:
         ctx = get_context("spawn")
         with ProcessPoolExecutor(
             max_workers=workers, mp_context=ctx, initializer=limit_worker_threads
         ) as pool:
-            futures = {pool.submit(fn, payload): payload for payload in payloads}
+            futures = {pool.submit(_timed, fn, payload): i for i, payload in enumerate(payloads)}
             for fut in as_completed(futures):
-                payload = futures[fut]
                 try:
-                    results.append(fut.result())
+                    timed[futures[fut]] = fut.result()
                 except Exception as exc:
                     for other in futures:
                         other.cancel()
-                    raise JobError(
-                        stage, payload["tau"], format_time(payload["target"], quarterly), exc
-                    ) from exc
-    results.sort(key=lambda r: (r["tau"], r["target"]))
-    return results
+                    raise failure(futures[fut], exc) from exc
+    timings = [
+        {"stage": stage, "tau": p["tau"], "window": plan.time_label(p["target"]),
+         "seconds": round(seconds, 6)}
+        for p, (_, seconds) in zip(payloads, timed)
+    ]
+    return [result for result, _ in timed], timings
 
 
 # ---------------------------------------------------------------------------
@@ -579,13 +584,11 @@ def stage_fit_agents(
 ) -> tuple[AgentForecastSet, list]:
     """Fit every agent over the expanding windows; forecasts plus job timings."""
     payloads = _agent_payloads(plan, panel)
-    results = _run_pool(_run_agent_window, payloads, workers, "agents", plan.quarterly)
+    results, timings = _run_pool(_run_agent_window, payloads, workers, "agents", plan)
     fset = AgentForecastSet(quarterly=plan.quarterly)
-    timings = []
-    for res in results:
-        for series, target, agent, tau, a, A in res["rows"]:
-            fset.add(series, target, agent, tau, a, A)
-        timings.append(_timing("agents", res, plan))
+    for rows in results:
+        for row in rows:
+            fset.add(*row)
     return fset, timings
 
 
@@ -618,10 +621,7 @@ def _synth_payloads(plan: BacktestPlan, panel: SeriesPanel, fset: AgentForecastS
                     "target": int(target),
                     "seed": plan.seed,
                     "agent_names": names,
-                    "delta": cfg.synthesis.delta,
-                    "beta": cfg.synthesis.beta,
-                    "draws": cfg.synthesis.draws,
-                    "burn": cfg.synthesis.burn,
+                    "synthesis": cfg.synthesis,
                     "series": series_jobs,
                 }
             )
@@ -660,7 +660,6 @@ def _factor_payloads(plan: BacktestPlan, panel: SeriesPanel, fset: AgentForecast
                     "A": A_all[:-1],
                     "a_next": a_all[-1],
                     "A_next": A_all[-1],
-                    "want_joint": cfg.factor.write_joint_draws,
                 }
             )
     return payloads
@@ -674,27 +673,13 @@ def stage_synthesize(
 ) -> tuple[list, list, list]:
     """Run the synthesis stage; returns (forecast rows, joint draw rows, timings)."""
     if plan.cfg.plan.factor:
-        payloads = _factor_payloads(plan, panel, fset)
-        results = _run_pool(_run_factor_window, payloads, workers, "synthesis", plan.quarterly)
+        fn, payloads = _run_factor_window, _factor_payloads(plan, panel, fset)
     else:
-        payloads = _synth_payloads(plan, panel, fset)
-        results = _run_pool(_run_synth_window, payloads, workers, "synthesis", plan.quarterly)
-    rows, joint, timings = [], [], []
-    for res in results:
-        rows.extend(res["rows"])
-        joint.extend(res.get("joint", ()))
-        timings.append(_timing("synthesis", res, plan))
-    rows.sort(key=lambda r: (r[0], r[1], r[2]))
+        fn, payloads = _run_synth_window, _synth_payloads(plan, panel, fset)
+    results, timings = _run_pool(fn, payloads, workers, "synthesis", plan)
+    rows = sorted((row for res, _ in results for row in res), key=lambda r: (r[0], r[1], r[2]))
+    joint = [row for _, res in results for row in res]
     return rows, joint, timings
-
-
-def _timing(stage: str, result: dict, plan: BacktestPlan) -> dict:
-    return {
-        "stage": stage,
-        "tau": result["tau"],
-        "window": plan.time_label(result["target"]),
-        "seconds": round(result["seconds"], 6),
-    }
 
 
 def stage_evaluate(
@@ -927,16 +912,15 @@ def emit_plots_data(out_dir, reference: str) -> list:
 
     # Score curves: per-series cumulative ratio of every model to the reference.
     by_panel: dict = {}
-    with open(scores_path, newline="", encoding="utf-8") as fh:
-        for row in csv.DictReader(fh):
-            key = (row["model"], row["scheme"])
-            by_panel.setdefault(key, ScorePanel(model=row["model"], scheme=row["scheme"])).add(
-                row["series"], parse_time(row["time"]), float(row["crps"])
-            )
     time_labels = {}
     with open(scores_path, newline="", encoding="utf-8") as fh:
         for row in csv.DictReader(fh):
-            time_labels[parse_time(row["time"])] = row["time"]
+            t = parse_time(row["time"])
+            time_labels[t] = row["time"]
+            key = (row["model"], row["scheme"])
+            by_panel.setdefault(key, ScorePanel(model=row["model"], scheme=row["scheme"])).add(
+                row["series"], t, float(row["crps"])
+            )
     rcs_rows = []
     for (model, scheme), panel in sorted(by_panel.items()):
         ref_panel = by_panel.get((reference, scheme))
@@ -1017,25 +1001,99 @@ def _normalized_config_hash(cfg: RunConfig) -> str:
     return config_hash(dataclasses.replace(cfg, workers=1, out_dir="out"))
 
 
-def run_backtest(
+class MissingInputError(FileNotFoundError):
+    """A stage input is neither produced earlier in the run nor present in ``out_dir``."""
+
+
+@dataclass(frozen=True)
+class Stage:
+    """One protocol step: the artifacts it reads and writes, and its function.
+
+    ``run(plan, panel, workers, *inputs)`` gets one input per entry of
+    ``reads`` and returns one value per entry of ``writes``, then the stage's
+    per-job timings.  Each ``run`` calls its stage function by name when it
+    runs, so a wrapper installed on this module's attribute is the one called.
+    """
+
+    name: str
+    reads: tuple
+    writes: tuple
+    run: Callable
+
+
+STAGES = {
+    stage.name: stage
+    for stage in (
+        Stage(
+            "agents",
+            reads=(),
+            writes=("agent_forecasts.csv",),
+            run=lambda plan, panel, workers: stage_fit_agents(plan, panel, workers),
+        ),
+        Stage(
+            "synthesis",
+            reads=("agent_forecasts.csv",),
+            writes=("forecasts.csv", "joint_draws.csv"),
+            run=lambda plan, panel, workers, fset: stage_synthesize(plan, panel, fset, workers),
+        ),
+        Stage(
+            "evaluate",
+            reads=("agent_forecasts.csv", "forecasts.csv"),
+            writes=("scores.csv", "pit.csv", "ratios.csv"),
+            run=lambda plan, panel, workers, fset, rows: (
+                *stage_evaluate(plan, panel, fset, rows), []
+            ),
+        ),
+    )
+}
+
+# Artifact readers and writers, also looked up by name when they run.
+_READERS = {
+    "agent_forecasts.csv": lambda path: AgentForecastSet.from_csv(path),
+    "forecasts.csv": lambda path: read_forecasts(path),
+}
+_WRITERS = {
+    "agent_forecasts.csv": lambda fset, path, quarterly: fset.to_csv(path, quarterly=quarterly),
+    "forecasts.csv": lambda rows, path, quarterly: write_forecasts(rows, path, quarterly),
+    "joint_draws.csv": lambda rows, path, quarterly: write_joint_draws(rows, path, quarterly),
+    "scores.csv": lambda panels, path, quarterly: write_scores(panels, path, quarterly),
+    "pit.csv": lambda rows, path, quarterly: write_pit(rows, path, quarterly),
+    "ratios.csv": lambda rows, path, quarterly: write_ratios(rows, path, quarterly),
+}
+
+
+def run_stages(
     cfg: RunConfig,
+    names,
     panel: SeriesPanel | None = None,
     workers: int | None = None,
     out_dir=None,
 ) -> RunManifest:
-    """Execute the full expanding-window protocol and write all artifacts.
+    """Run the named stages of :data:`STAGES` in order and write their artifacts.
 
-    Artifacts in ``out_dir``: ``agent_forecasts.csv``, ``forecasts.csv``,
-    ``scores.csv``, ``ratios.csv``, ``pit.csv``, plot data under ``plots/``,
-    optionally ``joint_draws.csv``, and ``manifest.json``.  Any job failure
-    aborts the run; the manifest is still written with ``complete`` false
-    and the failing job identified.
+    Each stage takes its inputs from an earlier stage of the same call, or
+    else from ``out_dir``; if one is in neither place,
+    :class:`MissingInputError` is raised before any stage runs.  Plot data
+    under ``plots/`` follows the scores.  ``manifest.json`` records the
+    per-job timings and the files written; any failure aborts the run, and
+    the manifest is still written with ``complete`` false and the failing
+    job identified.
     """
     if panel is None:
         panel = ingest(cfg.data.panel_csv, cfg.data.h)
     plan = make_plan(cfg, panel)
     workers = cfg.workers if workers is None else int(workers)
     out = Path(cfg.out_dir if out_dir is None else out_dir)
+    stages = [STAGES[name] for name in names]
+
+    produced, missing = set(), []
+    for stage in stages:
+        for name in stage.reads:
+            if name not in produced and not (out / name).exists():
+                missing.append(str(out / name))
+        produced.update(stage.writes)
+    if missing:
+        raise MissingInputError(f"{', '.join(missing)} not found; run the earlier stages first")
     out.mkdir(parents=True, exist_ok=True)
 
     manifest = RunManifest(
@@ -1044,28 +1102,21 @@ def run_backtest(
         versions=_versions(),
         started_at=datetime.datetime.now(datetime.timezone.utc).isoformat(),
     )
+    artifacts = {}
     try:
-        fset, timings = stage_fit_agents(plan, panel, workers)
-        manifest.windows.extend(timings)
-        fset.to_csv(out / "agent_forecasts.csv", quarterly=plan.quarterly)
-        manifest.outputs.append("agent_forecasts.csv")
-
-        synth_rows, joint_rows, timings = stage_synthesize(plan, panel, fset, workers)
-        manifest.windows.extend(timings)
-        write_forecasts(synth_rows, out / "forecasts.csv", plan.quarterly)
-        manifest.outputs.append("forecasts.csv")
-        if joint_rows:
-            write_joint_draws(joint_rows, out / "joint_draws.csv", plan.quarterly)
-            manifest.outputs.append("joint_draws.csv")
-
-        panels, pit_rows, ratio_rows = stage_evaluate(plan, panel, fset, synth_rows)
-        write_scores(panels, out / "scores.csv", plan.quarterly)
-        write_ratios(ratio_rows, out / "ratios.csv", plan.quarterly)
-        write_pit(pit_rows, out / "pit.csv", plan.quarterly)
-        manifest.outputs.extend(["scores.csv", "ratios.csv", "pit.csv"])
-
-        for path in emit_plots_data(out, reference=cfg.reference_model):
-            manifest.outputs.append(str(Path(path).relative_to(out)))
+        for stage in stages:
+            inputs = [artifacts[a] if a in artifacts else _READERS[a](out / a) for a in stage.reads]
+            *values, timings = stage.run(plan, panel, workers, *inputs)
+            manifest.windows.extend(timings)
+            for name, value in zip(stage.writes, values):
+                artifacts[name] = value
+                if name == "joint_draws.csv" and not value:
+                    continue  # only a factor run with write_joint_draws keeps draws
+                _WRITERS[name](value, out / name, plan.quarterly)
+                manifest.outputs.append(name)
+            if "scores.csv" in stage.writes:
+                for path in emit_plots_data(out, reference=cfg.reference_model):
+                    manifest.outputs.append(str(Path(path).relative_to(out)))
         manifest.complete = True
     except JobError as exc:
         manifest.failed_job = {
@@ -1083,6 +1134,23 @@ def run_backtest(
         manifest.outputs.sort()
         manifest.write(out / "manifest.json")
     return manifest
+
+
+def run_backtest(
+    cfg: RunConfig,
+    panel: SeriesPanel | None = None,
+    workers: int | None = None,
+    out_dir=None,
+) -> RunManifest:
+    """Execute the full expanding-window protocol and write all artifacts.
+
+    Artifacts in ``out_dir``: ``agent_forecasts.csv``, ``forecasts.csv``,
+    ``scores.csv``, ``ratios.csv``, ``pit.csv``, plot data under ``plots/``,
+    optionally ``joint_draws.csv``, and ``manifest.json``.  Any job failure
+    aborts the run; the manifest is still written with ``complete`` false
+    and the failing job identified.
+    """
+    return run_stages(cfg, tuple(STAGES), panel, workers, out_dir)
 
 
 def audit_lookahead(cfg: RunConfig, panel: SeriesPanel | None = None) -> list:

@@ -13,7 +13,6 @@ from quantsynth.evaluation import (
     quantile_weights,
     rcs,
     reconstruct_predictive,
-    rtcs,
 )
 
 
@@ -117,7 +116,12 @@ class TestScoreRatios:
     def test_multiseries_total_ratio(self):
         rng = np.random.default_rng(13)
         xm = rng.uniform(0.5, 2.0, size=(3, 10))
-        assert abs(rtcs(2.0 * xm, xm, 0, 9) - 2.0) < 1e-12
+        assert abs(rcs(2.0 * xm, xm, 0, 9) - 2.0) < 1e-12
+        # rows are series: the ratio is of the totals over the window
+        worse = xm.copy()
+        worse[0] *= 3.0
+        expect = (3.0 * xm[0, 2:6].sum() + xm[1:, 2:6].sum()) / xm[:, 2:6].sum()
+        assert abs(rcs(worse, xm, 2, 5) - expect) < 1e-12
 
     def test_errors(self):
         x = np.ones(5)
@@ -125,6 +129,8 @@ class TestScoreRatios:
             rcs(x, np.ones(4), 0, 3)
         with pytest.raises(ZeroDivisionError):
             rcs(x, np.zeros(5), 0, 4)
+        with pytest.raises(ValueError, match="1-D or 2-D"):
+            rcs(np.ones((1, 2, 5)), np.ones((1, 2, 5)), 0, 4)
 
 
 class TestPIT:
@@ -224,8 +230,8 @@ class TestScorePanel:
         p0 = ScorePanel("ref", "none")
         for t in range(5):
             for s in ("a", "b"):
-                p1.add(s, t, 2.0, 0.5)
-                p0.add(s, t, 1.0, 0.5)
+                p1.add(s, t, 2.0)
+                p0.add(s, t, 1.0)
         assert p1.rcs_vs(p0, "a", 4) == 2.0
         assert p1.rtcs_vs(p0, 4) == 2.0
         assert p1.series_ids() == ["a", "b"]
@@ -235,8 +241,6 @@ class TestScorePanel:
         p = ScorePanel("m", "none")
         with pytest.raises(ValueError, match="nonnegative"):
             p.add("a", 0, -1.0)
-        with pytest.raises(ValueError, match="PIT"):
-            p.add("a", 0, 1.0, 1.5)
 
     def test_mismatch_errors(self):
         p1 = ScorePanel("m", "none")

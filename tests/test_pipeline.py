@@ -7,13 +7,14 @@ import hashlib
 import importlib
 import importlib.util
 import json
+import shutil
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from conftest import backtest_config, write_level_panel
-from quantsynth import cli
+from quantsynth import cli, pipeline
 from quantsynth.config import (
     config_from_dict,
     config_hash,
@@ -31,6 +32,7 @@ from quantsynth.pipeline import (
     make_plan,
     read_forecasts,
     run_backtest,
+    run_stages,
     task_stream,
     write_panel,
 )
@@ -468,13 +470,47 @@ class TestBacktest:
         assert cli.main(["evaluate", *base_args]) == 1  # stages out of order
         err = capsys.readouterr().err
         assert "run the earlier stages first" in err
+        assert not (staged / "manifest.json").exists()
 
-        for command in ("ingest", "fit-agents", "synth", "evaluate"):
+        assert cli.main(["ingest", *base_args]) == 0
+        expected_outputs = {
+            "fit-agents": ["agent_forecasts.csv"],
+            "synth": ["forecasts.csv"],
+            "evaluate": sorted(["scores.csv", "ratios.csv", "pit.csv", *PLOT_FILES]),
+        }
+        for command, outputs in expected_outputs.items():
             assert cli.main([command, *base_args]) == 0
+            manifest = json.loads((staged / "manifest.json").read_text())
+            assert manifest["complete"] and manifest["outputs"] == outputs, command
         out = capsys.readouterr().out
         assert "wrote" in out
         for name in STAGE_FILES:
             assert filecmp.cmp(root / "out" / name, staged / name, shallow=False), name
+
+    def test_synth_commands_must_match_plan_factor(self, tmp_path, capsys):
+        for command, factor in (("synth-factor", False), ("synth", True)):
+            cfg = backtest_config(tmp_path / "levels.csv", tmp_path / command)
+            cfg = dataclasses.replace(cfg, plan=dataclasses.replace(cfg.plan, factor=factor))
+            cfg_path = tmp_path / f"{command}.yaml"
+            dump_config(cfg, cfg_path)
+            assert cli.main([command, "--config", str(cfg_path)]) == 1
+            assert "plan.factor" in capsys.readouterr().err
+            assert not (tmp_path / command).exists()
+
+    def test_runner_calls_module_attributes(self, mini_run, tmp_path, monkeypatch):
+        """A wrapper installed on a pipeline function is the one the runner calls."""
+        cfg, root, _ = mini_run
+        for name in ("agent_forecasts.csv", "forecasts.csv"):
+            shutil.copy(root / "out" / name, tmp_path / name)
+        calls = []
+        for attr in ("read_forecasts", "stage_evaluate", "write_scores"):
+            fn = getattr(pipeline, attr)
+            monkeypatch.setattr(
+                pipeline, attr, lambda *a, _fn=fn, _attr=attr: calls.append(_attr) or _fn(*a)
+            )
+        run_stages(cfg, ["evaluate"], out_dir=tmp_path)
+        assert calls == ["read_forecasts", "stage_evaluate", "write_scores"]
+        assert filecmp.cmp(root / "out" / "scores.csv", tmp_path / "scores.csv", shallow=False)
 
     def test_golden_artifact_digests(self, mini_run):
         _, root, _ = mini_run
