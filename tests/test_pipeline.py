@@ -53,6 +53,12 @@ GOLDEN_SHA256 = {
     "pit.csv": "088ce76202ee44ecc8840e3f87a4d8f2f5f4993093c5446cd3407aac566b2e24",
     "plots/rcs_curve.csv": "e145913f494a7fd01edd6d2d50c73e69b95ff7bed93d76065d8b53d9373f123c",
 }
+# SHA-256 of the factor backtest in ``test_staged_factor_cli_matches_factor_backtest``:
+# the only pins on the vector FFBS and the gamma-beta precision sampler.
+FACTOR_SHA256 = {
+    "forecasts.csv": "4c41a2cfd82e0228ef969bc9e5a0990004d0812a2eb722f2763c34692b0975b3",
+    "joint_draws.csv": "8b18182d4f68ee3bd5a8920cf0c3ca2d7430f2bf8eb46d3acc7cd456b057ae76",
+}
 
 
 class TestQuarters:
@@ -531,6 +537,11 @@ class TestBacktest:
             out_dir=str(root / "out_factor"),
         )
         run_backtest(cfg)
+        got = {
+            name: hashlib.sha256((root / "out_factor" / name).read_bytes()).hexdigest()
+            for name in FACTOR_SHA256
+        }
+        assert got == FACTOR_SHA256
         staged = root / "out_factor_staged"
         cfg_path = root / "factor.yaml"
         dump_config(cfg, cfg_path)
