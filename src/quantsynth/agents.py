@@ -22,7 +22,7 @@ import numpy as np
 
 from .distributions import CHI_FLOOR, mixture_constants, sample_gig_half
 from .dlm import ffbs_known_variance, psd_sqrt
-from .quarters import format_time, parse_time
+from .quarters import format_time, is_quarter_label, parse_time
 
 __all__ = [
     "DQLMSpec",
@@ -337,7 +337,7 @@ class AgentForecastSet:
                     if any(c is None or str(c).strip() == "" for c in cells.values()):
                         raise ValueError("missing cell")
                     t = parse_time(cells["time"])
-                    row_quarterly = "Q" in str(cells["time"]).upper()
+                    row_quarterly = is_quarter_label(cells["time"])
                     if quarterly is None:
                         quarterly = row_quarterly
                     elif quarterly != row_quarterly:

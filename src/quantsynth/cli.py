@@ -99,7 +99,7 @@ _STAGE_COMMANDS = {
 
 
 def _cmd_stages(cfg, command: str) -> int:
-    from .pipeline import MissingInputError, run_stages
+    from .pipeline import RunRefusedError, run_stages
 
     stages, factor = _STAGE_COMMANDS[command]
     if factor is not None and cfg.plan.factor != factor:
@@ -112,7 +112,7 @@ def _cmd_stages(cfg, command: str) -> int:
         return 1
     try:
         manifest = run_stages(cfg, stages)
-    except MissingInputError as exc:
+    except RunRefusedError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     out = Path(cfg.out_dir)

@@ -1,6 +1,6 @@
 """Discount-factor dynamic linear model machinery.
 
-Three building blocks shared by the agent model and both synthesizers:
+Three samplers shared by the agent model and both synthesizers:
 
 * :func:`ffbs_conjugate` -- joint forward-filter / backward-sample draw of a
   state path together with a gamma-beta random-walk precision path, for the
@@ -11,6 +11,11 @@ Three building blocks shared by the agent model and both synthesizers:
   evolution.
 * :func:`gbrw_filter_sample` -- forward gamma filter and backward sampler for
   per-series precision paths under the gamma-beta random walk.
+
+The two FFBS samplers keep their own forward filters and share one backward
+state sampler (:func:`_sample_states`); :func:`ffbs_conjugate` and
+:func:`gbrw_filter_sample` share one backward precision sampler
+(:func:`_sample_precisions`).
 
 All evolution noise is discount-implied: the time-``t`` prior scale matrix is
 ``R_t = C_{t-1} / delta``.  Gamma laws are (shape, rate) throughout.
@@ -106,6 +111,55 @@ def psd_sqrt(C: np.ndarray, t: int | None = None) -> np.ndarray:
     return (V * np.sqrt(w)[..., None, :]) @ np.swapaxes(V, -1, -2)
 
 
+def _state_normals(z_state, T: int, p: int, rng: np.random.Generator) -> np.ndarray:
+    """The ``(T, p)`` standard normals of a backward state draw: given, or drawn from ``rng``."""
+    if z_state is None:
+        return rng.standard_normal((T, p))
+    if z_state.shape != (T, p):
+        raise ValueError(f"z_state must have shape ({T}, {p})")
+    return z_state
+
+
+def _sample_states(m, C, delta: float, z, scale) -> np.ndarray:
+    """Backward state draw from the filtered moments ``m`` (T, p) and ``C`` (T, p, p).
+
+    ``x_T = m_T + sqrt(C_T) z_T / scale_T``, then
+    ``x_t = m_t + delta (x_{t+1} - m_t) + sqrt(1 - delta) sqrt(C_t) z_t / scale_t``
+    with the symmetric root of :func:`psd_sqrt`; ``scale`` is ``(T,)``.
+    """
+    sqrtC = psd_sqrt(C)
+    T = m.shape[0]
+    x = np.empty_like(m)
+    x[T - 1] = m[T - 1] + (sqrtC[T - 1] @ z[T - 1]) / scale[T - 1]
+    sd_factor = np.sqrt(1.0 - delta)
+    for t in range(T - 2, -1, -1):
+        mean = m[t] + delta * (x[t + 1] - m[t])
+        x[t] = mean + sd_factor * (sqrtC[t] @ z[t]) / scale[t]
+    return x
+
+
+def _sample_precisions(n, d, beta, rng: np.random.Generator) -> np.ndarray:
+    """Backward gamma-beta draw of a precision path from the filtered ``(n, d)``.
+
+    ``phi_T ~ Gamma(n_T/2, d_T/2)``, then
+    ``phi_t = beta*phi_{t+1} + Gamma((1-beta)*n_t/2, d_t/2)``; a zero shape
+    adds nothing.  ``n`` and ``d`` are ``(T,)`` or ``(T, N)``, and ``beta``
+    broadcasts over series.  Draws the terminal gamma, then the others.
+    """
+    T = n.shape[0]
+    phi = np.empty_like(n)
+    phi[T - 1] = rng.gamma(shape=n[T - 1] / 2.0, scale=2.0 / d[T - 1])
+    if T > 1:
+        shape = (1.0 - beta) * n[: T - 1] / 2.0
+        eta = np.zeros_like(shape)
+        pos = shape > 0.0
+        if np.any(pos):
+            eta[pos] = rng.gamma(shape=shape[pos], scale=2.0 / d[: T - 1][pos])
+        for t in range(T - 2, -1, -1):
+            phi[t] = beta * phi[t + 1] + eta[t]
+    return phi
+
+
 @dataclass
 class ConjugateFFBS:
     """One joint draw of ``(theta_{1:T}, phi_{1:T})`` plus the filtered moments behind it."""
@@ -186,29 +240,9 @@ def ffbs_conjugate(
         m_prev, C_prev = m[t], C[t]
         n_prev, s_prev = n[t], s[t]
 
-    sqrtC = psd_sqrt(C)
-    if z_state is None:
-        z_state = rng.standard_normal((T, p))
-    elif z_state.shape != (T, p):
-        raise ValueError(f"z_state must have shape ({T}, {p})")
-
-    phi = np.empty(T)
-    theta = np.empty((T, p))
-    phi[T - 1] = rng.gamma(shape=n[T - 1] / 2.0, scale=2.0 / (n[T - 1] * s[T - 1]))
-    theta[T - 1] = m[T - 1] + (sqrtC[T - 1] @ z_state[T - 1]) / np.sqrt(phi[T - 1] * s[T - 1])
-
-    if T > 1:
-        shape = (1.0 - beta) * n[: T - 1] / 2.0
-        eta = np.zeros(T - 1)
-        pos = shape > 0.0
-        if np.any(pos):
-            eta[pos] = rng.gamma(shape=shape[pos], scale=2.0 / (n[: T - 1][pos] * s[: T - 1][pos]))
-        sd_factor = np.sqrt(1.0 - delta)
-        for t in range(T - 2, -1, -1):
-            phi[t] = beta * phi[t + 1] + eta[t]
-            mean = m[t] + delta * (theta[t + 1] - m[t])
-            theta[t] = mean + sd_factor * (sqrtC[t] @ z_state[t]) / np.sqrt(phi[t] * s[t])
-
+    z_state = _state_normals(z_state, T, p, rng)
+    phi = _sample_precisions(n, n * s, beta, rng)
+    theta = _sample_states(m, C, delta, z_state, np.sqrt(phi * s))
     if not (np.all(np.isfinite(theta)) and np.all(np.isfinite(phi))):
         raise FloatingPointError("non-finite state draw in backward pass")
     return ConjugateFFBS(theta=theta, phi=phi, m=m, C=C, n=n, s=s)
@@ -221,7 +255,6 @@ class KnownVarianceFFBS:
     state: np.ndarray  # (T, p) sampled path
     m: np.ndarray  # (T, p) filtered means
     C: np.ndarray  # (T, p, p) filtered covariances
-    loglik: np.ndarray  # (T,) one-step-ahead predictive log densities
 
 
 def ffbs_known_variance(
@@ -240,8 +273,7 @@ def ffbs_known_variance(
     The state follows a random walk with discount-implied evolution
     covariance ``R_t = C_{t-1}/delta``.  ``y`` is ``(T, N)`` (``N`` may be 1),
     ``F`` is ``(T, N, p)``.  Returns the sampled path along with the filtered
-    moments and the per-step predictive log density (whose sum is the
-    marginal log likelihood of ``y`` given the variances).
+    moments.
     """
     y = np.asarray(y, dtype=float)
     if y.ndim == 1:
@@ -260,11 +292,9 @@ def ffbs_known_variance(
 
     m = np.empty((T, p))
     C = np.empty((T, p, p))
-    loglik = np.empty(T)
 
     m_prev = np.atleast_1d(np.asarray(m0, dtype=float)).copy()
     C_prev = np.atleast_2d(np.asarray(C0, dtype=float)).copy()
-    log2pi = np.log(2.0 * np.pi)
     if N == 1:
         # scalar-observation path: same recursions without matrix factorization
         for t in range(T):
@@ -281,7 +311,6 @@ def ffbs_known_variance(
             m[t] = m_prev + gain * e
             C_t = R - np.outer(gain, gain) * q
             C[t] = 0.5 * (C_t + C_t.T)
-            loglik[t] = -0.5 * (log2pi + np.log(q) + e * e / q)
             m_prev, C_prev = m[t], C[t]
     else:
         for t in range(T):
@@ -299,28 +328,16 @@ def ffbs_known_variance(
                     f"singular predictive covariance at t={t}: min eigenvalue {w[0]:.3e}"
                 ) from None
             e = y[t] - f_t
-            alpha = np.linalg.solve(Lq.T, np.linalg.solve(Lq, e))  # Q^{-1} e
             gain = np.linalg.solve(Lq.T, np.linalg.solve(Lq, RFt.T)).T  # R F' Q^{-1}, (p, N)
             m[t] = m_prev + gain @ e
             C_t = R - gain @ Q @ gain.T
             C[t] = 0.5 * (C_t + C_t.T)
-            loglik[t] = -0.5 * (N * log2pi + 2.0 * np.sum(np.log(np.diag(Lq))) + e @ alpha)
             m_prev, C_prev = m[t], C[t]
 
-    sqrtC = psd_sqrt(C)
-    if z_state is None:
-        z_state = rng.standard_normal((T, p))
-    elif z_state.shape != (T, p):
-        raise ValueError(f"z_state must have shape ({T}, {p})")
-
-    state = np.empty((T, p))
-    state[T - 1] = m[T - 1] + sqrtC[T - 1] @ z_state[T - 1]
-    sd_factor = np.sqrt(1.0 - delta)
-    for t in range(T - 2, -1, -1):
-        mean = m[t] + delta * (state[t + 1] - m[t])
-        state[t] = mean + sd_factor * (sqrtC[t] @ z_state[t])
-
-    return KnownVarianceFFBS(state=state, m=m, C=C, loglik=loglik)
+    z_state = _state_normals(z_state, T, p, rng)
+    # A unit scale divides exactly, so this is the plain discount smoother draw.
+    state = _sample_states(m, C, delta, z_state, np.ones(T))
+    return KnownVarianceFFBS(state=state, m=m, C=C)
 
 
 @dataclass
@@ -380,17 +397,7 @@ def gbrw_filter_sample(
         d[t] = beta * d_prev + sq_resid[t] / (kappa2 * v[t]) + 2.0 * v[t]
         n_prev, d_prev = n[t], d[t]
 
-    phi = np.empty((T, N))
-    phi[T - 1] = rng.gamma(shape=n[T - 1] / 2.0, scale=2.0 / d[T - 1])
-    if T > 1:
-        shape = (1.0 - beta) * n[: T - 1] / 2.0
-        eta = np.zeros((T - 1, N))
-        pos = shape > 0.0
-        if np.any(pos):
-            eta[pos] = rng.gamma(shape=shape[pos], scale=2.0 / d[: T - 1][pos])
-        for t in range(T - 2, -1, -1):
-            phi[t] = beta * phi[t + 1] + eta[t]
-
+    phi = _sample_precisions(n, d, beta, rng)
     if squeeze:
         return GBRWSample(phi=phi[:, 0], n=n[:, 0], d=d[:, 0])
     return GBRWSample(phi=phi, n=n, d=d)

@@ -22,7 +22,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .agents import AgentForecastSet
 from .distributions import CHI_FLOOR, mixture_constants, sample_gig_half
 from .dlm import DiscountConfig, NormalGammaPrior, ffbs_conjugate, psd_sqrt
 
@@ -135,33 +134,12 @@ def latent_predictor_moments(
     return f_hat, cov, root
 
 
-def _resolve_agents(agents, tau, series=None, agent_names=None):
-    """Normalize agent input to (names, a (T,J), A (T,J))."""
-    if isinstance(agents, AgentForecastSet):
-        sids = agents.series_ids()
-        if series is None:
-            if len(sids) != 1:
-                raise ValueError(f"forecast set covers series {sids}; pass series=")
-            series = sids[0]
-        _, names, a, A = agents.panel(series, tau, agents=agent_names)
-        return names, a, A
-    a, A = agents
-    a = np.atleast_2d(np.asarray(a, dtype=float))
-    A = np.atleast_2d(np.asarray(A, dtype=float))
-    if a.shape != A.shape:
-        raise ValueError("agent mean and variance arrays must share a shape")
-    if agent_names is None:
-        agent_names = [f"agent{j + 1}" for j in range(a.shape[1])]
-    return list(agent_names), a, A
-
-
 def gibbs_drqs(
     y: np.ndarray,
     agents,
     cfg: DRQSConfig,
     mcmc: tuple[int, int] = (3000, 1000),
     rng: np.random.Generator | None = None,
-    series: str | None = None,
     agent_names: list[str] | None = None,
 ) -> DRQSDraws:
     """Gibbs sampler for the univariate synthesis model.
@@ -169,20 +147,25 @@ def gibbs_drqs(
     Parameters
     ----------
     y : (T,) observed series.
-    agents : AgentForecastSet covering one series, or a pair of (T, J) arrays
-        (means, variances).
-    cfg : model configuration; ``cfg.tau`` selects the agent panel.
+    agents : pair of (T, J) arrays (means, variances) of the agents' reports.
+    cfg : model configuration.
     mcmc : (retained draws, burn-in).
     rng : main generator; agent-specific substreams are derived from it.
+    agent_names : J names keying the agents' substreams; ``agent1..agentJ``
+        when omitted.
     """
     if rng is None:
         rng = np.random.default_rng()
     y = np.asarray(y, dtype=float)
     T = y.size
-    names, a_mean, A_var = _resolve_agents(agents, cfg.tau, series, agent_names)
+    a_mean, A_var = (np.asarray(x, dtype=float) for x in agents)
     J = cfg.J
-    if a_mean.shape != (T, J):
-        raise ValueError(f"agent panel must have shape ({T}, {J}), got {a_mean.shape}")
+    if a_mean.shape != (T, J) or A_var.shape != (T, J):
+        raise ValueError(
+            f"agent means and variances must have shape ({T}, {J}), "
+            f"got {a_mean.shape} and {A_var.shape}"
+        )
+    names = list(agent_names) if agent_names is not None else [f"agent{j + 1}" for j in range(J)]
     if np.any(A_var <= 0.0) or not np.all(np.isfinite(A_var)):
         raise ValueError("agent variances must be positive and finite")
     if not (np.all(np.isfinite(y)) and np.all(np.isfinite(a_mean))):
@@ -289,20 +272,11 @@ def forecast_drqs(
     ``(1-delta)/delta * C_T * sigma_{T+1}/s_T``, draw fresh latent predictors
     from the agents' reported ``N(a, A)``, and emit ``Q = F'theta``.
 
-    ``agents_next`` is a pair of length-J arrays (means, variances) or a list
-    of AgentForecast objects in agent order.
+    ``agents_next`` is a pair of length-J arrays (means, variances).
     """
     cfg = draws.cfg
     J = cfg.J
-    if isinstance(agents_next, (tuple, list)) and len(agents_next) == J and hasattr(
-        agents_next[0], "a"
-    ):
-        a_next = np.array([fc.a for fc in agents_next], dtype=float)
-        A_next = np.array([fc.A for fc in agents_next], dtype=float)
-    else:
-        a_next, A_next = agents_next
-        a_next = np.asarray(a_next, dtype=float)
-        A_next = np.asarray(A_next, dtype=float)
+    a_next, A_next = (np.asarray(x, dtype=float) for x in agents_next)
     if a_next.shape != (J,) or A_next.shape != (J,):
         raise ValueError(f"need one (a, A) pair per agent, J={J}")
     if np.any(A_next <= 0.0):

@@ -18,10 +18,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .agents import AgentForecastSet
 from .distributions import CHI_FLOOR, mixture_constants, sample_gig_half
 from .dlm import ffbs_known_variance, gbrw_filter_sample, psd_sqrt
-from .drqs import QuantileForecast, latent_predictor_moments
+from .drqs import QuantileForecast, _evolve_scale, latent_predictor_moments
 
 __all__ = [
     "FDRQSConfig",
@@ -264,32 +263,6 @@ class FDRQSDraws:
         return np.einsum("njl,tjl->tnj", lam_b, u_b)
 
 
-def _resolve_panel_agents(agents, cfg, T, series_ids=None, agent_names=None):
-    """Normalize agent input to (series_ids, names, a (T,N,J), A (T,N,J))."""
-    if isinstance(agents, AgentForecastSet):
-        sids = series_ids if series_ids is not None else agents.series_ids()
-        if len(sids) != cfg.N:
-            raise ValueError(f"forecast set covers {len(sids)} series, config says N={cfg.N}")
-        names = agent_names
-        a = np.empty((T, cfg.N, cfg.J))
-        A = np.empty((T, cfg.N, cfg.J))
-        for i, sid in enumerate(sids):
-            _, names_i, a_i, A_i = agents.panel(sid, cfg.tau, agents=names)
-            if names is None:
-                names = names_i
-            a[:, i, :] = a_i
-            A[:, i, :] = A_i
-        return list(sids), list(names), a, A
-    a, A = agents
-    a = np.asarray(a, dtype=float)
-    A = np.asarray(A, dtype=float)
-    if a.shape != A.shape or a.ndim != 3:
-        raise ValueError("agent mean/variance arrays must both have shape (T, N, J)")
-    sids = series_ids if series_ids is not None else [f"series{i + 1}" for i in range(a.shape[1])]
-    names = agent_names if agent_names is not None else [f"agent{j + 1}" for j in range(a.shape[2])]
-    return list(sids), list(names), a, A
-
-
 def gibbs_fdrqs(
     Y: np.ndarray,
     agents,
@@ -306,8 +279,9 @@ def gibbs_fdrqs(
     shocks, the factor path in one FFBS block, and per-series precision
     paths.
 
-    ``Y`` is (T, N); ``agents`` an AgentForecastSet covering the N series or
-    a pair of (T, N, J) arrays.
+    ``Y`` is (T, N); ``agents`` a pair of (T, N, J) arrays (means,
+    variances).  ``series_ids`` and ``agent_names`` label the draws and
+    default to ``series1..seriesN`` and ``agent1..agentJ``.
     """
     if rng is None:
         rng = np.random.default_rng()
@@ -317,10 +291,15 @@ def gibbs_fdrqs(
     T, N = Y.shape
     if N != cfg.N:
         raise ValueError(f"panel has {N} series, config says {cfg.N}")
-    sids, names, a_mean, A_var = _resolve_panel_agents(agents, cfg, T, series_ids, agent_names)
+    a_mean, A_var = (np.asarray(x, dtype=float) for x in agents)
     J, L, K = cfg.J, cfg.L, cfg.K
-    if a_mean.shape != (T, N, J):
-        raise ValueError(f"agent panel must have shape ({T}, {N}, {J}), got {a_mean.shape}")
+    if a_mean.shape != (T, N, J) or A_var.shape != (T, N, J):
+        raise ValueError(
+            f"agent means and variances must have shape ({T}, {N}, {J}), "
+            f"got {a_mean.shape} and {A_var.shape}"
+        )
+    sids = list(series_ids) if series_ids is not None else [f"series{i + 1}" for i in range(N)]
+    names = list(agent_names) if agent_names is not None else [f"agent{j + 1}" for j in range(J)]
     if np.any(A_var <= 0.0) or not np.all(np.isfinite(A_var)):
         raise ValueError("agent variances must be positive and finite")
     if not (np.all(np.isfinite(Y)) and np.all(np.isfinite(a_mean))):
@@ -481,12 +460,7 @@ def forecast_fdrqs(
     sigma_T = draws.sigma[:, -1, :]  # (R, N)
     sigma_next = np.empty_like(sigma_T)
     for i in range(N):
-        b = cfg.beta[i]
-        if b >= 1.0:
-            sigma_next[:, i] = sigma_T[:, i]
-        else:
-            gam = rng.beta(b * draws.n_T[:, i] / 2.0, (1.0 - b) * draws.n_T[:, i] / 2.0)
-            sigma_next[:, i] = b * sigma_T[:, i] / gam
+        sigma_next[:, i] = _evolve_scale(sigma_T[:, i], draws.n_T[:, i], cfg.beta[i], rng)
 
     f_next = a_next[None, :, :] + np.sqrt(A_next)[None, :, :] * rng.standard_normal((R, N, J))
     mult = np.concatenate([np.ones((R, N, 1)), f_next], axis=2)  # (R, N, J+1)

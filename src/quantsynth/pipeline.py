@@ -29,7 +29,6 @@ import dataclasses
 import datetime
 import hashlib
 import json
-import re
 import time as _time
 from collections.abc import Callable
 from concurrent.futures import ProcessPoolExecutor, as_completed
@@ -46,7 +45,7 @@ from .dlm import DiscountConfig
 from .drqs import DRQSConfig, forecast_drqs, gibbs_drqs
 from .evaluation import QuantileGrid, ScorePanel, crps_quantile_weighted, pit, reconstruct_predictive
 from .fdrqs import FDRQSConfig, forecast_fdrqs, gibbs_fdrqs
-from .quarters import format_time, parse_time
+from .quarters import format_time, is_quarter_label, parse_time
 
 __all__ = [
     "SeriesRecord",
@@ -55,6 +54,7 @@ __all__ = [
     "RunManifest",
     "JobError",
     "MissingInputError",
+    "RunRefusedError",
     "Stage",
     "STAGES",
     "ingest",
@@ -70,8 +70,6 @@ __all__ = [
     "emit_plots_data",
     "audit_lookahead",
 ]
-
-_QUARTER_LABEL = re.compile(r"^\s*\d{1,4}Q[1-4]\s*$")
 
 FORECAST_COLUMNS = ("series", "time", "tau", "point", "lo95", "hi95", "n_draws")
 SCORE_COLUMNS = ("series", "time", "model", "scheme", "crps")
@@ -159,14 +157,14 @@ def ingest(panel_csv, h: int) -> SeriesPanel:
     if not rows:
         raise ValueError(f"{path}: no data rows")
 
-    quarterly = bool(_QUARTER_LABEL.match(str(rows[0]["time"])))
+    quarterly = is_quarter_label(rows[0]["time"])
     grouped: dict = {}
     for i, row in enumerate(rows, start=2):
         sid = str(row["series"]).strip()
         if not sid:
             raise ValueError(f"{path}, row {i}: empty series id")
         cell = str(row["time"]).strip()
-        if bool(_QUARTER_LABEL.match(cell)) != quarterly:
+        if is_quarter_label(cell) != quarterly:
             raise ValueError(f"{path}, row {i}: mixed quarter-label and integer time formats")
         t = parse_time(cell)
         try:
@@ -697,10 +695,6 @@ def stage_evaluate(
     """
     cfg = plan.cfg
     grid = QuantileGrid(np.asarray(plan.taus, dtype=float))
-    if grid.K < 4:
-        raise ValueError(
-            f"scoring needs at least 4 quantile levels for tail fitting, got {grid.K}"
-        )
     synth_name = cfg.synth_model_name
     models = cfg.agent_names + [synth_name]
     reference = cfg.reference_model
@@ -1001,7 +995,11 @@ def _normalized_config_hash(cfg: RunConfig) -> str:
     return config_hash(dataclasses.replace(cfg, workers=1, out_dir="out"))
 
 
-class MissingInputError(FileNotFoundError):
+class RunRefusedError(Exception):
+    """The named stages cannot run with this config or ``out_dir``; nothing was run or written."""
+
+
+class MissingInputError(RunRefusedError, FileNotFoundError):
     """A stage input is neither produced earlier in the run nor present in ``out_dir``."""
 
 
@@ -1073,7 +1071,9 @@ def run_stages(
 
     Each stage takes its inputs from an earlier stage of the same call, or
     else from ``out_dir``; if one is in neither place,
-    :class:`MissingInputError` is raised before any stage runs.  Plot data
+    :class:`MissingInputError` is raised before any stage runs, as is
+    :class:`RunRefusedError` when ``evaluate`` is asked for with fewer than 4
+    quantile levels (PIT reconstruction fits both tails).  Plot data
     under ``plots/`` follows the scores.  ``manifest.json`` records the
     per-job timings and the files written; any failure aborts the run, and
     the manifest is still written with ``complete`` false and the failing
@@ -1086,6 +1086,11 @@ def run_stages(
     out = Path(cfg.out_dir if out_dir is None else out_dir)
     stages = [STAGES[name] for name in names]
 
+    if "evaluate" in names and len(plan.taus) < 4:
+        raise RunRefusedError(
+            f"the evaluate stage needs at least 4 quantile levels for tail fitting, "
+            f"got {len(plan.taus)}"
+        )
     produced, missing = set(), []
     for stage in stages:
         for name in stage.reads:

@@ -9,9 +9,14 @@ from __future__ import annotations
 
 import re
 
-__all__ = ["quarter_to_int", "int_to_quarter", "parse_time", "format_time"]
+__all__ = ["is_quarter_label", "quarter_to_int", "int_to_quarter", "parse_time", "format_time"]
 
 _QUARTER_RE = re.compile(r"^(\d{1,4})Q([1-4])$")
+
+
+def is_quarter_label(value) -> bool:
+    """Whether a time cell is a ``YYYYQn`` label (surrounding whitespace ignored)."""
+    return _QUARTER_RE.match(str(value).strip()) is not None
 
 
 def quarter_to_int(label: str) -> int:
@@ -36,7 +41,7 @@ def parse_time(value) -> int:
     if isinstance(value, (int,)) and not isinstance(value, bool):
         return int(value)
     s = str(value).strip()
-    if _QUARTER_RE.match(s):
+    if is_quarter_label(s):
         return quarter_to_int(s)
     try:
         return int(s)

@@ -49,7 +49,7 @@ def density_chisquare_pvalue(
 
 
 def dense_joint_smoother(y, F, offsets, obs_var, m0, C0, delta):
-    """Smoothed state moments and marginal log density by dense conditioning.
+    """Smoothed state moments by dense conditioning.
 
     Builds the exact joint Gaussian over all states and observations of the
     discount random-walk DLM (evolution covariance ``C_{t-1}(1-delta)/delta``
@@ -57,8 +57,8 @@ def dense_joint_smoother(y, F, offsets, obs_var, m0, C0, delta):
     updates) and conditions once.  Shares only the model definition with the
     sequential samplers, none of their recursions.
 
-    Returns ``(post_mean, post_cov, loglik)`` with the mean and covariance of
-    the stacked ``(T*p,)`` state vector given all observations.
+    Returns ``(post_mean, post_cov)``, the mean and covariance of the stacked
+    ``(T*p,)`` state vector given all observations.
     """
     y = np.asarray(y, dtype=float)
     F = np.asarray(F, dtype=float)
@@ -95,9 +95,7 @@ def dense_joint_smoother(y, F, offsets, obs_var, m0, C0, delta):
     resid = y.ravel() - mu_y
     post_mean = mu_s + Ssy @ np.linalg.solve(Sy, resid)
     post_cov = S - Ssy @ np.linalg.solve(Sy, Ssy.T)
-    _, logdet = np.linalg.slogdet(Sy)
-    loglik = -0.5 * (T * N * np.log(2.0 * np.pi) + logdet + resid @ np.linalg.solve(Sy, resid))
-    return post_mean, post_cov, float(loglik)
+    return post_mean, post_cov
 
 
 def write_level_panel(path, seed: int = 812, n_quarters: int = 36) -> None:

@@ -139,7 +139,7 @@ class TestAcceptance:
         ovar = rng.uniform(0.5, 1.5, size=(T, N))
         y = rng.normal(size=(T, N))
         m0v, C0v, delta = np.zeros(p), np.eye(p), 0.9
-        post_mean, _, _ = dense_joint_smoother(y, Fdes, offs, ovar, m0v, C0v, delta)
+        post_mean, _ = dense_joint_smoother(y, Fdes, offs, ovar, m0v, C0v, delta)
         R = 10_000
         paths = np.empty((R, T * p))
         for r in range(R):

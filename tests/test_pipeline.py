@@ -8,6 +8,8 @@ import importlib
 import importlib.util
 import json
 import shutil
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -36,7 +38,13 @@ from quantsynth.pipeline import (
     task_stream,
     write_panel,
 )
-from quantsynth.quarters import format_time, int_to_quarter, parse_time, quarter_to_int
+from quantsynth.quarters import (
+    format_time,
+    int_to_quarter,
+    is_quarter_label,
+    parse_time,
+    quarter_to_int,
+)
 
 STAGE_FILES = ("agent_forecasts.csv", "forecasts.csv", "scores.csv", "ratios.csv", "pit.csv")
 PLOT_FILES = tuple(
@@ -79,6 +87,12 @@ class TestQuarters:
             parse_time("199X")
         with pytest.raises(ValueError, match="quarter label"):
             quarter_to_int("1990Q5")
+
+    def test_quarter_label_predicate(self):
+        for cell in ("1990Q3", " 2001Q1 ", "7Q4"):
+            assert is_quarter_label(cell), cell
+        for cell in ("12", " 12 ", "1990Q5", "1990q3", "1990-Q3", "", None, 1990):
+            assert not is_quarter_label(cell), cell
 
 
 def _write_levels(path, rows, header=("series", "time", "Y")):
@@ -493,6 +507,26 @@ class TestBacktest:
         for name in STAGE_FILES:
             assert filecmp.cmp(root / "out" / name, staged / name, shallow=False), name
 
+    def test_evaluate_needs_four_levels_before_any_stage(self, tmp_path, capsys):
+        write_level_panel(tmp_path / "levels.csv")
+        cfg = backtest_config(tmp_path / "levels.csv", tmp_path / "out")
+        cfg = dataclasses.replace(
+            cfg, agents=tuple(dataclasses.replace(a, draws=50, burn=0) for a in cfg.agents)
+        )
+        cfg_path = tmp_path / "run.yaml"
+        dump_config(cfg, cfg_path)
+        for command in ("backtest", "evaluate"):
+            assert cli.main([command, "--config", str(cfg_path), "--tau", "0.5"]) == 1
+            assert "at least 4 quantile levels" in capsys.readouterr().err
+            assert not (tmp_path / "out").exists()
+        few = dataclasses.replace(cfg, plan=dataclasses.replace(cfg.plan, taus=(0.1, 0.5, 0.9)))
+        with pytest.raises(pipeline.RunRefusedError, match="got 3"):
+            run_backtest(few)
+        assert not (tmp_path / "out").exists()
+        # The stages before evaluate need no minimum.
+        assert cli.main(["fit-agents", "--config", str(cfg_path), "--tau", "0.5"]) == 0
+        capsys.readouterr()
+
     def test_synth_commands_must_match_plan_factor(self, tmp_path, capsys):
         for command, factor in (("synth-factor", False), ("synth", True)):
             cfg = backtest_config(tmp_path / "levels.csv", tmp_path / command)
@@ -629,3 +663,41 @@ def test_benchmark_probes_resolve():
         if cls_name:
             owner = getattr(owner, cls_name[0])
         assert name in vars(owner), f"{module_name}.{attr}"
+
+
+@pytest.mark.parametrize(
+    "factor, spans",
+    [
+        (False, ("dlm.ffbs_scalar", "dlm.ffbs_conjugate", "drqs.gibbs_drqs")),
+        (True, ("dlm.ffbs_vector", "dlm.gbrw", "fdrqs.gibbs_fdrqs")),
+    ],
+)
+def test_traced_benchmark_command_runs(tmp_path, factor, spans):
+    """The benchmark's traced command runs a tiny backtest and records every sampler span.
+
+    The tracer reads some arguments by position, so a reordered sampler
+    signature fails here even when every probe still resolves.
+    """
+    root = Path(__file__).resolve().parents[1]
+    write_level_panel(tmp_path / "levels.csv")
+    cfg = backtest_config(tmp_path / "levels.csv", tmp_path / "out")
+    cfg = dataclasses.replace(
+        cfg,
+        agents=tuple(dataclasses.replace(a, draws=50, burn=0) for a in cfg.agents),
+        plan=dataclasses.replace(cfg.plan, factor=factor),
+        synthesis=dataclasses.replace(cfg.synthesis, draws=6, burn=2),
+        factor=dataclasses.replace(cfg.factor, draws=6, burn=2),
+    )
+    cfg_path = tmp_path / "run.yaml"
+    dump_config(cfg, cfg_path)
+    record = tmp_path / "record.json"
+    proc = subprocess.run(
+        [sys.executable, str(root / "perfbench" / "child.py"), str(record), "1",
+         "--", "backtest", "--config", str(cfg_path)],
+        cwd=tmp_path, capture_output=True, text=True, timeout=600,
+    )
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    data = json.loads(record.read_text())
+    assert data["status"] == 0
+    for name in spans:
+        assert data["spans"].get(name, {}).get("calls", 0) > 0, name
