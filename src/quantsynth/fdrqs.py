@@ -14,7 +14,7 @@ each of length L, so vectors over factors have dimension K = L*(J+1) and the
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
