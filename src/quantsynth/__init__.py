@@ -14,12 +14,6 @@ __version__ = "0.1.0"
 
 _EXPORTS = {
     # distributions
-    "al_cdf": ".distributions",
-    "al_log_density": ".distributions",
-    "al_ppf": ".distributions",
-    "al_rvs": ".distributions",
-    "al_rvs_mixture": ".distributions",
-    "check_loss": ".distributions",
     "mixture_constants": ".distributions",
     "MixtureConstants": ".distributions",
     "sample_gig_half": ".distributions",
@@ -51,7 +45,6 @@ _EXPORTS = {
     "FactorForecast": ".fdrqs",
     "forecast_fdrqs": ".fdrqs",
     "gibbs_fdrqs": ".fdrqs",
-    "mgp_prior_omegas": ".fdrqs",
     # evaluation
     "QuantileGrid": ".evaluation",
     "ReconstructedPredictive": ".evaluation",

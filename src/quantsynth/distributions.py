@@ -1,11 +1,11 @@
-"""Asymmetric Laplace distribution and the sampling kernels shared by the Gibbs samplers.
+"""Asymmetric Laplace mixture constants and the GIG draw shared by the Gibbs samplers.
 
 The quantile samplers in this package all rest on the same machinery: the
 asymmetric Laplace (AL) error law whose ``tau``-quantile is zero, its
 normal-exponential mixture representation, and the generalised inverse
 Gaussian (GIG) full conditional of the exponential mixing variable.  This
-module provides those pieces as pure functions of an explicit
-``numpy.random.Generator``.
+module provides the mixture constants and the GIG draw, the latter as a
+pure function of an explicit ``numpy.random.Generator``.
 
 Conventions
 -----------
@@ -27,12 +27,6 @@ import numpy as np
 __all__ = [
     "MixtureConstants",
     "mixture_constants",
-    "check_loss",
-    "al_log_density",
-    "al_cdf",
-    "al_ppf",
-    "al_rvs",
-    "al_rvs_mixture",
     "sample_gig_half",
     "CHI_FLOOR",
 ]
@@ -48,13 +42,6 @@ def _validate_tau(tau: float) -> float:
     if not 0.0 < tau < 1.0:
         raise ValueError(f"quantile level tau must lie in (0, 1), got {tau}")
     return tau
-
-
-def _validate_sigma(sigma: float) -> float:
-    sigma = float(sigma)
-    if not sigma > 0.0:
-        raise ValueError(f"scale sigma must be positive, got {sigma}")
-    return sigma
 
 
 class MixtureConstants(NamedTuple):
@@ -73,76 +60,6 @@ def mixture_constants(tau: float) -> MixtureConstants:
     tau = _validate_tau(tau)
     denom = tau * (1.0 - tau)
     return MixtureConstants((1.0 - 2.0 * tau) / denom, 2.0 / denom)
-
-
-def check_loss(u, tau: float):
-    """Check (pinball) loss ``u * (tau - 1{u < 0})``.
-
-    Nonnegative, zero only at ``u = 0``; accepts scalars or arrays.
-    """
-    tau = _validate_tau(tau)
-    u = np.asarray(u, dtype=float)
-    out = u * (tau - (u < 0.0))
-    return float(out) if out.ndim == 0 else out
-
-
-def al_log_density(eps, tau: float, sigma: float):
-    """Log density of ``AL(tau, sigma)`` at ``eps``."""
-    tau = _validate_tau(tau)
-    sigma = _validate_sigma(sigma)
-    eps = np.asarray(eps, dtype=float)
-    out = np.log(tau * (1.0 - tau) / sigma) - check_loss(eps / sigma, tau)
-    return float(out) if np.ndim(out) == 0 else out
-
-
-def al_cdf(x, tau: float, sigma: float):
-    """Distribution function of ``AL(tau, sigma)``.
-
-    Closed form: ``tau*exp((1-tau)*x/sigma)`` for ``x <= 0`` and
-    ``1 - (1-tau)*exp(-tau*x/sigma)`` for ``x > 0``; in particular the mass
-    below zero is exactly ``tau``.
-    """
-    tau = _validate_tau(tau)
-    sigma = _validate_sigma(sigma)
-    x = np.asarray(x, dtype=float)
-    left = tau * np.exp((1.0 - tau) * np.minimum(x, 0.0) / sigma)
-    right = 1.0 - (1.0 - tau) * np.exp(-tau * np.maximum(x, 0.0) / sigma)
-    out = np.where(x <= 0.0, left, right)
-    return float(out) if out.ndim == 0 else out
-
-
-def al_ppf(p, tau: float, sigma: float):
-    """Quantile function of ``AL(tau, sigma)`` (inverse of :func:`al_cdf`)."""
-    tau = _validate_tau(tau)
-    sigma = _validate_sigma(sigma)
-    p = np.asarray(p, dtype=float)
-    if np.any((p <= 0.0) | (p >= 1.0)):
-        raise ValueError("probabilities must lie strictly in (0, 1)")
-    lower = sigma / (1.0 - tau) * np.log(p / tau)
-    upper = -sigma / tau * np.log((1.0 - p) / (1.0 - tau))
-    out = np.where(p <= tau, lower, upper)
-    return float(out) if out.ndim == 0 else out
-
-
-def al_rvs(tau: float, sigma: float, size, rng: np.random.Generator):
-    """Draw from ``AL(tau, sigma)`` by inversion."""
-    u = rng.uniform(size=size)
-    # keep u strictly inside (0, 1) for the log transforms
-    u = np.clip(u, 1e-15, 1.0 - 1e-15)
-    return al_ppf(u, tau, sigma)
-
-
-def al_rvs_mixture(tau: float, sigma: float, size, rng: np.random.Generator):
-    """Draw from ``AL(tau, sigma)`` through the normal-exponential mixture.
-
-    This is the construction the Gibbs samplers rely on; :func:`al_rvs` is the
-    independent inversion route, so the two can be checked against each other.
-    """
-    sigma = _validate_sigma(sigma)
-    k1, k2 = mixture_constants(tau)
-    v = rng.exponential(scale=sigma, size=size)
-    z = rng.standard_normal(size=size)
-    return k1 * v + np.sqrt(sigma * k2 * v) * z
 
 
 def sample_gig_half(chi, psi, rng: np.random.Generator):

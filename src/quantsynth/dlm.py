@@ -86,7 +86,7 @@ class NormalGammaPrior:
             raise ValueError("n0 and s0 must be positive")
 
 
-def psd_sqrt(C: np.ndarray, t: int | None = None) -> np.ndarray:
+def psd_sqrt(C: np.ndarray) -> np.ndarray:
     """Symmetric square root of (a batch of) PSD matrices via eigendecomposition.
 
     Eigenvalues below ``-1e-8 * trace`` are treated as a numerical failure;
@@ -101,9 +101,8 @@ def psd_sqrt(C: np.ndarray, t: int | None = None) -> np.ndarray:
     trace = np.trace(C, axis1=-2, axis2=-1)
     bad = w[..., 0] < -PSD_FAIL_RATIO * np.maximum(np.abs(trace), 1.0)
     if np.any(bad):
-        where = f" at t={t}" if t is not None else ""
         raise np.linalg.LinAlgError(
-            f"state scale matrix failed PSD check{where}: "
+            "state scale matrix failed PSD check: "
             f"min eigenvalue {w[..., 0].min():.3e} vs trace {np.max(np.abs(trace)):.3e}"
         )
     floor = PSD_CLIP_RATIO * np.maximum(w[..., -1:], 0.0)

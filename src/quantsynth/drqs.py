@@ -75,8 +75,6 @@ class DRQSDraws:
     agent_names: list[str]
     theta: np.ndarray  # (R, T, J+1)
     sigma: np.ndarray  # (R, T)
-    v: np.ndarray  # (R, T)
-    f: np.ndarray  # (R, T, J)
     n_T: np.ndarray  # (R,)
     s_T: np.ndarray  # (R,)
     C_T: np.ndarray  # (R, J+1, J+1)
@@ -192,8 +190,6 @@ def gibbs_drqs(
         agent_names=names,
         theta=np.empty((n_keep, T, p)),
         sigma=np.empty((n_keep, T)),
-        v=np.empty((n_keep, T)),
-        f=np.empty((n_keep, T, J)),
         n_T=np.empty(n_keep),
         s_T=np.empty(n_keep),
         C_T=np.empty((n_keep, p, p)),
@@ -224,8 +220,6 @@ def gibbs_drqs(
             r = it - n_burn
             keep.theta[r] = theta
             keep.sigma[r] = sigma
-            keep.v[r] = v
-            keep.f[r] = f
             keep.n_T[r] = ffbs.n[-1]
             keep.s_T[r] = ffbs.s[-1]
             keep.C_T[r] = ffbs.C[-1]

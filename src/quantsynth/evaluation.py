@@ -166,7 +166,6 @@ def reconstruct_predictive(
     grid: QuantileGrid,
     R: int = 10000,
     rng: np.random.Generator | None = None,
-    truncate_tails: bool = True,
 ) -> ReconstructedPredictive:
     """Rebuild a predictive sample from quantile forecasts on a grid.
 
@@ -175,12 +174,9 @@ def reconstruct_predictive(
     uniform draws; fit a Gaussian to each tail through the two outermost
     quantiles and draw the tail mass from it.
 
-    With ``truncate_tails=True`` tail draws are confined to their tail
-    regions (left at or below the lowest quantile, right above the highest),
-    so the empirical quantiles of the sample reproduce the sorted inputs.
-    With ``truncate_tails=False`` tail draws come from the unconditioned
-    fitted Gaussians; most of that mass lands inside the interior range, so
-    the sample's extreme quantiles sit well inside the inputs.
+    Tail draws are confined to their tail regions (left at or below the
+    lowest quantile, right above the highest), so the empirical quantiles of
+    the sample reproduce the sorted inputs.
     """
     if rng is None:
         rng = np.random.default_rng()
@@ -205,24 +201,16 @@ def reconstruct_predictive(
     weights = np.concatenate([[taus[0]], np.diff(taus), [1.0 - taus[-1]]])
     counts = _largest_remainder_counts(weights, int(R))
 
-    if truncate_tails:
-        # Inverse-CDF draws restricted to quantile levels (0, tau_1] and
-        # [tau_K, 1) of the fitted Gaussians.
-        u = rng.uniform(size=counts[0])
-        left = mu1 + sigma1 * norm.ppf(taus[0] * (1.0 - u))
-    else:
-        left = mu1 + sigma1 * rng.standard_normal(counts[0])
-    pieces = [left]
+    # Inverse-CDF draws restricted to quantile levels (0, tau_1] and
+    # [tau_K, 1) of the fitted Gaussians.
+    u = rng.uniform(size=counts[0])
+    pieces = [mu1 + sigma1 * norm.ppf(taus[0] * (1.0 - u))]
     for k in range(1, K):
         lo, hi = qhat[k - 1], qhat[k]
         u = rng.uniform(size=counts[k])
         pieces.append(hi - u * (hi - lo))  # lands in (lo, hi]
-    if truncate_tails:
-        u = rng.uniform(size=counts[-1])
-        right = mu2 + sigma2 * norm.ppf(taus[-1] + u * (1.0 - taus[-1]))
-    else:
-        right = mu2 + sigma2 * rng.standard_normal(counts[-1])
-    pieces.append(right)
+    u = rng.uniform(size=counts[-1])
+    pieces.append(mu2 + sigma2 * norm.ppf(taus[-1] + u * (1.0 - taus[-1])))
     draws = np.concatenate(pieces)
     return ReconstructedPredictive(
         draws=draws, mu1=float(mu1), sigma1=float(sigma1),

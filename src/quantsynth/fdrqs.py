@@ -29,10 +29,8 @@ __all__ = [
     "gibbs_fdrqs",
     "forecast_fdrqs",
     "omegas_from_deltas",
-    "mgp_prior_omegas",
     "sample_local_precisions",
     "delta_full_conditional",
-    "observation_loglik",
 ]
 
 OMEGA_UNDERFLOW = 1e-300
@@ -120,22 +118,6 @@ def omegas_from_deltas(deltas: np.ndarray) -> np.ndarray:
     return np.cumprod(np.asarray(deltas, dtype=float), axis=0)
 
 
-def mgp_prior_omegas(
-    L: int, a1: float, a2: float, size: int, rng: np.random.Generator
-) -> np.ndarray:
-    """Draw (size, L) omega vectors from the shrinkage prior.
-
-    delta_1 ~ Gamma(a1, 1), delta_h ~ Gamma(a2, 1) for h >= 2, omega is the
-    running product; precisions grow (loading variances shrink) with the
-    factor index when a2 > 1.
-    """
-    deltas = np.empty((size, L))
-    deltas[:, 0] = rng.gamma(shape=a1, scale=1.0, size=size)
-    if L > 1:
-        deltas[:, 1:] = rng.gamma(shape=a2, scale=1.0, size=(size, L - 1))
-    return np.cumprod(deltas, axis=1)
-
-
 def sample_local_precisions(
     lam_blocks: np.ndarray,
     omegas: np.ndarray,
@@ -197,32 +179,6 @@ def _update_deltas(
     return out
 
 
-def observation_loglik(
-    y: np.ndarray,
-    u: np.ndarray,
-    lam: np.ndarray,
-    f: np.ndarray,
-    v: np.ndarray,
-    sigma: np.ndarray,
-    tau: float,
-) -> float:
-    """Gaussian observation log density of the panel given all latents.
-
-    ``y, v, sigma`` are (T, N); ``f`` is (T, N, J); ``u`` is (T, K);
-    ``lam`` is (N, K).  Invariant under rotating any factor block of
-    (lam, u) jointly.
-    """
-    k1, k2 = mixture_constants(tau)
-    T, N = y.shape
-    J = f.shape[2]
-    L = lam.shape[1] // (J + 1)
-    mult = np.concatenate([np.ones((T, N, 1)), f], axis=2)  # (T, N, J+1)
-    design = np.repeat(mult, L, axis=2) * lam[None, :, :]  # (T, N, K)
-    mean = np.einsum("tnk,tk->tn", design, u) + k1 * v
-    var = k2 * sigma * v
-    return float(np.sum(-0.5 * (np.log(2.0 * np.pi * var) + (y - mean) ** 2 / var)))
-
-
 @dataclass
 class FDRQSDraws:
     """Stacked retained draws from :func:`gibbs_fdrqs`.
@@ -237,10 +193,7 @@ class FDRQSDraws:
     u: np.ndarray  # (R, T, K)
     lam: np.ndarray  # (R, N, K)
     sigma: np.ndarray  # (R, T, N)
-    v: np.ndarray  # (R, T, N)
-    f: np.ndarray  # (R, T, N, J)
     deltas: np.ndarray  # (R, L, J+1)
-    phi_loadings: np.ndarray  # (R, N, L, J+1)
     u_C_T: np.ndarray  # (R, K, K)
     n_T: np.ndarray  # (R, N)
 
@@ -333,10 +286,7 @@ def gibbs_fdrqs(
         u=np.empty((n_keep, T, K)),
         lam=np.empty((n_keep, N, K)),
         sigma=np.empty((n_keep, T, N)),
-        v=np.empty((n_keep, T, N)),
-        f=np.empty((n_keep, T, N, J)),
         deltas=np.empty((n_keep, L, J + 1)),
-        phi_loadings=np.empty((n_keep, N, L, J + 1)),
         u_C_T=np.empty((n_keep, K, K)),
         n_T=np.empty((n_keep, N)),
     )
@@ -404,10 +354,7 @@ def gibbs_fdrqs(
             keep.u[r] = u
             keep.lam[r] = lam
             keep.sigma[r] = sigma
-            keep.v[r] = v
-            keep.f[r] = f
             keep.deltas[r] = deltas
-            keep.phi_loadings[r] = phi_load
             keep.u_C_T[r] = ffbs.C[-1]
             keep.n_T[r] = g.n[-1]
 

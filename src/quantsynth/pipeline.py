@@ -441,21 +441,20 @@ def _run_synth_window(payload: dict) -> tuple[list, list]:
     tau, target, seed = payload["tau"], payload["target"], payload["seed"]
     names, syn = payload["agent_names"], payload["synthesis"]
     cfg = DRQSConfig(tau=tau, J=len(names), disc=DiscountConfig(delta=syn.delta, beta=syn.beta))
+    Y, a, A = payload["Y"], payload["a"], payload["A"]
     rows = []
-    for job in payload["series"]:
-        rng = task_stream(seed, "synthesis", job["series"], tau, target)
+    for i, sid in enumerate(payload["series_ids"]):
+        rng = task_stream(seed, "synthesis", sid, tau, target)
         draws = gibbs_drqs(
-            job["y"],
-            (job["a"], job["A"]),
+            Y[:, i],
+            (a[:, i], A[:, i]),
             cfg,
             mcmc=(syn.draws, syn.burn),
             rng=rng,
             agent_names=names,
         )
-        fc = forecast_drqs(draws, (job["a_next"], job["A_next"]), rng, t_next=target)
-        rows.append(
-            (job["series"], target, tau, fc.point, fc.interval[0], fc.interval[1], fc.draws.size)
-        )
+        fc = forecast_drqs(draws, (payload["a_next"][i], payload["A_next"][i]), rng, t_next=target)
+        rows.append((sid, target, tau, fc.point, fc.interval[0], fc.interval[1], fc.draws.size))
     return rows, []
 
 
@@ -550,31 +549,31 @@ def _run_pool(fn, payloads: list, workers: int, stage: str, plan: BacktestPlan) 
 # Stages
 
 
-def _agent_payloads(plan: BacktestPlan, panel: SeriesPanel) -> list:
+def _agent_jobs(plan: BacktestPlan, panel: SeriesPanel, target: int) -> list:
+    """The (series, agent) fits of one agent window, each with the newest time its design reads."""
     cfg = plan.cfg
-    payloads = []
-    for tau in plan.taus:
-        for target in plan.agent_targets:
-            jobs = []
-            fit_times = plan.agent_fit_times(target)
-            for sid in panel.series_ids:
-                rec = panel.record(sid)
-                for agent in cfg.agents:
-                    y, X, x_next, _ = build_design(
-                        rec, fit_times, agent.predictors, cfg.data.predictor_lag, target
-                    )
-                    jobs.append(
-                        {"series": sid, "agent": agent, "y": y, "X": X, "x_next": x_next}
-                    )
-            payloads.append(
-                {
-                    "tau": float(tau),
-                    "target": int(target),
-                    "seed": plan.seed,
-                    "jobs": jobs,
-                }
+    fit_times = plan.agent_fit_times(target)
+    jobs = []
+    for sid in panel.series_ids:
+        rec = panel.record(sid)
+        for agent in cfg.agents:
+            y, X, x_next, max_input = build_design(
+                rec, fit_times, agent.predictors, cfg.data.predictor_lag, target
             )
-    return payloads
+            jobs.append(
+                {"series": sid, "agent": agent, "y": y, "X": X, "x_next": x_next,
+                 "max_input": max_input}
+            )
+    return jobs
+
+
+def _agent_payloads(plan: BacktestPlan, panel: SeriesPanel) -> list:
+    jobs = {target: _agent_jobs(plan, panel, target) for target in plan.agent_targets.tolist()}
+    return [
+        {"tau": float(tau), "target": target, "seed": plan.seed, "jobs": target_jobs}
+        for tau in plan.taus
+        for target, target_jobs in jobs.items()
+    ]
 
 
 def stage_fit_agents(
@@ -591,42 +590,13 @@ def stage_fit_agents(
 
 
 def _synth_payloads(plan: BacktestPlan, panel: SeriesPanel, fset: AgentForecastSet) -> list:
-    cfg = plan.cfg
-    names = cfg.agent_names
-    payloads = []
-    for tau in plan.taus:
-        for target in plan.synth_targets:
-            fit_times = plan.synth_fit_times(target)
-            all_times = np.append(fit_times, target)
-            series_jobs = []
-            for sid in panel.series_ids:
-                rec = panel.record(sid)
-                y = rec.y[rec.positions(fit_times)]
-                _, _, a, A = fset.panel(sid, tau, times=all_times, agents=names)
-                series_jobs.append(
-                    {
-                        "series": sid,
-                        "y": y,
-                        "a": a[:-1],
-                        "A": A[:-1],
-                        "a_next": a[-1],
-                        "A_next": A[-1],
-                    }
-                )
-            payloads.append(
-                {
-                    "tau": float(tau),
-                    "target": int(target),
-                    "seed": plan.seed,
-                    "agent_names": names,
-                    "synthesis": cfg.synthesis,
-                    "series": series_jobs,
-                }
-            )
-    return payloads
+    """Synthesis inputs per (tau, window), as a panel both synthesizers read.
 
-
-def _factor_payloads(plan: BacktestPlan, panel: SeriesPanel, fset: AgentForecastSet) -> list:
+    ``Y`` is (T, N) realized values over the fit times; ``a``/``A`` are the
+    (T, N, J) agent means and variances there, ``a_next``/``A_next`` the
+    (N, J) reports for the target.  The univariate synthesizer fits one
+    column at a time.
+    """
     cfg = plan.cfg
     names = cfg.agent_names
     sids = panel.series_ids
@@ -635,15 +605,13 @@ def _factor_payloads(plan: BacktestPlan, panel: SeriesPanel, fset: AgentForecast
         for target in plan.synth_targets:
             fit_times = plan.synth_fit_times(target)
             all_times = np.append(fit_times, target)
-            Y = np.column_stack(
-                [panel.record(sid).y[panel.record(sid).positions(fit_times)] for sid in sids]
-            )
-            a_all = np.empty((all_times.size, len(sids), len(names)))
-            A_all = np.empty_like(a_all)
+            Y = np.empty((fit_times.size, len(sids)))
+            a = np.empty((all_times.size, len(sids), len(names)))
+            A = np.empty_like(a)
             for i, sid in enumerate(sids):
-                _, _, a, A = fset.panel(sid, tau, times=all_times, agents=names)
-                a_all[:, i, :] = a
-                A_all[:, i, :] = A
+                rec = panel.record(sid)
+                Y[:, i] = rec.y[rec.positions(fit_times)]
+                _, _, a[:, i], A[:, i] = fset.panel(sid, tau, times=all_times, agents=names)
             payloads.append(
                 {
                     "tau": float(tau),
@@ -651,13 +619,14 @@ def _factor_payloads(plan: BacktestPlan, panel: SeriesPanel, fset: AgentForecast
                     "seed": plan.seed,
                     "agent_names": names,
                     "series_ids": sids,
+                    "synthesis": cfg.synthesis,
                     "factor": cfg.factor,
                     "L": plan.factor_L,
                     "Y": Y,
-                    "a": a_all[:-1],
-                    "A": A_all[:-1],
-                    "a_next": a_all[-1],
-                    "A_next": A_all[-1],
+                    "a": a[:-1],
+                    "A": A[:-1],
+                    "a_next": a[-1],
+                    "A_next": A[-1],
                 }
             )
     return payloads
@@ -670,11 +639,8 @@ def stage_synthesize(
     workers: int = 1,
 ) -> tuple[list, list, list]:
     """Run the synthesis stage; returns (forecast rows, joint draw rows, timings)."""
-    if plan.cfg.plan.factor:
-        fn, payloads = _run_factor_window, _factor_payloads(plan, panel, fset)
-    else:
-        fn, payloads = _run_synth_window, _synth_payloads(plan, panel, fset)
-    results, timings = _run_pool(fn, payloads, workers, "synthesis", plan)
+    fn = _run_factor_window if plan.cfg.plan.factor else _run_synth_window
+    results, timings = _run_pool(fn, _synth_payloads(plan, panel, fset), workers, "synthesis", plan)
     rows = sorted((row for res, _ in results for row in res), key=lambda r: (r[0], r[1], r[2]))
     joint = [row for _, res in results for row in res]
     return rows, joint, timings
@@ -698,8 +664,6 @@ def stage_evaluate(
     synth_name = cfg.synth_model_name
     models = cfg.agent_names + [synth_name]
     reference = cfg.reference_model
-    if reference not in models:
-        raise ValueError(f"reference model {reference!r} is not one of {models}")
 
     synth_curve: dict = {}
     for series, target, tau, point, lo, hi, n in synth_rows:
@@ -1073,7 +1037,8 @@ def run_stages(
     else from ``out_dir``; if one is in neither place,
     :class:`MissingInputError` is raised before any stage runs, as is
     :class:`RunRefusedError` when ``evaluate`` is asked for with fewer than 4
-    quantile levels (PIT reconstruction fits both tails).  Plot data
+    quantile levels (PIT reconstruction fits both tails) or with a reference
+    model that is neither an agent nor the synthesizer.  Plot data
     under ``plots/`` follows the scores.  ``manifest.json`` records the
     per-job timings and the files written; any failure aborts the run, and
     the manifest is still written with ``complete`` false and the failing
@@ -1086,11 +1051,17 @@ def run_stages(
     out = Path(cfg.out_dir if out_dir is None else out_dir)
     stages = [STAGES[name] for name in names]
 
-    if "evaluate" in names and len(plan.taus) < 4:
-        raise RunRefusedError(
-            f"the evaluate stage needs at least 4 quantile levels for tail fitting, "
-            f"got {len(plan.taus)}"
-        )
+    if "evaluate" in names:
+        if len(plan.taus) < 4:
+            raise RunRefusedError(
+                f"the evaluate stage needs at least 4 quantile levels for tail fitting, "
+                f"got {len(plan.taus)}"
+            )
+        models = cfg.agent_names + [cfg.synth_model_name]
+        if cfg.reference_model not in models:
+            raise RunRefusedError(
+                f"reference model {cfg.reference_model!r} is not one of {models}"
+            )
     produced, missing = set(), []
     for stage in stages:
         for name in stage.reads:
@@ -1162,7 +1133,7 @@ def audit_lookahead(cfg: RunConfig, panel: SeriesPanel | None = None) -> list:
     """Re-derive each job's inputs and check none is dated past target-1.
 
     Returns one record per audited job with the largest consumed time index.
-    Agent jobs are audited from the design builder the jobs themselves use;
+    Agent jobs are audited from the job inputs the agent stage runs;
     synthesis jobs consume realized values through target-1 and agent
     forecasts whose own inputs end at their target-1.  Scoring consumes the
     realized value at the target and is retrospective by definition, so it
@@ -1174,23 +1145,17 @@ def audit_lookahead(cfg: RunConfig, panel: SeriesPanel | None = None) -> list:
     rows = []
     for target in plan.agent_targets:
         target = int(target)
-        fit_times = plan.agent_fit_times(target)
-        for sid in panel.series_ids:
-            rec = panel.record(sid)
-            for agent in cfg.agents:
-                _, _, _, max_input = build_design(
-                    rec, fit_times, agent.predictors, cfg.data.predictor_lag, target
-                )
-                rows.append(
-                    {
-                        "stage": "agents",
-                        "series": sid,
-                        "model": agent.name,
-                        "target": plan.time_label(target),
-                        "max_input_time": plan.time_label(max_input),
-                        "ok": max_input <= target - 1,
-                    }
-                )
+        for job in _agent_jobs(plan, panel, target):
+            rows.append(
+                {
+                    "stage": "agents",
+                    "series": job["series"],
+                    "model": job["agent"].name,
+                    "target": plan.time_label(target),
+                    "max_input_time": plan.time_label(job["max_input"]),
+                    "ok": job["max_input"] <= target - 1,
+                }
+            )
     for target in plan.synth_targets:
         target = int(target)
         fit_times = plan.synth_fit_times(target)

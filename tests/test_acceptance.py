@@ -20,13 +20,8 @@ from conftest import (
     uniform_ecdf_distance,
     write_level_panel,
 )
-from quantsynth.distributions import (
-    al_cdf,
-    al_log_density,
-    al_rvs_mixture,
-    mixture_constants,
-    sample_gig_half,
-)
+from oracles import al_cdf, al_log_density, al_rvs_mixture, mgp_prior_omegas
+from quantsynth.distributions import mixture_constants, sample_gig_half
 from quantsynth.dlm import (
     DiscountConfig,
     NormalGammaPrior,
@@ -46,7 +41,6 @@ from quantsynth.fdrqs import (
     _update_deltas,
     forecast_fdrqs,
     gibbs_fdrqs,
-    mgp_prior_omegas,
     sample_local_precisions,
 )
 from quantsynth.pipeline import audit_lookahead, run_backtest

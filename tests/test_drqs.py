@@ -18,7 +18,7 @@ from quantsynth.drqs import (
 )
 
 
-def _hand_draws(cfg, theta, sigma, v, f, n_T, s_T, C_T):
+def _hand_draws(cfg, theta, sigma, n_T, s_T, C_T):
     """Assemble a DRQSDraws container from explicit arrays."""
     R = theta.shape[0]
     return DRQSDraws(
@@ -26,8 +26,6 @@ def _hand_draws(cfg, theta, sigma, v, f, n_T, s_T, C_T):
         agent_names=[f"a{j + 1}" for j in range(cfg.J)],
         theta=theta,
         sigma=sigma,
-        v=v,
-        f=f,
         n_T=np.full(R, float(n_T)),
         s_T=np.full(R, float(s_T)),
         C_T=np.broadcast_to(C_T, (R, cfg.J + 1, cfg.J + 1)).copy(),
@@ -106,7 +104,9 @@ class TestGibbsDRQS:
 
     def test_one_sweep_is_exchangeable_in_agent_order(self):
         # Name-keyed substreams: permuting the agent columns together with
-        # their names permutes the draw, bit for bit up to float noise.
+        # their names permutes the draw, bit for bit up to float noise.  The
+        # weights depend on the sweep's mixing variables and latent
+        # predictors, so a permuted weight draw checks those too.
         rng = np.random.default_rng(5)
         T = 40
         a = rng.normal(size=(T, 2))
@@ -119,9 +119,7 @@ class TestGibbsDRQS:
         d2 = gibbs_drqs(y, (a[:, ::-1], A[:, ::-1]), cfg, mcmc=(1, 0),
                         rng=np.random.default_rng(99), agent_names=["beta", "alpha"])
 
-        np.testing.assert_allclose(d1.f[0], d2.f[0][:, ::-1], atol=1e-8)
         np.testing.assert_allclose(d1.theta[0], d2.theta[0][:, [0, 2, 1]], atol=1e-8)
-        np.testing.assert_allclose(d1.v[0], d2.v[0], atol=1e-8)
 
     def test_static_scale_discount_freezes_sigma_path(self):
         # beta = 1 removes the scale evolution, so every retained draw
@@ -217,8 +215,7 @@ class TestForecastDRQS:
         )
         theta = np.zeros((R, 3, 2))
         theta[:, :, 1] = 1.0
-        dd = _hand_draws(cfg, theta, np.full((R, 3), 1e-8), np.ones((R, 3)),
-                         np.zeros((R, 3, 1)), 10.0, 1.0, np.eye(2))
+        dd = _hand_draws(cfg, theta, np.full((R, 3), 1e-8), 10.0, 1.0, np.eye(2))
         fc = forecast_drqs(dd, (np.array([2.5]), np.array([1e-12])),
                            np.random.default_rng(1))
         assert abs(fc.point - 2.5) < 1e-3
@@ -232,8 +229,7 @@ class TestForecastDRQS:
         prior = default_synthesis_prior(J)
         cfg = DRQSConfig(tau=0.5, J=J, disc=DiscountConfig(1.0, 1.0))
         theta = np.broadcast_to(prior.m0, (R, 2, J + 1)).copy()
-        dd = _hand_draws(cfg, theta, np.ones((R, 2)), np.ones((R, 2)),
-                         np.zeros((R, 2, J)), 5.0, 1.0, np.eye(J + 1))
+        dd = _hand_draws(cfg, theta, np.ones((R, 2)), 5.0, 1.0, np.eye(J + 1))
         a_next = np.array([1.0, 3.0, -2.0])
         A_next = np.full(J, 0.5)
         fc = forecast_drqs(dd, (a_next, A_next), np.random.default_rng(7))
@@ -251,8 +247,7 @@ class TestForecastDRQS:
         for seed in range(n_seeds):
             rng = np.random.default_rng(1000 + seed)
             theta = rng.normal(0.0, 0.4, size=(R, 2, J + 1))
-            dd = _hand_draws(cfg, theta, np.ones((R, 2)), np.ones((R, 2)),
-                             np.zeros((R, 2, J)), 5.0, 1.0, np.eye(J + 1))
+            dd = _hand_draws(cfg, theta, np.ones((R, 2)), 5.0, 1.0, np.eye(J + 1))
             fc1 = forecast_drqs(dd, (a_next, A_next), np.random.default_rng(seed))
             fc2 = forecast_drqs(dd, (a_next, 2.0 * A_next), np.random.default_rng(seed))
             w1 = fc1.interval[1] - fc1.interval[0]
@@ -280,8 +275,7 @@ class TestForecastDRQS:
         R = 100
         cfg = DRQSConfig(tau=0.5, J=2, disc=DiscountConfig(1.0, 1.0))
         theta = np.zeros((R, 2, 3))
-        dd = _hand_draws(cfg, theta, np.ones((R, 2)), np.ones((R, 2)),
-                         np.zeros((R, 2, 2)), 5.0, 1.0, np.eye(3))
+        dd = _hand_draws(cfg, theta, np.ones((R, 2)), 5.0, 1.0, np.eye(3))
         rng = np.random.default_rng(0)
         with pytest.raises(ValueError, match="one \\(a, A\\) pair per agent"):
             forecast_drqs(dd, (np.zeros(1), np.ones(1)), rng)

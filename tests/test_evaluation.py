@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy.stats import norm
 
-from quantsynth.distributions import check_loss
+from oracles import check_loss
 from quantsynth.evaluation import (
     QuantileGrid,
     ScorePanel,
@@ -183,17 +183,6 @@ class TestReconstruction:
         left = rec.draws[: rec.counts[0]]
         right = rec.draws[-rec.counts[-1]:]
         assert np.all(left <= qn[0]) and np.all(right >= qn[-1])
-
-    def test_untruncated_mode_spills_tail_mass_inward(self):
-        # Sampling the full fitted normal for the tail pieces puts most of
-        # the left piece's draws above the lowest quantile.
-        rng = np.random.default_rng(13)
-        grid = QuantileGrid.default()
-        qn = norm.ppf(grid.taus)
-        rec = reconstruct_predictive(qn, grid, R=10_000, rng=rng, truncate_tails=False)
-        assert abs(rec.mu1) < 1e-10 and abs(rec.sigma1 - 1.0) < 1e-10
-        left = rec.draws[: rec.counts[0]]
-        assert np.mean(left > qn[0]) > 0.5
 
     def test_unsorted_input_is_rearranged(self):
         rng = np.random.default_rng(13)

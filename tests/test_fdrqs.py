@@ -2,9 +2,9 @@
 
 import numpy as np
 import pytest
-from scipy import stats
 
 from conftest import density_chisquare_pvalue
+from oracles import mgp_prior_omegas
 from quantsynth.distributions import mixture_constants
 from quantsynth.fdrqs import (
     FDRQSConfig,
@@ -12,8 +12,6 @@ from quantsynth.fdrqs import (
     delta_full_conditional,
     forecast_fdrqs,
     gibbs_fdrqs,
-    mgp_prior_omegas,
-    observation_loglik,
     omegas_from_deltas,
     sample_local_precisions,
 )
@@ -80,61 +78,8 @@ class TestShrinkagePrior:
         assert p > 0.01
 
 
-class TestObservationDensity:
-    def test_matches_looped_normal_logpdf(self):
-        # Independent re-derivation with explicit block loops pins down the
-        # j-major flat layout (coordinate (j, l) at index j*L + l).
-        rng = np.random.default_rng(2)
-        T, N, J, L = 3, 2, 1, 2
-        K = L * (J + 1)
-        tau = 0.3
-        k1, k2 = mixture_constants(tau)
-        y = rng.normal(size=(T, N))
-        u = rng.normal(size=(T, K))
-        lam = rng.normal(size=(N, K))
-        f = rng.normal(size=(T, N, J))
-        v = rng.uniform(0.5, 1.5, size=(T, N))
-        sigma = rng.uniform(0.5, 2.0, size=(T, N))
-
-        total = 0.0
-        for t in range(T):
-            for i in range(N):
-                mean = k1 * v[t, i]
-                for j in range(J + 1):
-                    theta_itj = lam[i, j * L:(j + 1) * L] @ u[t, j * L:(j + 1) * L]
-                    mean += theta_itj * (1.0 if j == 0 else f[t, i, j - 1])
-                total += stats.norm.logpdf(y[t, i], mean, np.sqrt(k2 * sigma[t, i] * v[t, i]))
-
-        got = observation_loglik(y, u, lam, f, v, sigma, tau)
-        assert abs(got - total) < 1e-9
-
-    def test_invariant_under_block_rotation(self):
-        # Rotating (loadings, factors) of one agent block together leaves
-        # the likelihood unchanged: the factor basis is not identified.
-        rng = np.random.default_rng(21)
-        T, N, J, L = 7, 3, 2, 2
-        K = L * (J + 1)
-        y = rng.normal(size=(T, N))
-        u = rng.normal(size=(T, K))
-        lam = rng.normal(size=(N, K))
-        f = rng.normal(size=(T, N, J))
-        v = rng.uniform(0.5, 1.5, size=(T, N))
-        sigma = rng.uniform(0.5, 2.0, size=(T, N))
-
-        ll0 = observation_loglik(y, u, lam, f, v, sigma, 0.3)
-        th = 0.6
-        rot = np.array([[np.cos(th), -np.sin(th)], [np.sin(th), np.cos(th)]])
-        blk = slice(L, 2 * L)
-        lam2, u2 = lam.copy(), u.copy()
-        lam2[:, blk] = lam[:, blk] @ rot
-        u2[:, blk] = u[:, blk] @ rot
-        ll1 = observation_loglik(y, u2, lam2, f, v, sigma, 0.3)
-        assert abs(ll0 - ll1) < 1e-10
-
-
 def _hand_factor_draws(cfg, R, lam, u, sigma, u_C_T, n_T):
-    """Assemble FDRQSDraws with trivial v/f/shrinkage fields."""
-    T = u.shape[1]
+    """Assemble FDRQSDraws with trivial shrinkage fields."""
     N, J, L = cfg.N, cfg.J, cfg.L
     return FDRQSDraws(
         cfg=cfg,
@@ -143,10 +88,7 @@ def _hand_factor_draws(cfg, R, lam, u, sigma, u_C_T, n_T):
         u=u,
         lam=lam,
         sigma=sigma,
-        v=np.ones((R, T, N)),
-        f=np.zeros((R, T, N, J)),
         deltas=np.ones((R, L, J + 1)),
-        phi_loadings=np.ones((R, N, L, J + 1)),
         u_C_T=u_C_T,
         n_T=n_T,
     )

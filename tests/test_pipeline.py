@@ -7,6 +7,7 @@ import hashlib
 import importlib
 import importlib.util
 import json
+import pkgutil
 import shutil
 import subprocess
 import sys
@@ -527,6 +528,19 @@ class TestBacktest:
         assert cli.main(["fit-agents", "--config", str(cfg_path), "--tau", "0.5"]) == 0
         capsys.readouterr()
 
+    def test_unknown_reference_refused_before_any_stage(self, tmp_path, capsys):
+        write_level_panel(tmp_path / "levels.csv")
+        cfg = backtest_config(tmp_path / "levels.csv", tmp_path / "out")
+        cfg = dataclasses.replace(
+            cfg, evaluation=dataclasses.replace(cfg.evaluation, reference="nosuch")
+        )
+        cfg_path = tmp_path / "run.yaml"
+        dump_config(cfg, cfg_path)
+        for command in ("backtest", "evaluate"):
+            assert cli.main([command, "--config", str(cfg_path)]) == 1
+            assert "reference model 'nosuch' is not one of" in capsys.readouterr().err
+            assert not (tmp_path / "out").exists()
+
     def test_synth_commands_must_match_plan_factor(self, tmp_path, capsys):
         for command, factor in (("synth-factor", False), ("synth", True)):
             cfg = backtest_config(tmp_path / "levels.csv", tmp_path / command)
@@ -563,6 +577,8 @@ class TestBacktest:
     def test_staged_factor_cli_matches_factor_backtest(self, mini_run, capsys):
         cfg, root, _ = mini_run
         # Cheaper agents than the mini run's: this test is about the stage path.
+        # The backtest runs at workers=2 and the stage commands at workers=1,
+        # so the pins (taken at workers=1) also check worker-count invariance.
         cfg = dataclasses.replace(
             cfg,
             agents=tuple(dataclasses.replace(a, draws=50, burn=10) for a in cfg.agents),
@@ -570,7 +586,7 @@ class TestBacktest:
             factor=dataclasses.replace(cfg.factor, draws=60, burn=20, write_joint_draws=True),
             out_dir=str(root / "out_factor"),
         )
-        run_backtest(cfg)
+        run_backtest(cfg, workers=2)
         got = {
             name: hashlib.sha256((root / "out_factor" / name).read_bytes()).hexdigest()
             for name in FACTOR_SHA256
@@ -595,6 +611,19 @@ class TestBacktest:
         agent_rows = [r for r in rows if r["stage"] == "agents"]
         for r in agent_rows:
             assert parse_time(r["max_input_time"]) <= parse_time(r["target"]) - 1
+
+    def test_audit_reports_agent_window_that_reads_its_target(self, mini_run, monkeypatch):
+        # Planted off-by-one: every agent fit window runs through its target.
+        cfg, _, _ = mini_run
+        monkeypatch.setattr(
+            pipeline.BacktestPlan,
+            "agent_fit_times",
+            lambda self, target: np.arange(self.agent_fit_start, int(target) + 1),
+        )
+        rows = [r for r in audit_lookahead(cfg) if r["stage"] == "agents"]
+        assert len(rows) == 8 * 3 * 2
+        assert not any(r["ok"] for r in rows)
+        assert all(r["max_input_time"] == r["target"] for r in rows)
 
     def test_reconstruct_stage_writes_draws(self, mini_run, capsys):
         cfg, root, _ = mini_run
@@ -649,6 +678,18 @@ class TestArtifactIO:
         )
         with pytest.raises(ValueError, match="reference model 'other' absent"):
             emit_plots_data(out, reference="other")
+
+
+def test_exports_resolve():
+    """Every name in the package's and each submodule's ``__all__`` resolves."""
+    import quantsynth
+
+    for name in quantsynth.__all__:
+        assert hasattr(quantsynth, name), f"quantsynth.{name}"
+    for info in pkgutil.iter_modules(quantsynth.__path__):
+        module = importlib.import_module(f"quantsynth.{info.name}")
+        for name in getattr(module, "__all__", ()):
+            assert hasattr(module, name), f"quantsynth.{info.name}.{name}"
 
 
 def test_benchmark_probes_resolve():
