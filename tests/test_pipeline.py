@@ -68,6 +68,8 @@ FACTOR_SHA256 = {
     "forecasts.csv": "4c41a2cfd82e0228ef969bc9e5a0990004d0812a2eb722f2763c34692b0975b3",
     "joint_draws.csv": "8b18182d4f68ee3bd5a8920cf0c3ca2d7430f2bf8eb46d3acc7cd456b057ae76",
 }
+# SHA-256 of ``reconstruct`` run on the ``mini_run`` forecasts.
+RECONSTRUCT_SHA256 = "34bf0bb741da2fa3b3ef3cfb078ddff3f7837163aea6d1fdb7adc5be6a972c76"
 
 
 class TestQuarters:
@@ -638,6 +640,8 @@ class TestBacktest:
             reader = csv.reader(fh)
             assert next(reader) == ["series", "time", "draw", "value"]
             assert sum(1 for _ in reader) == 3 * 4 * 2000
+        got = hashlib.sha256((root / "out" / "reconstructed_draws.csv").read_bytes()).hexdigest()
+        assert got == RECONSTRUCT_SHA256
 
 
 class TestArtifactIO:
