@@ -52,7 +52,6 @@ _EXPORTS = {
     "crps_quantile_weighted": ".evaluation",
     "pit": ".evaluation",
     "quantile_weights": ".evaluation",
-    "rcs": ".evaluation",
     "reconstruct_predictive": ".evaluation",
     # configuration and pipeline
     "RunConfig": ".config",

@@ -39,15 +39,10 @@ VARIANCE_FLOOR = 1e-10
 
 @dataclass(frozen=True)
 class DQLMSpec:
-    """Configuration for one dynamic quantile linear model.
-
-    ``predictors`` is carried as (column, lag) metadata for design-matrix
-    construction upstream; the fitting functions themselves take arrays.
-    """
+    """Configuration for one dynamic quantile linear model."""
 
     tau: float
     delta: float = 0.95
-    predictors: tuple = ()
     prior_scale: float = 1000.0
     sigma_shape: float = 0.01
     sigma_rate: float = 0.01
@@ -261,35 +256,15 @@ class AgentForecastSet:
     def series_ids(self) -> list[str]:
         return sorted({k[0] for k in self._data})
 
-    def agents(self, series: str | None = None) -> list[str]:
-        return sorted({k[2] for k in self._data if series is None or k[0] == series})
+    def panel(self, series: str, tau: float, times, agents) -> tuple[np.ndarray, np.ndarray]:
+        """Dense ``(a, A)`` arrays for one series at one tau level.
 
-    def taus(self) -> list[float]:
-        return sorted({k[3] for k in self._data})
-
-    def times(self, series: str) -> list[int]:
-        return sorted({k[1] for k in self._data if k[0] == series})
-
-    def panel(
-        self,
-        series: str,
-        tau: float,
-        times=None,
-        agents=None,
-    ) -> tuple[np.ndarray, list[str], np.ndarray, np.ndarray]:
-        """Dense (times, agents, a, A) arrays for one series at one tau level.
-
-        ``a`` and ``A`` have shape (T, J) with agent columns in the order of
-        ``agents`` (default: sorted agent names).
+        Both have shape (len(times), len(agents)), rows in the order of
+        ``times`` and agent columns in the order of ``agents``.
         """
         tk = _tau_key(tau)
-        if times is None:
-            times = self.times(series)
-        times = np.asarray([int(t) for t in times], dtype=int)
-        if agents is None:
-            agents = self.agents(series)
-        a = np.empty((times.size, len(agents)))
-        A = np.empty((times.size, len(agents)))
+        a = np.empty((len(times), len(agents)))
+        A = np.empty((len(times), len(agents)))
         for j, agent in enumerate(agents):
             for i, t in enumerate(times):
                 key = (series, int(t), agent, tk)
@@ -298,7 +273,7 @@ class AgentForecastSet:
                 fc = self._data[key]
                 a[i, j] = fc.a
                 A[i, j] = fc.A
-        return times, list(agents), a, A
+        return a, A
 
     def validate(self) -> None:
         """Check the completeness contract; raise naming the first violation."""

@@ -8,7 +8,6 @@ inside the command handlers to keep ``--help`` fast.
 from __future__ import annotations
 
 import argparse
-import csv
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -62,17 +61,12 @@ def _load_config(args):
     return cfg
 
 
-def _out_dir(cfg) -> Path:
-    out = Path(cfg.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    return out
-
-
 def _cmd_ingest(cfg) -> int:
     from .pipeline import ingest, write_panel
 
     panel = ingest(cfg.data.panel_csv, cfg.data.h)
-    out = _out_dir(cfg)
+    out = Path(cfg.out_dir)
+    out.mkdir(parents=True, exist_ok=True)
     path = out / "panel.csv"
     write_panel(panel, path)
     spans = []
@@ -94,6 +88,7 @@ _STAGE_COMMANDS = {
     "synth": (("synthesis",), False),
     "synth-factor": (("synthesis",), True),
     "evaluate": (("evaluate",), None),
+    "reconstruct": (("reconstruct",), None),
     "backtest": (("agents", "synthesis", "evaluate"), None),
 }
 
@@ -112,55 +107,13 @@ def _cmd_stages(cfg, command: str) -> int:
         return 1
     try:
         manifest = run_stages(cfg, stages)
-    except RunRefusedError as exc:
+    except (RunRefusedError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     out = Path(cfg.out_dir)
     print(f"{command} complete: {len(manifest.windows)} jobs")
     for name in (*manifest.outputs, "manifest.json"):
         print(f"wrote {out / name}")
-    return 0
-
-
-def _cmd_reconstruct(cfg) -> int:
-    import numpy as np
-
-    from .evaluation import QuantileGrid, reconstruct_predictive
-    from .pipeline import task_stream
-    from .quarters import parse_time
-
-    out = _out_dir(cfg)
-    forecasts_path = out / "forecasts.csv"
-    if not forecasts_path.exists():
-        print(f"error: {forecasts_path} not found; run a synthesis stage first", file=sys.stderr)
-        return 1
-    groups: dict = {}
-    with open(forecasts_path, newline="", encoding="utf-8") as fh:
-        for row in csv.DictReader(fh):
-            groups.setdefault((row["series"], row["time"]), {})[float(row["tau"])] = float(
-                row["point"]
-            )
-    path = out / "reconstructed_draws.csv"
-    R = cfg.evaluation.reconstruction_draws
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["series", "time", "draw", "value"])
-        for (series, t_label) in sorted(groups, key=lambda k: (k[0], parse_time(k[1]))):
-            curve_map = groups[(series, t_label)]
-            taus = np.array(sorted(curve_map))
-            curve = np.array([curve_map[t] for t in taus])
-            rng = task_stream(cfg.plan.seed, "reconstruct", series, parse_time(t_label))
-            try:
-                rec = reconstruct_predictive(curve, QuantileGrid(taus), R=R, rng=rng)
-            except ValueError as exc:
-                print(
-                    f"error: reconstruction failed for series {series} at {t_label}: {exc}",
-                    file=sys.stderr,
-                )
-                return 1
-            for r, value in enumerate(rec.draws):
-                writer.writerow([series, t_label, r, repr(float(value))])
-    print(f"wrote {path}: {len(groups)} forecast distributions x {R} draws")
     return 0
 
 
@@ -180,7 +133,6 @@ def _cmd_audit(cfg) -> int:
 
 _HANDLERS = {
     "ingest": _cmd_ingest,
-    "reconstruct": _cmd_reconstruct,
     "audit-lookahead": _cmd_audit,
 }
 

@@ -20,7 +20,6 @@ __all__ = [
     "WEIGHT_KINDS",
     "quantile_weights",
     "crps_quantile_weighted",
-    "rcs",
     "pit",
     "ReconstructedPredictive",
     "reconstruct_predictive",
@@ -81,53 +80,6 @@ def crps_quantile_weighted(y: float, qhat: np.ndarray, grid: QuantileGrid, kind:
     nu = quantile_weights(taus, kind)
     integrand = 2.0 * ((y < qhat).astype(float) - taus) * (qhat - y) * nu
     return float(np.trapezoid(integrand, taus))
-
-
-def _window_ratio(series, t_start: int | None, t_star: int) -> float:
-    """Summed scores over the inclusive window ``[t_start, t_star]``, self over reference.
-
-    ``series`` yields ``(times, self_scores, ref_scores)`` per series; every
-    time in the window must be scored exactly once per series.  Each series'
-    window is summed on its own and the sums are added in order.  With
-    ``t_start`` None each series' window starts at its first time.
-    """
-    num = 0.0
-    den = 0.0
-    for times, values, ref_values in series:
-        start = int(times.min()) if t_start is None else int(t_start)
-        mask = (times >= start) & (times <= t_star)
-        if not np.array_equal(np.sort(times[mask]), np.arange(start, t_star + 1)):
-            raise ValueError(f"scores do not cover the window [{start}, {t_star}]")
-        num += float(np.sum(values[mask]))
-        den += float(np.sum(ref_values[mask]))
-    if den <= 0.0:
-        raise ZeroDivisionError("reference score sum is zero over the window")
-    return num / den
-
-
-def rcs(
-    crps_self: np.ndarray,
-    crps_ref: np.ndarray,
-    t_start: int,
-    t_star: int,
-    times: np.ndarray | None = None,
-) -> float:
-    """Cumulative score ratio sum(self)/sum(ref) over the inclusive window.
-
-    A 2-D input holds one series per row, sharing ``times``; the ratio is
-    then of the totals over all series.
-    """
-    crps_self = np.asarray(crps_self, dtype=float)
-    crps_ref = np.asarray(crps_ref, dtype=float)
-    if crps_self.shape != crps_ref.shape:
-        raise ValueError("score series must share a shape")
-    if crps_self.ndim not in (1, 2):
-        raise ValueError(f"scores must be 1-D or 2-D (series x time), got {crps_self.ndim}-D")
-    if times is None:
-        times = np.arange(crps_self.shape[-1])
-    times = np.asarray(times, dtype=int)
-    rows = zip(np.atleast_2d(crps_self), np.atleast_2d(crps_ref))
-    return _window_ratio(((times, a, b) for a, b in rows), t_start, t_star)
 
 
 def pit(y: float, draws: np.ndarray) -> float:
@@ -238,15 +190,27 @@ class ScorePanel:
         return np.array(sorted(t for s, t in self.crps if s == series), dtype=int)
 
     def _ratio(self, ref: "ScorePanel", series_ids, t_star: int, t_start: int | None) -> float:
-        rows = []
+        """Summed scores over the inclusive window ``[t_start, t_star]``, self over reference.
+
+        Every time in the window must be scored exactly once per series.  Each
+        series' window is summed on its own and the sums are added in order.
+        With ``t_start`` None each series' window starts at its first time.
+        """
+        num = 0.0
+        den = 0.0
         for s in series_ids:
-            times, rtimes = self.times(s), ref.times(s)
-            if not np.array_equal(times, rtimes):
+            times = self.times(s)
+            if not np.array_equal(times, ref.times(s)):
                 raise ValueError(f"panels disagree on times for series {s}")
-            vals = np.array([self.crps[(s, t)] for t in times])
-            rvals = np.array([ref.crps[(s, t)] for t in times])
-            rows.append((times, vals, rvals))
-        return _window_ratio(rows, t_start, t_star)
+            start = int(times.min()) if t_start is None else int(t_start)
+            window = times[(times >= start) & (times <= t_star)]
+            if not np.array_equal(window, np.arange(start, t_star + 1)):
+                raise ValueError(f"scores do not cover the window [{start}, {t_star}]")
+            num += float(np.sum(np.array([self.crps[(s, t)] for t in window])))
+            den += float(np.sum(np.array([ref.crps[(s, t)] for t in window])))
+        if den <= 0.0:
+            raise ZeroDivisionError("reference score sum is zero over the window")
+        return num / den
 
     def rcs_vs(self, ref: "ScorePanel", series: str, t_star: int, t_start: int | None = None) -> float:
         """Per-series cumulative ratio against a reference panel."""

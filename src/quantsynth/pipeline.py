@@ -8,13 +8,13 @@ forecast for t*; finally everything is scored and written as CSV artifacts
 plus a JSON run manifest.
 
 The stages are rows of one table, :data:`STAGES`: ``agents``,
-``synthesis`` and ``evaluate``, each with the artifacts it reads, the
-artifacts it writes and the function that runs it.  One runner,
+``synthesis``, ``evaluate`` and ``reconstruct``, each with the artifacts it
+reads, the artifacts it writes and the function that runs it.  One runner,
 :func:`run_stages`, executes any sequence of them: it ingests the panel and
 builds the plan, checks that every input is either produced earlier in the
 same call or present in ``out_dir``, runs the stages, writes their
-artifacts, and writes ``manifest.json``.  :func:`run_backtest` runs all
-three; each stage subcommand of the CLI runs one.
+artifacts, and writes ``manifest.json``.  :func:`run_backtest` runs the
+first three; each stage subcommand of the CLI runs one.
 
 Jobs are independent across (tau, window) and run under a bounded process
 pool.  Every job derives its generator from the root seed and its own
@@ -65,6 +65,7 @@ __all__ = [
     "stage_fit_agents",
     "stage_synthesize",
     "stage_evaluate",
+    "stage_reconstruct",
     "run_stages",
     "run_backtest",
     "emit_plots_data",
@@ -76,6 +77,7 @@ SCORE_COLUMNS = ("series", "time", "model", "scheme", "crps")
 RATIO_COLUMNS = ("model", "scheme", "t_star", "rcs")
 PIT_COLUMNS = ("model", "series", "time", "pit")
 JOINT_COLUMNS = ("time", "tau", "draw", "series", "Q")
+RECONSTRUCTED_COLUMNS = ("series", "time", "draw", "value")
 
 
 def _repr_float(x) -> str:
@@ -246,7 +248,8 @@ class BacktestPlan:
     end: int
     taus: tuple
     quarterly: bool
-    factor_L: int | None = None
+    agent_specs: dict  # tau -> {agent name: DQLMSpec}
+    synth_configs: dict  # tau -> DRQSConfig, or FDRQSConfig when plan.factor
 
     @property
     def seed(self) -> int:
@@ -274,8 +277,23 @@ class BacktestPlan:
         return format_time(t, self.quarterly)
 
 
+def _per_level(taus, section: str, build: Callable, issues: list) -> dict:
+    """``{tau: build(tau)}``; a ``ValueError`` becomes one plan issue naming ``section``."""
+    try:
+        return {tau: build(tau) for tau in taus}
+    except ValueError as exc:
+        issues.append(f"{section}: {exc}")
+        return {}
+
+
 def make_plan(cfg: RunConfig, panel: SeriesPanel) -> BacktestPlan:
-    """Parse and validate the window layout against the panel before any compute."""
+    """Parse and validate the window layout against the panel before any compute.
+
+    Also builds every sampler setting the stages use, so a bad hyperparameter
+    is refused here: one :class:`DQLMSpec` per (agent, level) and one
+    :class:`DRQSConfig`, or :class:`FDRQSConfig` under ``plan.factor``, per
+    level.
+    """
     issues = []
     dates = {}
     for name in ("agent_fit_start", "agent_forecast_start", "synth_fit_start",
@@ -333,15 +351,46 @@ def make_plan(cfg: RunConfig, panel: SeriesPanel) -> BacktestPlan:
                         f"(available: {sorted(rec.predictors)})"
                     )
 
-    factor_L = None
-    if cfg.plan.factor:
-        N = len(panel.series_ids)
-        if N < 2:
-            issues.append("factor synthesis needs at least 2 series")
+    taus = tuple(cfg.plan.taus)
+    specs = {
+        agent.name: _per_level(
+            taus,
+            f"agent {agent.name}",
+            lambda tau, a=agent: DQLMSpec(
+                tau=tau, delta=a.delta, prior_scale=a.prior_scale,
+                sigma_shape=a.sigma_shape, sigma_rate=a.sigma_rate,
+            ),
+            issues,
+        )
+        for agent in cfg.agents
+    }
+    J = len(cfg.agents)
+    synth_configs = {}
+    if not cfg.plan.factor:
+        syn = cfg.synthesis
+        synth_configs = _per_level(
+            taus,
+            "synthesis",
+            lambda tau: DRQSConfig(tau=tau, J=J, disc=DiscountConfig(delta=syn.delta, beta=syn.beta)),
+            issues,
+        )
+    elif len(panel.series_ids) < 2:
+        issues.append("factor synthesis needs at least 2 series")
+    else:
+        fc, N = cfg.factor, len(panel.series_ids)
+        L = fc.L if fc.L is not None else min(5, N - 1)
+        if L >= N:
+            issues.append(f"factor.L={L} must be smaller than the number of series N={N}")
         else:
-            factor_L = cfg.factor.L if cfg.factor.L is not None else min(5, N - 1)
-            if factor_L >= N:
-                issues.append(f"factor.L={factor_L} must be smaller than the number of series N={N}")
+            synth_configs = _per_level(
+                taus,
+                "factor",
+                lambda tau: FDRQSConfig(
+                    tau=tau, N=N, J=J, L=L, n0=fc.n0, s0=fc.s0, nu=fc.nu,
+                    a1=fc.a1, a2=fc.a2, delta=fc.delta, beta=fc.beta,
+                ),
+                issues,
+            )
 
     if issues:
         raise ValueError("invalid plan:\n  - " + "\n  - ".join(issues))
@@ -352,9 +401,10 @@ def make_plan(cfg: RunConfig, panel: SeriesPanel) -> BacktestPlan:
         synth_fit_start=sfs,
         synth_forecast_start=sfos,
         end=end,
-        taus=tuple(cfg.plan.taus),
+        taus=taus,
         quarterly=panel.quarterly,
-        factor_L=factor_L,
+        agent_specs={tau: {name: by_tau[tau] for name, by_tau in specs.items()} for tau in taus},
+        synth_configs=synth_configs,
     )
 
 
@@ -403,16 +453,22 @@ def task_stream(seed: int, *labels) -> np.random.Generator:
 
 
 class JobError(RuntimeError):
-    """A (tau, window) job failed; identifies the job and preserves the cause."""
+    """A (tau, window) job failed; identifies the job, and the fit within it, and keeps the cause.
 
-    def __init__(self, stage: str, tau: float, target_label: str, cause: BaseException):
+    ``series`` and ``agent`` name the failing fit when the job runs several;
+    they are None where the job has no such axis.
+    """
+
+    def __init__(self, stage: str, tau: float, target_label: str, cause: BaseException,
+                 series: str | None = None, agent: str | None = None):
         self.stage = stage
         self.tau = tau
         self.target_label = target_label
         self.cause = cause
-        super().__init__(
-            f"{stage} stage failed at tau={tau}, window={target_label}: {cause}"
-        )
+        self.series = series
+        self.agent = agent
+        fit = "".join(f", {k}={v}" for k, v in (("series", series), ("agent", agent)) if v is not None)
+        super().__init__(f"{stage} stage failed at tau={tau}, window={target_label}{fit}: {cause}")
 
 
 def _run_agent_window(payload: dict) -> list:
@@ -421,17 +477,15 @@ def _run_agent_window(payload: dict) -> list:
     rows = []
     for job in payload["jobs"]:
         agent: AgentConfig = job["agent"]
-        spec = DQLMSpec(
-            tau=tau,
-            delta=agent.delta,
-            predictors=tuple(agent.predictors),
-            prior_scale=agent.prior_scale,
-            sigma_shape=agent.sigma_shape,
-            sigma_rate=agent.sigma_rate,
-        )
         rng = task_stream(seed, "agents", job["series"], agent.name, tau, target)
-        fit = fit_dqlm(job["y"], job["X"], spec, mcmc=(agent.draws, agent.burn), rng=rng)
-        fc = forecast_dqlm(fit, job["x_next"], rng, t_next=target)
+        try:
+            fit = fit_dqlm(
+                job["y"], job["X"], payload["specs"][agent.name], mcmc=(agent.draws, agent.burn), rng=rng
+            )
+            fc = forecast_dqlm(fit, job["x_next"], rng, t_next=target)
+        except Exception as exc:
+            exc.quantsynth_fit = (job["series"], agent.name)  # travels with the exception out of a worker
+            raise
         rows.append((job["series"], target, agent.name, tau, fc.a, fc.A))
     return rows
 
@@ -439,21 +493,24 @@ def _run_agent_window(payload: dict) -> list:
 def _run_synth_window(payload: dict) -> tuple[list, list]:
     """Fit the univariate synthesizer per series for one (tau, window) task."""
     tau, target, seed = payload["tau"], payload["target"], payload["seed"]
-    names, syn = payload["agent_names"], payload["synthesis"]
-    cfg = DRQSConfig(tau=tau, J=len(names), disc=DiscountConfig(delta=syn.delta, beta=syn.beta))
+    names = payload["agent_names"]
     Y, a, A = payload["Y"], payload["a"], payload["A"]
     rows = []
     for i, sid in enumerate(payload["series_ids"]):
         rng = task_stream(seed, "synthesis", sid, tau, target)
-        draws = gibbs_drqs(
-            Y[:, i],
-            (a[:, i], A[:, i]),
-            cfg,
-            mcmc=(syn.draws, syn.burn),
-            rng=rng,
-            agent_names=names,
-        )
-        fc = forecast_drqs(draws, (payload["a_next"][i], payload["A_next"][i]), rng, t_next=target)
+        try:
+            draws = gibbs_drqs(
+                Y[:, i],
+                (a[:, i], A[:, i]),
+                payload["cfg"],
+                mcmc=payload["mcmc"],
+                rng=rng,
+                agent_names=names,
+            )
+            fc = forecast_drqs(draws, (payload["a_next"][i], payload["A_next"][i]), rng, t_next=target)
+        except Exception as exc:
+            exc.quantsynth_fit = (sid, None)
+            raise
         rows.append((sid, target, tau, fc.point, fc.interval[0], fc.interval[1], fc.draws.size))
     return rows, []
 
@@ -462,26 +519,12 @@ def _run_factor_window(payload: dict) -> tuple[list, list]:
     """Fit the factor synthesizer jointly over all series for one (tau, window)."""
     tau, target, seed = payload["tau"], payload["target"], payload["seed"]
     names, series_ids = payload["agent_names"], payload["series_ids"]
-    fc_cfg = payload["factor"]
-    cfg = FDRQSConfig(
-        tau=tau,
-        N=len(series_ids),
-        J=len(names),
-        L=payload["L"],
-        n0=fc_cfg.n0,
-        s0=fc_cfg.s0,
-        nu=fc_cfg.nu,
-        a1=fc_cfg.a1,
-        a2=fc_cfg.a2,
-        delta=fc_cfg.delta,
-        beta=fc_cfg.beta,
-    )
     rng = task_stream(seed, "synthesis-factor", tau, target)
     draws = gibbs_fdrqs(
         payload["Y"],
         (payload["a"], payload["A"]),
-        cfg,
-        mcmc=(fc_cfg.draws, fc_cfg.burn),
+        payload["cfg"],
+        mcmc=payload["mcmc"],
         rng=rng,
         series_ids=series_ids,
         agent_names=names,
@@ -492,7 +535,7 @@ def _run_factor_window(payload: dict) -> tuple[list, list]:
         fc = ff.forecasts[i]
         rows.append((sid, target, tau, fc.point, fc.interval[0], fc.interval[1], fc.draws.size))
     joint = []
-    if fc_cfg.write_joint_draws:
+    if payload["write_joint_draws"]:
         R = ff.joint.shape[0]
         for r in range(R):
             for i, sid in enumerate(series_ids):
@@ -516,7 +559,8 @@ def _run_pool(fn, payloads: list, workers: int, stage: str, plan: BacktestPlan) 
 
     def failure(i: int, exc: Exception) -> JobError:
         p = payloads[i]
-        return JobError(stage, p["tau"], plan.time_label(p["target"]), exc)
+        series, agent = getattr(exc, "quantsynth_fit", (None, None))
+        return JobError(stage, p["tau"], plan.time_label(p["target"]), exc, series, agent)
 
     if workers <= 1:
         for i, payload in enumerate(payloads):
@@ -570,7 +614,8 @@ def _agent_jobs(plan: BacktestPlan, panel: SeriesPanel, target: int) -> list:
 def _agent_payloads(plan: BacktestPlan, panel: SeriesPanel) -> list:
     jobs = {target: _agent_jobs(plan, panel, target) for target in plan.agent_targets.tolist()}
     return [
-        {"tau": float(tau), "target": target, "seed": plan.seed, "jobs": target_jobs}
+        {"tau": float(tau), "target": target, "seed": plan.seed, "jobs": target_jobs,
+         "specs": plan.agent_specs[tau]}
         for tau in plan.taus
         for target, target_jobs in jobs.items()
     ]
@@ -600,6 +645,7 @@ def _synth_payloads(plan: BacktestPlan, panel: SeriesPanel, fset: AgentForecastS
     cfg = plan.cfg
     names = cfg.agent_names
     sids = panel.series_ids
+    syn = cfg.factor if cfg.plan.factor else cfg.synthesis
     payloads = []
     for tau in plan.taus:
         for target in plan.synth_targets:
@@ -611,7 +657,7 @@ def _synth_payloads(plan: BacktestPlan, panel: SeriesPanel, fset: AgentForecastS
             for i, sid in enumerate(sids):
                 rec = panel.record(sid)
                 Y[:, i] = rec.y[rec.positions(fit_times)]
-                _, _, a[:, i], A[:, i] = fset.panel(sid, tau, times=all_times, agents=names)
+                a[:, i], A[:, i] = fset.panel(sid, tau, all_times, names)
             payloads.append(
                 {
                     "tau": float(tau),
@@ -619,9 +665,9 @@ def _synth_payloads(plan: BacktestPlan, panel: SeriesPanel, fset: AgentForecastS
                     "seed": plan.seed,
                     "agent_names": names,
                     "series_ids": sids,
-                    "synthesis": cfg.synthesis,
-                    "factor": cfg.factor,
-                    "L": plan.factor_L,
+                    "cfg": plan.synth_configs[tau],
+                    "mcmc": (syn.draws, syn.burn),
+                    "write_joint_draws": cfg.factor.write_joint_draws,
                     "Y": Y,
                     "a": a[:-1],
                     "A": A[:-1],
@@ -646,6 +692,23 @@ def stage_synthesize(
     return rows, joint, timings
 
 
+def _forecast_curves(plan: BacktestPlan, rows: list) -> dict:
+    """Point forecasts as ``{(series, time): curve over plan.taus}``; refuses a curve missing a level."""
+    levels = [round(float(t), 10) for t in plan.taus]
+    maps: dict = {}
+    for series, t, tau, point, *_ in rows:
+        maps.setdefault((series, int(t)), {})[round(float(tau), 10)] = float(point)
+    curves = {}
+    for (series, t), curve_map in maps.items():
+        if sorted(curve_map) != levels:
+            raise ValueError(
+                f"forecasts for series {series} at {plan.time_label(t)} have levels "
+                f"{sorted(curve_map)}, not the plan's {list(plan.taus)}"
+            )
+        curves[(series, t)] = np.array([curve_map[k] for k in levels])
+    return curves
+
+
 def stage_evaluate(
     plan: BacktestPlan,
     panel: SeriesPanel,
@@ -665,17 +728,13 @@ def stage_evaluate(
     models = cfg.agent_names + [synth_name]
     reference = cfg.reference_model
 
-    synth_curve: dict = {}
-    for series, target, tau, point, lo, hi, n in synth_rows:
-        synth_curve.setdefault((series, int(target)), {})[round(float(tau), 10)] = float(point)
-
+    synth_curves = _forecast_curves(plan, synth_rows)
     panels = {
         (model, scheme): ScorePanel(model=model, scheme=scheme)
         for model in models
         for scheme in cfg.evaluation.schemes
     }
     pit_rows = []
-    tau_keys = [round(float(t), 10) for t in plan.taus]
     for sid in panel.series_ids:
         rec = panel.record(sid)
         for target in plan.synth_targets:
@@ -683,13 +742,12 @@ def stage_evaluate(
             y = rec.y_at(target)
             for model in models:
                 if model == synth_name:
-                    curve_map = synth_curve.get((sid, target))
-                    if curve_map is None or len(curve_map) != grid.K:
+                    curve = synth_curves.get((sid, target))
+                    if curve is None:
                         raise ValueError(
                             f"missing synthesized forecasts for series {sid} at "
                             f"{plan.time_label(target)}"
                         )
-                    curve = np.array([curve_map[k] for k in tau_keys])
                 else:
                     curve = np.array([fset.get(sid, target, model, t).a for t in plan.taus])
                 for scheme in cfg.evaluation.schemes:
@@ -716,6 +774,27 @@ def stage_evaluate(
                 value = panels[(model, scheme)].rtcs_vs(ref_panel, int(t_star), t_start)
                 ratio_rows.append((model, scheme, int(t_star), value))
     return panels, pit_rows, ratio_rows
+
+
+def stage_reconstruct(plan: BacktestPlan, rows: list) -> tuple[list, np.ndarray]:
+    """Predictive draws rebuilt from every stored synthesized quantile curve.
+
+    Returns the sorted ``(series, time)`` keys and an (n, R) array holding
+    each key's ``evaluation.reconstruction_draws`` draws in its row.
+    """
+    curves = _forecast_curves(plan, rows)
+    grid = QuantileGrid(np.asarray(plan.taus, dtype=float))
+    keys = sorted(curves)
+    draws = np.empty((len(keys), plan.cfg.evaluation.reconstruction_draws))
+    for i, (series, t) in enumerate(keys):
+        rng = task_stream(plan.seed, "reconstruct", series, t)
+        try:
+            draws[i] = reconstruct_predictive(curves[(series, t)], grid, R=draws.shape[1], rng=rng).draws
+        except ValueError as exc:
+            raise ValueError(
+                f"reconstruction failed for series {series} at {plan.time_label(t)}: {exc}"
+            ) from exc
+    return keys, draws
 
 
 # ---------------------------------------------------------------------------
@@ -817,6 +896,16 @@ def write_joint_draws(joint_rows, path, quarterly: bool) -> None:
         for t, tau, r, sid, q in joint_rows
     ]
     _write_csv(path, JOINT_COLUMNS, out)
+
+
+def write_reconstructed(keys, draws, path, quarterly: bool) -> None:
+    """Reconstructed predictive draws: ``series,time,draw,value``, streamed row by row."""
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(RECONSTRUCTED_COLUMNS)
+        for (series, t), values in zip(keys, draws):
+            label = format_time(t, quarterly)
+            writer.writerows((series, label, r, _repr_float(v)) for r, v in enumerate(values))
 
 
 def write_scores(panels: dict, path, quarterly: bool) -> None:
@@ -1006,6 +1095,12 @@ STAGES = {
                 *stage_evaluate(plan, panel, fset, rows), []
             ),
         ),
+        Stage(
+            "reconstruct",
+            reads=("forecasts.csv",),
+            writes=("reconstructed_draws.csv",),
+            run=lambda plan, panel, workers, rows: (stage_reconstruct(plan, rows), []),
+        ),
     )
 }
 
@@ -1021,6 +1116,9 @@ _WRITERS = {
     "scores.csv": lambda panels, path, quarterly: write_scores(panels, path, quarterly),
     "pit.csv": lambda rows, path, quarterly: write_pit(rows, path, quarterly),
     "ratios.csv": lambda rows, path, quarterly: write_ratios(rows, path, quarterly),
+    "reconstructed_draws.csv": lambda value, path, quarterly: write_reconstructed(
+        *value, path, quarterly
+    ),
 }
 
 
@@ -1036,9 +1134,10 @@ def run_stages(
     Each stage takes its inputs from an earlier stage of the same call, or
     else from ``out_dir``; if one is in neither place,
     :class:`MissingInputError` is raised before any stage runs, as is
-    :class:`RunRefusedError` when ``evaluate`` is asked for with fewer than 4
-    quantile levels (PIT reconstruction fits both tails) or with a reference
-    model that is neither an agent nor the synthesizer.  Plot data
+    :class:`RunRefusedError` for an invalid plan, when ``evaluate`` or
+    ``reconstruct`` is asked for with fewer than 4 quantile levels
+    (reconstruction fits both tails), or when ``evaluate`` is asked for with a
+    reference model that is neither an agent nor the synthesizer.  Plot data
     under ``plots/`` follows the scores.  ``manifest.json`` records the
     per-job timings and the files written; any failure aborts the run, and
     the manifest is still written with ``complete`` false and the failing
@@ -1046,17 +1145,21 @@ def run_stages(
     """
     if panel is None:
         panel = ingest(cfg.data.panel_csv, cfg.data.h)
-    plan = make_plan(cfg, panel)
+    try:
+        plan = make_plan(cfg, panel)
+    except ValueError as exc:
+        raise RunRefusedError(str(exc)) from None
     workers = cfg.workers if workers is None else int(workers)
     out = Path(cfg.out_dir if out_dir is None else out_dir)
     stages = [STAGES[name] for name in names]
 
-    if "evaluate" in names:
-        if len(plan.taus) < 4:
+    for name in ("evaluate", "reconstruct"):
+        if name in names and len(plan.taus) < 4:
             raise RunRefusedError(
-                f"the evaluate stage needs at least 4 quantile levels for tail fitting, "
+                f"the {name} stage needs at least 4 quantile levels for tail fitting, "
                 f"got {len(plan.taus)}"
             )
+    if "evaluate" in names:
         models = cfg.agent_names + [cfg.synth_model_name]
         if cfg.reference_model not in models:
             raise RunRefusedError(
@@ -1099,6 +1202,8 @@ def run_stages(
             "stage": exc.stage,
             "tau": exc.tau,
             "window": exc.target_label,
+            "series": exc.series,
+            "agent": exc.agent,
             "error": str(exc.cause),
         }
         raise
@@ -1126,7 +1231,7 @@ def run_backtest(
     aborts the run; the manifest is still written with ``complete`` false
     and the failing job identified.
     """
-    return run_stages(cfg, tuple(STAGES), panel, workers, out_dir)
+    return run_stages(cfg, ("agents", "synthesis", "evaluate"), panel, workers, out_dir)
 
 
 def audit_lookahead(cfg: RunConfig, panel: SeriesPanel | None = None) -> list:

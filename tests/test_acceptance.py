@@ -31,9 +31,9 @@ from quantsynth.dlm import (
 from quantsynth.drqs import DRQSConfig, forecast_drqs, gibbs_drqs
 from quantsynth.evaluation import (
     QuantileGrid,
+    ScorePanel,
     crps_quantile_weighted,
     pit,
-    rcs,
     reconstruct_predictive,
 )
 from quantsynth.fdrqs import (
@@ -306,7 +306,11 @@ class TestAcceptance:
             for kind in ("none", "right", "left")
         )
         x = np.random.default_rng(9).uniform(0.5, 2.0, size=12)
-        err_rcs = abs(rcs(x, x, 0, 11) - 1.0)
+        panel, ref = ScorePanel("m", "none"), ScorePanel("ref", "none")
+        for t, v in enumerate(x):
+            panel.add("s", t, v)
+            ref.add("s", t, v)
+        err_rcs = abs(panel.rtcs_vs(ref, 11, 0) - 1.0)
         worst = max(err_two_node, err_perfect, err_homog, err_rcs)
         dt = time.perf_counter() - t0
         ok = worst < 1e-12 and dt < 1.0

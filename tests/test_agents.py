@@ -136,20 +136,17 @@ class TestForecastDQLM:
 
 class TestAgentForecastSet:
     def _fill(self, fset: AgentForecastSet) -> None:
-        for agent in ("m1", "m2"):
+        for offset, agent in enumerate(("m1", "m2")):
             for tau in (0.25, 0.75):
                 for t in (5, 6, 7):
-                    fset.add("gdp", t, agent, tau, a=0.1 * t, A=0.5)
+                    fset.add("gdp", t, agent, tau, a=0.1 * t + offset, A=0.5)
 
     def test_counts_and_lookup(self):
         fset = AgentForecastSet()
         self._fill(fset)
         assert len(fset) == 12
         assert fset.series_ids() == ["gdp"]
-        assert fset.agents() == ["m1", "m2"]
-        assert fset.taus() == [0.25, 0.75]
-        assert fset.times("gdp") == [5, 6, 7]
-        assert fset.get("gdp", 6, "m2", 0.75).a == pytest.approx(0.6)
+        assert fset.get("gdp", 6, "m2", 0.75).a == pytest.approx(1.6)
 
     def test_duplicate_key_rejected(self):
         fset = AgentForecastSet()
@@ -165,13 +162,12 @@ class TestAgentForecastSet:
     def test_panel_layout_and_missing_key(self):
         fset = AgentForecastSet()
         self._fill(fset)
-        times, names, a, A = fset.panel("gdp", 0.25)
-        assert list(times) == [5, 6, 7]
-        assert names == ["m1", "m2"]
+        a, A = fset.panel("gdp", 0.25, [5, 6, 7], ["m2", "m1"])
         assert a.shape == (3, 2) and A.shape == (3, 2)
-        np.testing.assert_allclose(a[:, 0], [0.5, 0.6, 0.7])
+        np.testing.assert_allclose(a, [[1.5, 0.5], [1.6, 0.6], [1.7, 0.7]])
+        np.testing.assert_allclose(A, 0.5)
         with pytest.raises(KeyError, match="missing forecast"):
-            fset.panel("gdp", 0.25, times=[5, 6, 7, 8])
+            fset.panel("gdp", 0.25, [5, 6, 7, 8], ["m1", "m2"])
 
     def test_validate_flags_coverage_mismatch(self):
         fset = AgentForecastSet()

@@ -11,7 +11,6 @@ from quantsynth.evaluation import (
     crps_quantile_weighted,
     pit,
     quantile_weights,
-    rcs,
     reconstruct_predictive,
 )
 
@@ -96,41 +95,49 @@ class TestCRPS:
             crps_quantile_weighted(0.0, np.zeros(5), grid)
 
 
+def _score_panels(values, ref_values, times=None):
+    """A model and a reference :class:`ScorePanel` from (series x time) score arrays."""
+    values, ref_values = np.atleast_2d(values), np.atleast_2d(ref_values)
+    times = np.arange(values.shape[1]) if times is None else times
+    panel, ref = ScorePanel("m", "none"), ScorePanel("ref", "none")
+    for i, (row, ref_row) in enumerate(zip(values, ref_values)):
+        for t, v, rv in zip(times, row, ref_row):
+            panel.add(f"s{i}", t, v)
+            ref.add(f"s{i}", t, rv)
+    return panel, ref
+
+
 class TestScoreRatios:
     def test_identities(self):
         rng = np.random.default_rng(13)
         x = rng.uniform(0.5, 2.0, size=10)
-        assert rcs(x, x, 0, 9) == 1.0
-        assert abs(rcs(2.0 * x, x, 0, 9) - 2.0) < 1e-12
+        assert ScorePanel.rtcs_vs(*_score_panels(x, x), 9, 0) == 1.0
+        assert abs(ScorePanel.rtcs_vs(*_score_panels(2.0 * x, x), 9, 0) - 2.0) < 1e-12
         # single-point window
-        assert abs(rcs(x, x, 3, 3) - 1.0) < 1e-12
+        assert abs(ScorePanel.rcs_vs(*_score_panels(x, x), "s0", 3, 3) - 1.0) < 1e-12
 
     def test_explicit_times_axis(self):
         x = np.array([1.0, 2.0, 3.0, 4.0])
         times = np.array([7, 8, 9, 10])
-        got = rcs(2.0 * x, x, 8, 10, times=times)
-        assert abs(got - 2.0) < 1e-12
+        panel, ref = _score_panels(2.0 * x, x, times)
+        assert abs(panel.rtcs_vs(ref, 10, 8) - 2.0) < 1e-12
         with pytest.raises(ValueError, match="cover the window"):
-            rcs(x, x, 5, 8, times=times)
+            panel.rtcs_vs(ref, 8, 5)
 
     def test_multiseries_total_ratio(self):
         rng = np.random.default_rng(13)
         xm = rng.uniform(0.5, 2.0, size=(3, 10))
-        assert abs(rcs(2.0 * xm, xm, 0, 9) - 2.0) < 1e-12
-        # rows are series: the ratio is of the totals over the window
+        assert abs(ScorePanel.rtcs_vs(*_score_panels(2.0 * xm, xm), 9, 0) - 2.0) < 1e-12
+        # the ratio is of the totals over all series in the window
         worse = xm.copy()
         worse[0] *= 3.0
         expect = (3.0 * xm[0, 2:6].sum() + xm[1:, 2:6].sum()) / xm[:, 2:6].sum()
-        assert abs(rcs(worse, xm, 2, 5) - expect) < 1e-12
+        assert abs(ScorePanel.rtcs_vs(*_score_panels(worse, xm), 5, 2) - expect) < 1e-12
 
     def test_errors(self):
         x = np.ones(5)
-        with pytest.raises(ValueError, match="share a shape"):
-            rcs(x, np.ones(4), 0, 3)
         with pytest.raises(ZeroDivisionError):
-            rcs(x, np.zeros(5), 0, 4)
-        with pytest.raises(ValueError, match="1-D or 2-D"):
-            rcs(np.ones((1, 2, 5)), np.ones((1, 2, 5)), 0, 4)
+            ScorePanel.rtcs_vs(*_score_panels(x, np.zeros(5)), 4, 0)
 
 
 class TestPIT:

@@ -8,6 +8,7 @@ import importlib
 import importlib.util
 import json
 import pkgutil
+import re
 import shutil
 import subprocess
 import sys
@@ -391,7 +392,7 @@ class TestPlan:
         d = _config_dict(src)
         d["plan"]["factor"] = True
         plan = make_plan(config_from_dict(d), pan)
-        assert plan.factor_L == 2  # min(5, N-1) with N=3
+        assert [c.L for c in plan.synth_configs.values()] == [2, 2]  # min(5, N-1) with N=3
         d["factor"] = {"L": 3}
         with pytest.raises(ValueError, match="smaller than the number of series"):
             make_plan(config_from_dict(d), pan)
@@ -400,6 +401,21 @@ class TestPlan:
         d["factor"] = {"L": None}
         with pytest.raises(ValueError, match="at least 2 series"):
             make_plan(config_from_dict(d), one)
+
+
+    def test_sampler_settings_resolved_per_level(self, panel):
+        src, pan = panel
+        d = _config_dict(src)
+        d["agents"][1]["delta"] = 0.8
+        d["synthesis"].update(delta=0.7, beta=0.6)
+        plan = make_plan(config_from_dict(d), pan)
+        assert list(plan.agent_specs) == list(plan.synth_configs) == [0.25, 0.75]
+        for tau in plan.taus:
+            specs, syn = plan.agent_specs[tau], plan.synth_configs[tau]
+            assert [(name, s.tau, s.delta) for name, s in specs.items()] == [
+                ("base", tau, 0.95), ("zlag", tau, 0.8)
+            ]
+            assert (syn.tau, syn.J, syn.disc.delta, syn.disc.beta) == (tau, 2, 0.7, 0.6)
 
 
 @pytest.fixture(scope="module")
@@ -518,7 +534,7 @@ class TestBacktest:
         )
         cfg_path = tmp_path / "run.yaml"
         dump_config(cfg, cfg_path)
-        for command in ("backtest", "evaluate"):
+        for command in ("backtest", "evaluate", "reconstruct"):
             assert cli.main([command, "--config", str(cfg_path), "--tau", "0.5"]) == 1
             assert "at least 4 quantile levels" in capsys.readouterr().err
             assert not (tmp_path / "out").exists()
@@ -542,6 +558,68 @@ class TestBacktest:
             assert cli.main([command, "--config", str(cfg_path)]) == 1
             assert "reference model 'nosuch' is not one of" in capsys.readouterr().err
             assert not (tmp_path / "out").exists()
+
+    def test_bad_hyperparameters_refused_before_any_stage(self, tmp_path, capsys):
+        write_level_panel(tmp_path / "levels.csv")
+        cfg = backtest_config(tmp_path / "levels.csv", tmp_path / "out")
+        replace = dataclasses.replace
+        cases = (
+            (replace(cfg, synthesis=replace(cfg.synthesis, delta=1.5)),
+             "synthesis: delta must lie in (0, 1], got 1.5"),
+            (replace(cfg, plan=replace(cfg.plan, factor=True), factor=replace(cfg.factor, nu=0.0)),
+             "factor: nu entries must be positive"),
+            (replace(cfg, agents=(replace(cfg.agents[0], delta=0.0), *cfg.agents[1:])),
+             "agent base: delta must lie in (0, 1], got 0.0"),
+        )
+        cfg_path = tmp_path / "run.yaml"
+        for bad, message in cases:
+            with pytest.raises(pipeline.RunRefusedError, match=re.escape(message)):
+                run_backtest(bad)
+            dump_config(bad, cfg_path)
+            assert cli.main(["backtest", "--config", str(cfg_path)]) == 1
+            err = capsys.readouterr().err
+            assert err.startswith("error: invalid plan:") and message in err
+            assert not (tmp_path / "out").exists()
+
+    def test_job_error_names_the_failing_fit(self, tmp_path, monkeypatch):
+        write_level_panel(tmp_path / "levels.csv")
+        cfg = backtest_config(tmp_path / "levels.csv", tmp_path / "out")
+        fit_dqlm, calls = pipeline.fit_dqlm, []
+
+        def failing_fourth_fit(*args, **kwargs):
+            # An agent window fits series-major: alpha/base, alpha/zlag, beta/base, beta/zlag, ...
+            calls.append(None)
+            if len(calls) == 4:
+                raise FloatingPointError("planted failure")
+            return fit_dqlm(*args, **kwargs)
+
+        monkeypatch.setattr(pipeline, "fit_dqlm", failing_fourth_fit)
+        with pytest.raises(pipeline.JobError) as info:
+            run_stages(cfg, ["agents"], workers=1)
+        err = info.value
+        assert (err.stage, err.series, err.agent) == ("agents", "beta", "zlag")
+        assert str(err) == (
+            "agents stage failed at tau=0.1, window=1996Q1, series=beta, agent=zlag: planted failure"
+        )
+        manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
+        assert not manifest["complete"]
+        assert manifest["failed_job"] == {
+            "stage": "agents", "tau": 0.1, "window": "1996Q1", "series": "beta", "agent": "zlag",
+            "error": "planted failure",
+        }
+
+    def test_job_error_names_the_failing_fit_from_a_worker(self, tmp_path):
+        # A prior rate this large overflows the zlag agent's first sweep in every job.
+        write_level_panel(tmp_path / "levels.csv")
+        cfg = backtest_config(tmp_path / "levels.csv", tmp_path / "out")
+        cfg = dataclasses.replace(
+            cfg, agents=(cfg.agents[0], dataclasses.replace(cfg.agents[1], sigma_rate=1e308))
+        )
+        with pytest.raises(pipeline.JobError) as info:
+            run_stages(cfg, ["agents"], workers=2)
+        assert (info.value.series, info.value.agent) == ("alpha", "zlag")
+        failed = json.loads((tmp_path / "out" / "manifest.json").read_text())["failed_job"]
+        assert (failed["series"], failed["agent"]) == ("alpha", "zlag")
 
     def test_synth_commands_must_match_plan_factor(self, tmp_path, capsys):
         for command, factor in (("synth-factor", False), ("synth", True)):
@@ -627,21 +705,80 @@ class TestBacktest:
         assert not any(r["ok"] for r in rows)
         assert all(r["max_input_time"] == r["target"] for r in rows)
 
-    def test_reconstruct_stage_writes_draws(self, mini_run, capsys):
+    def test_reconstruct_stage_writes_draws(self, mini_run, tmp_path, capsys):
         cfg, root, _ = mini_run
-        cfg_path = root / "recon.yaml"
+        shutil.copy(root / "out" / "forecasts.csv", tmp_path / "forecasts.csv")
+        cfg_path = tmp_path / "recon.yaml"
         dump_config(cfg, cfg_path)
-        code = cli.main(
-            ["reconstruct", "--config", str(cfg_path), "--out-dir", str(root / "out")]
-        )
+        code = cli.main(["reconstruct", "--config", str(cfg_path), "--out-dir", str(tmp_path)])
         assert code == 0
-        assert "12 forecast distributions x 2000 draws" in capsys.readouterr().out
-        with open(root / "out" / "reconstructed_draws.csv", newline="", encoding="utf-8") as fh:
+        assert capsys.readouterr().out.splitlines() == [
+            "reconstruct complete: 0 jobs",
+            f"wrote {tmp_path / 'reconstructed_draws.csv'}",
+            f"wrote {tmp_path / 'manifest.json'}",
+        ]
+        with open(tmp_path / "reconstructed_draws.csv", newline="", encoding="utf-8") as fh:
             reader = csv.reader(fh)
             assert next(reader) == ["series", "time", "draw", "value"]
             assert sum(1 for _ in reader) == 3 * 4 * 2000
-        got = hashlib.sha256((root / "out" / "reconstructed_draws.csv").read_bytes()).hexdigest()
+        got = hashlib.sha256((tmp_path / "reconstructed_draws.csv").read_bytes()).hexdigest()
         assert got == RECONSTRUCT_SHA256
+        manifest = json.loads((tmp_path / "manifest.json").read_text())
+        assert manifest["complete"] and manifest["outputs"] == ["reconstructed_draws.csv"]
+
+
+class TestReconstruct:
+    """``reconstruct`` on hand-written forecast files, run through the stage runner."""
+
+    @staticmethod
+    def _run(tmp_path, capsys, lines) -> tuple[int, str]:
+        write_level_panel(tmp_path / "levels.csv")
+        cfg = backtest_config(tmp_path / "levels.csv", tmp_path / "out")
+        cfg = dataclasses.replace(
+            cfg, evaluation=dataclasses.replace(cfg.evaluation, reconstruction_draws=5)
+        )
+        cfg_path = tmp_path / "run.yaml"
+        dump_config(cfg, cfg_path)
+        (tmp_path / "out").mkdir()
+        (tmp_path / "out" / "forecasts.csv").write_text("\n".join(lines) + "\n")
+        code = cli.main(["reconstruct", "--config", str(cfg_path)])
+        return code, capsys.readouterr().err
+
+    @staticmethod
+    def _curves(*curves, taus=(0.1, 0.35, 0.65, 0.9)) -> list:
+        lines = [",".join(pipeline.FORECAST_COLUMNS)]
+        for label, points in curves:
+            for tau, q in zip(taus, points):
+                lines.append(f"alpha,{label},{tau!r},{q!r},{q - 1.0!r},{q + 1.0!r},100")
+        return lines
+
+    def test_failed_curve_writes_no_draws(self, tmp_path, capsys):
+        lines = self._curves(("1997Q1", (0.0, 1.0, 2.0, 3.0)), ("1997Q2", (1.0, 1.0, 2.0, 3.0)))
+        code, err = self._run(tmp_path, capsys, lines)
+        assert code == 1
+        assert "reconstruction failed for series alpha at 1997Q2: two lowest quantiles" in err
+        assert not (tmp_path / "out" / "reconstructed_draws.csv").exists()
+        manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
+        assert not manifest["complete"] and manifest["outputs"] == []
+        assert "two lowest quantiles coincide" in manifest["failed_job"]["error"]
+
+    def test_bad_forecasts_file_names_header_or_row(self, tmp_path, capsys):
+        lines = self._curves(("1997Q1", (0.0, 1.0, 2.0, 3.0)))
+        missing_column = [",".join(cell for k, cell in enumerate(row.split(",")) if k != 4)
+                          for row in lines]
+        code, err = self._run(tmp_path, capsys, missing_column)
+        assert code == 1 and "expected header series,time,tau,point,lo95,hi95,n_draws" in err
+        shutil.rmtree(tmp_path / "out")
+        lines[2] = lines[2].replace(",1.0,", ",oops,", 1)
+        code, err = self._run(tmp_path, capsys, lines)
+        assert code == 1 and "forecasts.csv, row 3:" in err and "oops" in err
+
+    def test_curves_must_have_the_plan_levels(self, tmp_path, capsys):
+        lines = self._curves(("1997Q1", (0.0, 1.0, 2.0, 3.0)), taus=(0.1, 0.35, 0.65, 0.95))
+        code, err = self._run(tmp_path, capsys, lines)
+        assert code == 1
+        assert "forecasts for series alpha at 1997Q1 have levels [0.1, 0.35, 0.65, 0.95]" in err
+        assert not (tmp_path / "out" / "reconstructed_draws.csv").exists()
 
 
 class TestArtifactIO:
