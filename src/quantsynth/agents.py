@@ -251,7 +251,14 @@ class AgentForecastSet:
         return len(self._data)
 
     def get(self, series: str, t: int, agent: str, tau: float) -> AgentForecast:
-        return self._data[(str(series), int(t), str(agent), _tau_key(tau))]
+        """The stored forecast; a missing one raises ``ValueError`` naming its time as written."""
+        key = (str(series), int(t), str(agent), _tau_key(tau))
+        if key not in self._data:
+            raise ValueError(
+                f"missing forecast for series={series} t={format_time(t, self.quarterly)} "
+                f"agent={agent} tau={tau}"
+            )
+        return self._data[key]
 
     def series_ids(self) -> list[str]:
         return sorted({k[0] for k in self._data})
@@ -262,15 +269,11 @@ class AgentForecastSet:
         Both have shape (len(times), len(agents)), rows in the order of
         ``times`` and agent columns in the order of ``agents``.
         """
-        tk = _tau_key(tau)
         a = np.empty((len(times), len(agents)))
         A = np.empty((len(times), len(agents)))
         for j, agent in enumerate(agents):
             for i, t in enumerate(times):
-                key = (series, int(t), agent, tk)
-                if key not in self._data:
-                    raise KeyError(f"missing forecast for series={series} t={t} agent={agent} tau={tau}")
-                fc = self._data[key]
+                fc = self.get(series, t, agent, tau)
                 a[i, j] = fc.a
                 A[i, j] = fc.A
         return a, A

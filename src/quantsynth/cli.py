@@ -99,17 +99,11 @@ def _cmd_stages(cfg, command: str) -> int:
     stages, factor = _STAGE_COMMANDS[command]
     if factor is not None and cfg.plan.factor != factor:
         other = "synth" if factor else "synth-factor"
-        print(
-            f"error: {command} needs plan.factor: {str(factor).lower()}, but the config sets "
-            f"plan.factor: {str(cfg.plan.factor).lower()}; change it or run {other}",
-            file=sys.stderr,
+        raise RunRefusedError(
+            f"{command} needs plan.factor: {str(factor).lower()}, but the config sets "
+            f"plan.factor: {str(cfg.plan.factor).lower()}; change it or run {other}"
         )
-        return 1
-    try:
-        manifest = run_stages(cfg, stages)
-    except (RunRefusedError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+    manifest = run_stages(cfg, stages)
     out = Path(cfg.out_dir)
     print(f"{command} complete: {len(manifest.windows)} jobs")
     for name in (*manifest.outputs, "manifest.json"):
@@ -138,12 +132,19 @@ _HANDLERS = {
 
 
 def main(argv=None) -> int:
+    """Run one command; a refused run, bad input or failed job prints ``error: ...`` and returns 1."""
     limit_worker_threads()
     args = _build_parser().parse_args(argv)
-    cfg = _load_config(args)
-    if args.command in _STAGE_COMMANDS:
-        return _cmd_stages(cfg, args.command)
-    return _HANDLERS[args.command](cfg)
+    from .pipeline import JobError, RunRefusedError
+
+    try:
+        cfg = _load_config(args)
+        if args.command in _STAGE_COMMANDS:
+            return _cmd_stages(cfg, args.command)
+        return _HANDLERS[args.command](cfg)
+    except (RunRefusedError, JobError, ValueError, OSError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

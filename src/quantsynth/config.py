@@ -254,7 +254,10 @@ def config_from_dict(raw: dict) -> RunConfig:
 def load_config(path) -> RunConfig:
     """Read a YAML run configuration file."""
     with open(path, "r", encoding="utf-8") as fh:
-        raw = yaml.safe_load(fh)
+        try:
+            raw = yaml.safe_load(fh)
+        except yaml.YAMLError as exc:
+            raise ValueError(f"config file {path} is not valid YAML: {exc}") from None
     if raw is None:
         raw = {}
     if not isinstance(raw, dict):

@@ -12,8 +12,11 @@ Three samplers shared by the agent model and both synthesizers:
 * :func:`gbrw_filter_sample` -- forward gamma filter and backward sampler for
   per-series precision paths under the gamma-beta random walk.
 
-The two FFBS samplers keep their own forward filters and share one backward
-state sampler (:func:`_sample_states`); :func:`ffbs_conjugate` and
+There are two forward filters: one scalar-observation filter
+(:func:`_filter_scalar`, known or learned scale) behind :func:`ffbs_conjugate`
+and the scalar case of :func:`ffbs_known_variance`, and the vector filter of
+:func:`ffbs_known_variance`.  Both FFBS samplers share one backward state
+sampler (:func:`_sample_states`); :func:`ffbs_conjugate` and
 :func:`gbrw_filter_sample` share one backward precision sampler
 (:func:`_sample_precisions`).
 
@@ -159,6 +162,46 @@ def _sample_precisions(n, d, beta, rng: np.random.Generator) -> np.ndarray:
     return phi
 
 
+def _filter_scalar(y, F, v, k1, k2, m0, C0, delta, s0, beta=None, n0=None):
+    """Forward filter for ``y_t = F_t' theta_t + k1 v_t + N(0, s k2 v_t)``, ``R_t = C_{t-1}/delta``.
+
+    With ``beta=None`` the scale ``s`` is the known ``s0``; otherwise it is
+    learned by the normal-gamma recursion with discount ``beta`` from
+    ``(n0, s0)``.  ``y`` and ``v`` are ``(T,)``, ``F`` is ``(T, p)``.  Returns
+    ``(m, C, n, s)``; ``n`` and ``s`` are ``(T,)`` paths, or None for a known
+    scale.
+    """
+    T, p = F.shape
+    learned = beta is not None
+    m = np.empty((T, p))
+    C = np.empty((T, p, p))
+    n = np.empty(T) if learned else None
+    s = np.empty(T) if learned else None
+
+    m_prev, C_prev = m0, C0
+    n_prev, s_prev = n0, s0
+    for t in range(T):
+        R = C_prev / delta
+        RF = R @ F[t]
+        f_t = float(F[t] @ m_prev)
+        Q = float(F[t] @ RF) + s_prev * k2 * v[t]
+        if not np.isfinite(Q) or Q <= 0.0:
+            raise FloatingPointError(f"non-finite or nonpositive predictive variance Q at t={t}")
+        e = y[t] - f_t - k1 * v[t]
+        A = RF / Q
+        m[t] = m_prev + A * e
+        C_t = R - Q * np.outer(A, A)
+        if learned:
+            n[t] = beta * n_prev + 3.0
+            r_t = (beta * n_prev + e * e / Q + 2.0 * v[t] / s_prev) / n[t]
+            C_t = r_t * C_t
+            s[t] = r_t * s_prev
+            n_prev, s_prev = n[t], s[t]
+        C[t] = 0.5 * (C_t + C_t.T)
+        m_prev, C_prev = m[t], C[t]
+    return m, C, n, s
+
+
 @dataclass
 class ConjugateFFBS:
     """One joint draw of ``(theta_{1:T}, phi_{1:T})`` plus the filtered moments behind it."""
@@ -211,37 +254,14 @@ def ffbs_conjugate(
         raise ValueError("v must be positive with one entry per observation")
 
     k1, k2 = consts
-    delta, beta = disc.delta, disc.beta
-
-    m = np.empty((T, p))
-    C = np.empty((T, p, p))
-    n = np.empty(T)
-    s = np.empty(T)
-
-    m_prev, C_prev = prior.m0, prior.C0
-    n_prev, s_prev = float(prior.n0), float(prior.s0)
-    for t in range(T):
-        R = C_prev / delta
-        RF = R @ F[t]
-        f_t = float(F[t] @ m_prev)
-        Q = float(F[t] @ RF) + s_prev * k2 * v[t]
-        if not np.isfinite(Q) or Q <= 0.0:
-            raise FloatingPointError(f"non-finite or nonpositive predictive variance Q at t={t}")
-        e = y[t] - f_t - k1 * v[t]
-        n_t = beta * n_prev + 3.0
-        r_t = (beta * n_prev + e * e / Q + 2.0 * v[t] / s_prev) / n_t
-        A = RF / Q
-        m[t] = m_prev + A * e
-        C_t = r_t * (R - Q * np.outer(A, A))
-        C[t] = 0.5 * (C_t + C_t.T)
-        n[t] = n_t
-        s[t] = r_t * s_prev
-        m_prev, C_prev = m[t], C[t]
-        n_prev, s_prev = n[t], s[t]
+    m, C, n, s = _filter_scalar(
+        y, F, v, k1, k2, prior.m0, prior.C0, disc.delta, float(prior.s0),
+        beta=disc.beta, n0=float(prior.n0),
+    )
 
     z_state = _state_normals(z_state, T, p, rng)
-    phi = _sample_precisions(n, n * s, beta, rng)
-    theta = _sample_states(m, C, delta, z_state, np.sqrt(phi * s))
+    phi = _sample_precisions(n, n * s, disc.beta, rng)
+    theta = _sample_states(m, C, disc.delta, z_state, np.sqrt(phi * s))
     if not (np.all(np.isfinite(theta)) and np.all(np.isfinite(phi))):
         raise FloatingPointError("non-finite state draw in backward pass")
     return ConjugateFFBS(theta=theta, phi=phi, m=m, C=C, n=n, s=s)
@@ -289,29 +309,18 @@ def ffbs_known_variance(
     if not 0.0 < delta <= 1.0:
         raise ValueError(f"delta must lie in (0, 1], got {delta}")
 
-    m = np.empty((T, p))
-    C = np.empty((T, p, p))
-
-    m_prev = np.atleast_1d(np.asarray(m0, dtype=float)).copy()
-    C_prev = np.atleast_2d(np.asarray(C0, dtype=float)).copy()
+    m0 = np.atleast_1d(np.asarray(m0, dtype=float)).copy()
+    C0 = np.atleast_2d(np.asarray(C0, dtype=float)).copy()
     if N == 1:
-        # scalar-observation path: same recursions without matrix factorization
-        for t in range(T):
-            R = C_prev / delta
-            Ft = F[t, 0]
-            RFt = R @ Ft
-            q = float(Ft @ RFt) + obs_var[t, 0]
-            if not np.isfinite(q) or q <= 0.0:
-                raise np.linalg.LinAlgError(
-                    f"singular predictive covariance at t={t}: min eigenvalue {q:.3e}"
-                )
-            e = y[t, 0] - offsets[t, 0] - float(Ft @ m_prev)
-            gain = RFt / q
-            m[t] = m_prev + gain * e
-            C_t = R - np.outer(gain, gain) * q
-            C[t] = 0.5 * (C_t + C_t.T)
-            m_prev, C_prev = m[t], C[t]
+        # Offsets folded into y, k1 = 0 and k2 = s = 1: subtracting 0.0 * v and
+        # scaling by 1.0 are exact, so this is the known-variance update bit for bit.
+        m, C, _, _ = _filter_scalar(
+            y[:, 0] - offsets[:, 0], F[:, 0], obs_var[:, 0], 0.0, 1.0, m0, C0, delta, 1.0
+        )
     else:
+        m = np.empty((T, p))
+        C = np.empty((T, p, p))
+        m_prev, C_prev = m0, C0
         for t in range(T):
             R = C_prev / delta
             Ft = F[t]

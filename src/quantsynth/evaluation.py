@@ -15,9 +15,10 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.stats import norm
 
+from .config import WEIGHT_SCHEMES
+
 __all__ = [
     "QuantileGrid",
-    "WEIGHT_KINDS",
     "quantile_weights",
     "crps_quantile_weighted",
     "pit",
@@ -25,8 +26,6 @@ __all__ = [
     "reconstruct_predictive",
     "ScorePanel",
 ]
-
-WEIGHT_KINDS = ("none", "right", "left")
 
 
 @dataclass(frozen=True)
@@ -64,7 +63,7 @@ def quantile_weights(taus: np.ndarray, kind: str = "none") -> np.ndarray:
         return taus**2
     if kind == "left":
         return (1.0 - taus) ** 2
-    raise ValueError(f"unknown weight kind {kind!r}; expected one of {WEIGHT_KINDS}")
+    raise ValueError(f"unknown weight kind {kind!r}; expected one of {WEIGHT_SCHEMES}")
 
 
 def crps_quantile_weighted(y: float, qhat: np.ndarray, grid: QuantileGrid, kind: str = "none") -> float:

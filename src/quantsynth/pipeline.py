@@ -319,6 +319,15 @@ def make_plan(cfg: RunConfig, panel: SeriesPanel) -> BacktestPlan:
             f"agent_fit_start {lbl(afs)} must precede agent_forecast_start {lbl(afos)}: "
             "agents need at least one training observation"
         )
+    else:
+        for agent in cfg.agents:
+            p = 1 + len(agent.predictors)
+            if afos - afs < p:
+                issues.append(
+                    f"agent {agent.name}: the first window {lbl(afs)}..{lbl(afos - 1)} has "
+                    f"{afos - afs} observation(s) but the design has p={p} columns "
+                    "(intercept and predictors)"
+                )
     if not afos <= sfs:
         issues.append(
             f"synth_fit_start {lbl(sfs)} precedes agent_forecast_start {lbl(afos)}: "

@@ -1,10 +1,14 @@
-"""Closed-form laws the tests check the samplers against.
+"""Closed-form laws and reference filters the tests check the samplers against.
 
 The package samples the asymmetric Laplace (AL) law only through its
 normal-exponential mixture and draws shrinkage weights only inside the
 factor sampler; the direct forms here are the independent references.
 ``AL(tau, sigma)`` has density ``tau*(1-tau)/sigma * exp(-rho_tau(x/sigma))``
 with ``rho_tau`` the check loss, so its ``tau``-quantile is exactly 0.
+
+The two scalar forward filters below are the loops ``ffbs_conjugate`` and
+the one-series case of ``ffbs_known_variance`` ran before they shared one
+filter; the package's filter must reproduce them bit for bit.
 """
 
 from __future__ import annotations
@@ -105,3 +109,77 @@ def mgp_prior_omegas(
     if L > 1:
         deltas[:, 1:] = rng.gamma(shape=a2, scale=1.0, size=(size, L - 1))
     return np.cumprod(deltas, axis=1)
+
+
+def conjugate_filter(y, F, v, consts, prior, disc):
+    """Learned-scale forward filter of ``ffbs_conjugate``: ``(m, C, n, s)``."""
+    y = np.asarray(y, dtype=float)
+    F = np.atleast_2d(np.asarray(F, dtype=float))
+    v = np.asarray(v, dtype=float)
+    T = y.size
+    p = prior.m0.size
+
+    k1, k2 = consts
+    delta, beta = disc.delta, disc.beta
+
+    m = np.empty((T, p))
+    C = np.empty((T, p, p))
+    n = np.empty(T)
+    s = np.empty(T)
+
+    m_prev, C_prev = prior.m0, prior.C0
+    n_prev, s_prev = float(prior.n0), float(prior.s0)
+    for t in range(T):
+        R = C_prev / delta
+        RF = R @ F[t]
+        f_t = float(F[t] @ m_prev)
+        Q = float(F[t] @ RF) + s_prev * k2 * v[t]
+        if not np.isfinite(Q) or Q <= 0.0:
+            raise FloatingPointError(f"non-finite or nonpositive predictive variance Q at t={t}")
+        e = y[t] - f_t - k1 * v[t]
+        n_t = beta * n_prev + 3.0
+        r_t = (beta * n_prev + e * e / Q + 2.0 * v[t] / s_prev) / n_t
+        A = RF / Q
+        m[t] = m_prev + A * e
+        C_t = r_t * (R - Q * np.outer(A, A))
+        C[t] = 0.5 * (C_t + C_t.T)
+        n[t] = n_t
+        s[t] = r_t * s_prev
+        m_prev, C_prev = m[t], C[t]
+        n_prev, s_prev = n[t], s[t]
+    return m, C, n, s
+
+
+def known_variance_scalar_filter(y, F, offsets, obs_var, m0, C0, delta):
+    """Known-variance forward filter of ``ffbs_known_variance`` for one series: ``(m, C)``.
+
+    ``y``, ``offsets`` and ``obs_var`` are ``(T, 1)``, ``F`` is ``(T, 1, p)``.
+    """
+    y = np.asarray(y, dtype=float)
+    F = np.asarray(F, dtype=float)
+    T = y.shape[0]
+    p = F.shape[2]
+    offsets = np.broadcast_to(np.asarray(offsets, dtype=float), (T, 1))
+    obs_var = np.broadcast_to(np.asarray(obs_var, dtype=float), (T, 1))
+
+    m = np.empty((T, p))
+    C = np.empty((T, p, p))
+
+    m_prev = np.atleast_1d(np.asarray(m0, dtype=float)).copy()
+    C_prev = np.atleast_2d(np.asarray(C0, dtype=float)).copy()
+    for t in range(T):
+        R = C_prev / delta
+        Ft = F[t, 0]
+        RFt = R @ Ft
+        q = float(Ft @ RFt) + obs_var[t, 0]
+        if not np.isfinite(q) or q <= 0.0:
+            raise np.linalg.LinAlgError(
+                f"singular predictive covariance at t={t}: min eigenvalue {q:.3e}"
+            )
+        e = y[t, 0] - offsets[t, 0] - float(Ft @ m_prev)
+        gain = RFt / q
+        m[t] = m_prev + gain * e
+        C_t = R - np.outer(gain, gain) * q
+        C[t] = 0.5 * (C_t + C_t.T)
+        m_prev, C_prev = m[t], C[t]
+    return m, C

@@ -166,7 +166,7 @@ class TestAgentForecastSet:
         assert a.shape == (3, 2) and A.shape == (3, 2)
         np.testing.assert_allclose(a, [[1.5, 0.5], [1.6, 0.6], [1.7, 0.7]])
         np.testing.assert_allclose(A, 0.5)
-        with pytest.raises(KeyError, match="missing forecast"):
+        with pytest.raises(ValueError, match="missing forecast"):
             fset.panel("gdp", 0.25, [5, 6, 7, 8], ["m1", "m2"])
 
     def test_validate_flags_coverage_mismatch(self):

@@ -4,10 +4,13 @@ import numpy as np
 import pytest
 
 from conftest import dense_joint_smoother
-from quantsynth.distributions import mixture_constants
+from oracles import conjugate_filter, known_variance_scalar_filter
+from quantsynth.distributions import CHI_FLOOR, mixture_constants
 from quantsynth.dlm import (
     DiscountConfig,
     NormalGammaPrior,
+    _sample_precisions,
+    _sample_states,
     ffbs_conjugate,
     ffbs_known_variance,
     gbrw_filter_sample,
@@ -185,6 +188,84 @@ class TestKnownVarianceFFBS:
                 np.zeros((2, 1)), np.ones((2, 1, 1)), np.zeros((2, 1)),
                 np.array([[1.0], [0.0]]), np.zeros(1), np.eye(1), 1.0,
                 np.random.default_rng(0),
+            )
+
+
+def _scalar_cases(seed: int, count: int):
+    """Edge cases, then random ones: ``(T, p, tau, delta, beta, v, rng)``.
+
+    The first case has T=1, p=1, delta=beta=1 and ``v`` at ``CHI_FLOOR``;
+    random cases put a quarter of their ``v`` at the floor and a fifth of
+    their discounts at exactly 1.
+    """
+    rng = np.random.default_rng(seed)
+    yield 1, 1, 0.5, 1.0, 1.0, np.full(1, CHI_FLOOR), rng
+    yield 1, 1, 0.05, 1.0, 1.0, np.ones(1), rng
+    unit_or = lambda: 1.0 if rng.uniform() < 0.2 else float(rng.uniform(0.5, 1.0))
+    for _ in range(count):
+        T, p = int(rng.integers(1, 40)), int(rng.integers(1, 6))
+        v = rng.exponential(size=T)
+        v[rng.uniform(size=T) < 0.25] = CHI_FLOOR
+        yield T, p, float(rng.uniform(0.01, 0.99)), unit_or(), unit_or(), v, rng
+
+
+def _random_prior_scale(rng, p: int) -> np.ndarray:
+    A = rng.normal(size=(p, p))
+    return A @ A.T / p + 0.1 * np.eye(p)
+
+
+class TestScalarFilterMatchesOracle:
+    """Both scalar FFBS paths reproduce their reference loops bit for bit."""
+
+    def test_learned_scale(self):
+        for i, (T, p, tau, delta, beta, v, rng) in enumerate(_scalar_cases(21, 300)):
+            consts = mixture_constants(tau)
+            prior = NormalGammaPrior(
+                m0=rng.normal(size=p), C0=_random_prior_scale(rng, p),
+                n0=float(rng.uniform(0.5, 5.0)), s0=float(rng.uniform(0.1, 3.0)),
+            )
+            disc = DiscountConfig(delta=delta, beta=beta)
+            F = rng.normal(size=(T, p))
+            y = rng.normal(scale=2.0, size=T)
+            z = rng.standard_normal((T, p))
+            seed = int(rng.integers(2**32))
+            got = ffbs_conjugate(y, F, v, consts, prior, disc, np.random.default_rng(seed), z_state=z)
+            m, C, n, s = conjugate_filter(y, F, v, consts, prior, disc)
+            phi = _sample_precisions(n, n * s, beta, np.random.default_rng(seed))
+            theta = _sample_states(m, C, delta, z, np.sqrt(phi * s))
+            for name, want in (("m", m), ("C", C), ("n", n), ("s", s), ("phi", phi), ("theta", theta)):
+                assert np.array_equal(getattr(got, name), want), (i, name)
+
+    def test_known_scale(self):
+        for i, (T, p, tau, delta, _, v, rng) in enumerate(_scalar_cases(22, 300)):
+            # The agent model's inputs: offsets k1*v and variances sigma*k2*v.
+            k1, k2 = mixture_constants(tau)
+            sigma = float(rng.uniform(0.1, 5.0))
+            offsets, obs_var = (k1 * v)[:, None], (sigma * k2 * v)[:, None]
+            m0, C0 = rng.normal(size=p), _random_prior_scale(rng, p)
+            F = rng.normal(size=(T, 1, p))
+            y = rng.normal(scale=2.0, size=(T, 1))
+            z = rng.standard_normal((T, p))
+            got = ffbs_known_variance(
+                y, F, offsets, obs_var, m0, C0, delta, np.random.default_rng(0), z_state=z
+            )
+            m, C = known_variance_scalar_filter(y, F, offsets, obs_var, m0, C0, delta)
+            state = _sample_states(m, C, delta, z, np.ones(T))
+            for name, want in (("m", m), ("C", C), ("state", state)):
+                assert np.array_equal(getattr(got, name), want), (i, name)
+
+    def test_bad_predictive_variance_raises_floating_point_error(self):
+        # An indefinite prior scale drives Q below zero on both paths.
+        with pytest.raises(FloatingPointError, match="predictive variance Q at t=0"):
+            ffbs_known_variance(
+                np.zeros((2, 1)), np.ones((2, 1, 1)), 0.0, 1.0, np.zeros(1), -10.0 * np.eye(1),
+                1.0, np.random.default_rng(0),
+            )
+        prior = NormalGammaPrior(m0=np.zeros(1), C0=np.eye(1), n0=1.0, s0=1.0)
+        with pytest.raises(FloatingPointError, match="predictive variance Q at t=0"):
+            ffbs_conjugate(
+                np.zeros(2), np.full((2, 1), np.nan), np.ones(2), mixture_constants(0.5),
+                prior, DiscountConfig(), np.random.default_rng(0),
             )
 
 

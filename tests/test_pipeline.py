@@ -362,6 +362,23 @@ class TestPlan:
         with pytest.raises(ValueError, match="1995Q1 precedes agent_forecast_start 1996Q1"):
             make_plan(config_from_dict(d), pan)
 
+    def test_agent_window_shorter_than_design(self, panel):
+        # base has p=2 columns (intercept, y_lag), zlag p=3 (intercept, y_lag, z).
+        src, pan = panel
+        d = _config_dict(src)
+        d["plan"]["agent_fit_start"] = "1995Q4"
+        with pytest.raises(ValueError) as exc:
+            make_plan(config_from_dict(d), pan)
+        msg = str(exc.value)
+        assert "agent base: the first window 1995Q4..1995Q4 has 1 observation(s) but the design has p=2" in msg
+        assert "agent zlag: the first window 1995Q4..1995Q4 has 1 observation(s) but the design has p=3" in msg
+        d["plan"]["agent_fit_start"] = "1995Q3"
+        with pytest.raises(ValueError) as exc:
+            make_plan(config_from_dict(d), pan)
+        assert "agent zlag:" in str(exc.value) and "agent base:" not in str(exc.value)
+        d["plan"]["agent_fit_start"] = "1995Q2"
+        make_plan(config_from_dict(d), pan)
+
     def test_missing_pieces_reported_together(self, panel):
         src, pan = panel
         d = _config_dict(src)
@@ -725,6 +742,72 @@ class TestBacktest:
         assert got == RECONSTRUCT_SHA256
         manifest = json.loads((tmp_path / "manifest.json").read_text())
         assert manifest["complete"] and manifest["outputs"] == ["reconstructed_draws.csv"]
+
+
+class TestCliErrors:
+    """Every command reports a refused run or a bad input as ``error: ...`` and exits 1."""
+
+    def test_bad_inputs_print_error(self, tmp_path, capsys):
+        write_level_panel(tmp_path / "levels.csv")
+        cfg = backtest_config(tmp_path / "levels.csv", tmp_path / "out")
+        replace = dataclasses.replace
+        bad_panel = tmp_path / "bad_levels.csv"
+        _write_levels(bad_panel, [("a", "1990Q1", 100.0), ("a", "1990Q2", 0.0)])
+        cases = (
+            ("audit-lookahead", replace(cfg, synthesis=replace(cfg.synthesis, delta=1.5)),
+             "invalid plan:", "synthesis: delta must lie in (0, 1], got 1.5"),
+            ("fit-agents", replace(cfg, plan=replace(cfg.plan, agent_fit_start="1995Q4")),
+             "invalid plan:", "agent base: the first window 1995Q4..1995Q4 has 1 observation(s)"),
+            ("ingest", replace(cfg, data=replace(cfg.data, panel_csv=str(bad_panel))),
+             str(bad_panel), "nonpositive level 0.0"),
+            ("ingest", replace(cfg, data=replace(cfg.data, panel_csv=str(tmp_path / "nosuch.csv"))),
+             "[Errno 2]", "nosuch.csv"),
+            ("backtest", replace(cfg, data=replace(cfg.data, panel_csv=str(tmp_path / "nosuch.csv"))),
+             "[Errno 2]", "nosuch.csv"),
+        )
+        cfg_path = tmp_path / "run.yaml"
+        for command, bad, start, message in cases:
+            dump_config(bad, cfg_path)
+            assert cli.main([command, "--config", str(cfg_path)]) == 1, command
+            err = capsys.readouterr().err
+            assert err.startswith(f"error: {start}") and message in err, (command, err)
+            assert not (tmp_path / "out").exists()
+        cfg_path.write_text(cfg_path.read_text() + "bogus: 1\n")
+        assert cli.main(["audit-lookahead", "--config", str(cfg_path)]) == 1
+        assert "bogus" in capsys.readouterr().err
+        cfg_path.write_text("data: [\n")
+        assert cli.main(["ingest", "--config", str(cfg_path)]) == 1
+        assert capsys.readouterr().err.startswith(f"error: config file {cfg_path} is not valid YAML")
+        assert cli.main(["synth", "--config", str(tmp_path / "nosuch.yaml")]) == 1
+        assert capsys.readouterr().err.startswith("error: [Errno 2]")
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_failed_job_prints_error(self, tmp_path, capsys):
+        # A prior rate this large overflows the zlag agent's first sweep.
+        write_level_panel(tmp_path / "levels.csv")
+        cfg = backtest_config(tmp_path / "levels.csv", tmp_path / "out")
+        cfg = dataclasses.replace(
+            cfg, agents=(cfg.agents[0], dataclasses.replace(cfg.agents[1], sigma_rate=1e308))
+        )
+        cfg_path = tmp_path / "run.yaml"
+        dump_config(cfg, cfg_path)
+        assert cli.main(["fit-agents", "--config", str(cfg_path), "--tau", "0.5"]) == 1
+        assert capsys.readouterr().err.startswith(
+            "error: agents stage failed at tau=0.5, window=1996Q1, series=alpha, agent=zlag: "
+        )
+
+    def test_missing_agent_forecast_names_its_quarter(self, mini_run, tmp_path, capsys):
+        # The stored agent forecasts cover the run's four levels, not 0.5.
+        cfg, root, _ = mini_run
+        shutil.copy(root / "out" / "agent_forecasts.csv", tmp_path / "agent_forecasts.csv")
+        cfg_path = tmp_path / "run.yaml"
+        dump_config(dataclasses.replace(cfg, out_dir=str(tmp_path)), cfg_path)
+        assert cli.main(["synth", "--config", str(cfg_path), "--tau", "0.5"]) == 1
+        message = "missing forecast for series=alpha t=1996Q1 agent=base tau=0.5"
+        assert capsys.readouterr().err == f"error: {message}\n"
+        manifest = json.loads((tmp_path / "manifest.json").read_text())
+        assert not manifest["complete"] and manifest["failed_job"] == {"error": message}
+        assert not (tmp_path / "forecasts.csv").exists()
 
 
 class TestReconstruct:
