@@ -255,7 +255,7 @@ class TestScalarFilterMatchesOracle:
                 assert np.array_equal(getattr(got, name), want), (i, name)
 
     def test_bad_predictive_variance_raises_floating_point_error(self):
-        # An indefinite prior scale drives Q below zero on both paths.
+        # A negative prior scale (known scale) or a NaN design (learned scale) spoils Q.
         with pytest.raises(FloatingPointError, match="predictive variance Q at t=0"):
             ffbs_known_variance(
                 np.zeros((2, 1)), np.ones((2, 1, 1)), 0.0, 1.0, np.zeros(1), -10.0 * np.eye(1),
