@@ -2,7 +2,8 @@
 
 One YAML file maps 1:1 onto the config dataclasses below; every field has the
 model's default value, so a minimal file only names the data, the window
-dates, and the agents.  Unknown keys are rejected so typos fail loudly.
+dates, and the agents.  Unknown keys are rejected so typos fail loudly, and
+so is a value that is not of its field's type.
 """
 
 from __future__ import annotations
@@ -10,6 +11,7 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
+import typing
 from dataclasses import dataclass
 
 import yaml
@@ -210,18 +212,44 @@ class RunConfig:
         return self.agents[0].name
 
 
+_TYPE_NAMES = {int: "an int", float: "a number", str: "a string", bool: "a boolean",
+               tuple: "a list", type(None): "null"}
+
+
+def _accepts(kind: type, value) -> bool:
+    """Whether ``value`` has field type ``kind``; an int counts as a float, a bool as no number."""
+    if kind is type(None):
+        return value is None
+    if isinstance(value, bool):
+        return kind is bool
+    if kind is float:
+        return isinstance(value, (int, float))
+    if kind is tuple:
+        return isinstance(value, (list, tuple))
+    return isinstance(value, kind)
+
+
+def _check_type(name: str, value, hint) -> None:
+    """Refuse a value not of the field's declared type, naming the field; never convert it."""
+    kinds = typing.get_args(hint) or (hint,)
+    if not any(_accepts(kind, value) for kind in kinds):
+        expected = " or ".join(_TYPE_NAMES[kind] for kind in kinds)
+        raise ValueError(f"{name} must be {expected}, got {value!r}")
+
+
 def _build(cls, data, where: str):
-    """Instantiate a config dataclass from a mapping, rejecting unknown keys."""
+    """Instantiate a config dataclass from a mapping, rejecting unknown keys and mistyped values."""
     if data is None:
         data = {}
     if not isinstance(data, dict):
         raise ValueError(f"{where} must be a mapping, got {type(data).__name__}")
-    names = {f.name for f in dataclasses.fields(cls)}
-    unknown = sorted(set(data) - names)
+    hints = typing.get_type_hints(cls)
+    unknown = sorted(set(data) - set(hints))
     if unknown:
         raise ValueError(f"unknown key(s) {unknown} in {where}")
     kwargs = {}
     for key, value in data.items():
+        _check_type(f"{where}.{key}", value, hints[key])
         kwargs[key] = tuple(value) if isinstance(value, list) else value
     return cls(**kwargs)
 
@@ -239,6 +267,9 @@ def config_from_dict(raw: dict) -> RunConfig:
     if not isinstance(agents_raw, (list, tuple)):
         raise ValueError("agents must be a list of agent mappings")
     agents = tuple(_build(AgentConfig, a, f"agents[{i}]") for i, a in enumerate(agents_raw))
+    workers, out_dir = raw.get("workers", 1), raw.get("out_dir", "out")
+    _check_type("workers", workers, int)
+    _check_type("out_dir", out_dir, str)
     return RunConfig(
         data=_build(DataConfig, raw.get("data"), "data"),
         plan=_build(PlanConfig, raw.get("plan"), "plan"),
@@ -246,8 +277,8 @@ def config_from_dict(raw: dict) -> RunConfig:
         synthesis=_build(SynthesisConfig, raw.get("synthesis"), "synthesis"),
         factor=_build(FactorConfig, raw.get("factor"), "factor"),
         evaluation=_build(EvalConfig, raw.get("evaluation"), "evaluation"),
-        workers=int(raw.get("workers", 1)),
-        out_dir=str(raw.get("out_dir", "out")),
+        workers=workers,
+        out_dir=out_dir,
     )
 
 

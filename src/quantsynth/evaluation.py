@@ -13,7 +13,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.stats import norm
 
 from .config import WEIGHT_SCHEMES
 
@@ -139,7 +138,9 @@ def reconstruct_predictive(
     if K < 4:
         raise ValueError("need at least 4 grid levels to fit both tails")
 
-    z = norm.ppf(taus)
+    from scipy.special import ndtri  # imported here: pool workers load this module, never call this
+
+    z = ndtri(taus)
     if qhat[1] == qhat[0]:
         raise ValueError("two lowest quantiles coincide after rearrangement; left tail scale is zero")
     if qhat[-1] == qhat[-2]:
@@ -155,13 +156,13 @@ def reconstruct_predictive(
     # Inverse-CDF draws restricted to quantile levels (0, tau_1] and
     # [tau_K, 1) of the fitted Gaussians.
     u = rng.uniform(size=counts[0])
-    pieces = [mu1 + sigma1 * norm.ppf(taus[0] * (1.0 - u))]
+    pieces = [mu1 + sigma1 * ndtri(taus[0] * (1.0 - u))]
     for k in range(1, K):
         lo, hi = qhat[k - 1], qhat[k]
         u = rng.uniform(size=counts[k])
         pieces.append(hi - u * (hi - lo))  # lands in (lo, hi]
     u = rng.uniform(size=counts[-1])
-    pieces.append(mu2 + sigma2 * norm.ppf(taus[-1] + u * (1.0 - taus[-1])))
+    pieces.append(mu2 + sigma2 * ndtri(taus[-1] + u * (1.0 - taus[-1])))
     draws = np.concatenate(pieces)
     return ReconstructedPredictive(
         draws=draws, mu1=float(mu1), sigma1=float(sigma1),

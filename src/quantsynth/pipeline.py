@@ -16,10 +16,12 @@ same call or present in ``out_dir``, runs the stages, writes their
 artifacts, and writes ``manifest.json``.  :func:`run_backtest` runs the
 first three; each stage subcommand of the CLI runs one.
 
-Jobs are independent across (tau, window) and run under a bounded process
-pool.  Every job derives its generator from the root seed and its own
-logical identity, so outputs are bit-identical across worker counts and
-scheduling orders.
+Jobs are independent across (tau, window).  With ``workers > 1`` they run
+on one spawn process pool per run, opened when the first stage that submits
+jobs starts and shut down when the run ends, so each worker imports the
+package once per command.  Every job derives its generator from the root
+seed and its own logical identity, so outputs are bit-identical across
+worker counts and scheduling orders.
 """
 
 from __future__ import annotations
@@ -31,7 +33,7 @@ import hashlib
 import json
 import time as _time
 from collections.abc import Callable
-from concurrent.futures import ProcessPoolExecutor, as_completed
+from concurrent.futures import Executor, ProcessPoolExecutor, as_completed
 from dataclasses import dataclass, field
 from multiprocessing import get_context
 from pathlib import Path
@@ -559,10 +561,15 @@ def _timed(fn, payload: dict) -> tuple:
     return result, _time.perf_counter() - t0
 
 
-def _run_pool(fn, payloads: list, workers: int, stage: str, plan: BacktestPlan) -> tuple[list, list]:
+def _run_pool(
+    fn, payloads: list, pool: Executor | None, stage: str, plan: BacktestPlan
+) -> tuple[list, list]:
     """Execute independent job payloads, fail-fast.
 
-    Returns the job results in payload order and one timing record per job.
+    Jobs go to ``pool``, the run's one spawn process pool that
+    :func:`run_stages` opens on first use, or run inline in this process when
+    it is None.  Returns the job results in payload order and one timing
+    record per job.
     """
     timed = [None] * len(payloads)
 
@@ -571,25 +578,21 @@ def _run_pool(fn, payloads: list, workers: int, stage: str, plan: BacktestPlan) 
         series, agent = getattr(exc, "quantsynth_fit", (None, None))
         return JobError(stage, p["tau"], plan.time_label(p["target"]), exc, series, agent)
 
-    if workers <= 1:
+    if pool is None:
         for i, payload in enumerate(payloads):
             try:
                 timed[i] = _timed(fn, payload)
             except Exception as exc:
                 raise failure(i, exc) from exc
     else:
-        ctx = get_context("spawn")
-        with ProcessPoolExecutor(
-            max_workers=workers, mp_context=ctx, initializer=limit_worker_threads
-        ) as pool:
-            futures = {pool.submit(_timed, fn, payload): i for i, payload in enumerate(payloads)}
-            for fut in as_completed(futures):
-                try:
-                    timed[futures[fut]] = fut.result()
-                except Exception as exc:
-                    for other in futures:
-                        other.cancel()
-                    raise failure(futures[fut], exc) from exc
+        futures = {pool.submit(_timed, fn, payload): i for i, payload in enumerate(payloads)}
+        for fut in as_completed(futures):
+            try:
+                timed[futures[fut]] = fut.result()
+            except Exception as exc:
+                for other in futures:
+                    other.cancel()
+                raise failure(futures[fut], exc) from exc
     timings = [
         {"stage": stage, "tau": p["tau"], "window": plan.time_label(p["target"]),
          "seconds": round(seconds, 6)}
@@ -631,11 +634,14 @@ def _agent_payloads(plan: BacktestPlan, panel: SeriesPanel) -> list:
 
 
 def stage_fit_agents(
-    plan: BacktestPlan, panel: SeriesPanel, workers: int = 1
+    plan: BacktestPlan, panel: SeriesPanel, pool: Executor | None = None
 ) -> tuple[AgentForecastSet, list]:
-    """Fit every agent over the expanding windows; forecasts plus job timings."""
+    """Fit every agent over the expanding windows; forecasts plus job timings.
+
+    Jobs run on ``pool``, or inline when it is None.
+    """
     payloads = _agent_payloads(plan, panel)
-    results, timings = _run_pool(_run_agent_window, payloads, workers, "agents", plan)
+    results, timings = _run_pool(_run_agent_window, payloads, pool, "agents", plan)
     fset = AgentForecastSet(quarterly=plan.quarterly)
     for rows in results:
         for row in rows:
@@ -691,11 +697,14 @@ def stage_synthesize(
     plan: BacktestPlan,
     panel: SeriesPanel,
     fset: AgentForecastSet,
-    workers: int = 1,
+    pool: Executor | None = None,
 ) -> tuple[list, list, list]:
-    """Run the synthesis stage; returns (forecast rows, joint draw rows, timings)."""
+    """Run the synthesis stage; returns (forecast rows, joint draw rows, timings).
+
+    Jobs run on ``pool``, or inline when it is None.
+    """
     fn = _run_factor_window if plan.cfg.plan.factor else _run_synth_window
-    results, timings = _run_pool(fn, _synth_payloads(plan, panel, fset), workers, "synthesis", plan)
+    results, timings = _run_pool(fn, _synth_payloads(plan, panel, fset), pool, "synthesis", plan)
     rows = sorted((row for res, _ in results for row in res), key=lambda r: (r[0], r[1], r[2]))
     joint = [row for _, res in results for row in res]
     return rows, joint, timings
@@ -833,8 +842,7 @@ class RunManifest:
 
 def _versions() -> dict:
     import platform
-
-    import scipy
+    from importlib.metadata import version
 
     from . import __version__
 
@@ -842,7 +850,7 @@ def _versions() -> dict:
         "quantsynth": __version__,
         "python": platform.python_version(),
         "numpy": np.__version__,
-        "scipy": scipy.__version__,
+        "scipy": version("scipy"),  # read from the package metadata: importing SciPy is slow
     }
 
 
@@ -1069,16 +1077,19 @@ class MissingInputError(RunRefusedError, FileNotFoundError):
 class Stage:
     """One protocol step: the artifacts it reads and writes, and its function.
 
-    ``run(plan, panel, workers, *inputs)`` gets one input per entry of
-    ``reads`` and returns one value per entry of ``writes``, then the stage's
-    per-job timings.  Each ``run`` calls its stage function by name when it
-    runs, so a wrapper installed on this module's attribute is the one called.
+    ``run(plan, panel, pool, *inputs)`` gets one input per entry of ``reads``
+    and returns one value per entry of ``writes``, then the stage's per-job
+    timings.  ``pool`` is the run's process pool, or None to run inline; only
+    a ``pooled`` stage gets a pool opened for it.  Each ``run`` calls its
+    stage function by name when it runs, so a wrapper installed on this
+    module's attribute is the one called.
     """
 
     name: str
     reads: tuple
     writes: tuple
     run: Callable
+    pooled: bool = False
 
 
 STAGES = {
@@ -1088,19 +1099,21 @@ STAGES = {
             "agents",
             reads=(),
             writes=("agent_forecasts.csv",),
-            run=lambda plan, panel, workers: stage_fit_agents(plan, panel, workers),
+            run=lambda plan, panel, pool: stage_fit_agents(plan, panel, pool),
+            pooled=True,
         ),
         Stage(
             "synthesis",
             reads=("agent_forecasts.csv",),
             writes=("forecasts.csv", "joint_draws.csv"),
-            run=lambda plan, panel, workers, fset: stage_synthesize(plan, panel, fset, workers),
+            run=lambda plan, panel, pool, fset: stage_synthesize(plan, panel, fset, pool),
+            pooled=True,
         ),
         Stage(
             "evaluate",
             reads=("agent_forecasts.csv", "forecasts.csv"),
             writes=("scores.csv", "pit.csv", "ratios.csv"),
-            run=lambda plan, panel, workers, fset, rows: (
+            run=lambda plan, panel, pool, fset, rows: (
                 *stage_evaluate(plan, panel, fset, rows), []
             ),
         ),
@@ -1108,7 +1121,7 @@ STAGES = {
             "reconstruct",
             reads=("forecasts.csv",),
             writes=("reconstructed_draws.csv",),
-            run=lambda plan, panel, workers, rows: (stage_reconstruct(plan, rows), []),
+            run=lambda plan, panel, pool, rows: (stage_reconstruct(plan, rows), []),
         ),
     )
 }
@@ -1151,6 +1164,11 @@ def run_stages(
     per-job timings and the files written; any failure aborts the run, and
     the manifest is still written with ``complete`` false and the failing
     job identified.
+
+    With ``workers > 1`` the first stage that submits jobs opens one spawn
+    process pool, which every later stage reuses; it is shut down, pending
+    jobs cancelled, before the manifest is written, so no worker outlives
+    the call.
     """
     if panel is None:
         panel = ingest(cfg.data.panel_csv, cfg.data.h)
@@ -1191,10 +1209,16 @@ def run_stages(
         started_at=datetime.datetime.now(datetime.timezone.utc).isoformat(),
     )
     artifacts = {}
+    pool = None
     try:
         for stage in stages:
+            if stage.pooled and workers > 1 and pool is None:
+                pool = ProcessPoolExecutor(
+                    max_workers=workers, mp_context=get_context("spawn"),
+                    initializer=limit_worker_threads,
+                )
             inputs = [artifacts[a] if a in artifacts else _READERS[a](out / a) for a in stage.reads]
-            *values, timings = stage.run(plan, panel, workers, *inputs)
+            *values, timings = stage.run(plan, panel, pool, *inputs)
             manifest.windows.extend(timings)
             for name, value in zip(stage.writes, values):
                 artifacts[name] = value
@@ -1220,6 +1244,8 @@ def run_stages(
         manifest.failed_job = {"error": str(exc)}
         raise
     finally:
+        if pool is not None:
+            pool.shutdown(cancel_futures=True)
         manifest.finished_at = datetime.datetime.now(datetime.timezone.utc).isoformat()
         manifest.outputs.sort()
         manifest.write(out / "manifest.json")

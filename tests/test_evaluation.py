@@ -2,9 +2,11 @@
 
 import numpy as np
 import pytest
+from scipy.special import ndtri
 from scipy.stats import norm
 
 from oracles import check_loss
+from quantsynth.config import DEFAULT_TAUS
 from quantsynth.evaluation import (
     QuantileGrid,
     ScorePanel,
@@ -205,6 +207,20 @@ class TestReconstruction:
         qn = norm.ppf(grid.taus)
         rec = reconstruct_predictive(qn, grid, R=R, rng=rng)
         assert rec.counts.sum() == R and rec.draws.size == R
+
+    @pytest.mark.parametrize(
+        "taus", [DEFAULT_TAUS, (0.1, 0.35, 0.65, 0.9), (0.1, 0.35, 0.65, 0.95), (0.2, 0.4, 0.6, 0.8)]
+    )
+    def test_ndtri_equals_norm_ppf_bit_for_bit(self, taus):
+        # Reconstruction calls ndtri where it called norm.ppf, and its bytes are pinned:
+        # check every argument it forms, the grid and both tails' uniform maps.
+        taus = np.asarray(taus)
+        u = np.random.default_rng(17).uniform(size=100_000)
+        for q in (taus, taus[0] * (1.0 - u), taus[-1] + u * (1.0 - taus[-1]),
+                  np.array([0.5, 1e-300])):
+            z = ndtri(q)
+            assert np.array_equal(z, norm.ppf(q))
+            assert not np.any(np.signbit(z) & (z == 0.0))  # array_equal takes -0.0 for 0.0
 
     def test_errors(self):
         rng = np.random.default_rng(0)

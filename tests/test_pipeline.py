@@ -7,11 +7,13 @@ import hashlib
 import importlib
 import importlib.util
 import json
+import multiprocessing
 import pkgutil
 import re
 import shutil
 import subprocess
 import sys
+from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -318,6 +320,33 @@ class TestConfig:
             config_from_dict({"agents": [{"name": "a"}, {"name": "a"}]})
         with pytest.raises(ValueError, match="workers"):
             config_from_dict({"workers": 0})
+
+    def test_values_are_checked_not_converted(self):
+        cases = (
+            ({"workers": "two"}, "workers must be an int, got 'two'"),
+            ({"out_dir": 3}, "out_dir must be a string, got 3"),
+            ({"synthesis": {"draws": "ten"}}, "synthesis.draws must be an int, got 'ten'"),
+            ({"synthesis": {"delta": "0.9"}}, "synthesis.delta must be a number, got '0.9'"),
+            ({"factor": {"beta": True}}, "factor.beta must be a number, got True"),
+            ({"factor": {"L": 2.0}}, "factor.L must be an int or null, got 2.0"),
+            ({"factor": {"write_joint_draws": 1}},
+             "factor.write_joint_draws must be a boolean, got 1"),
+            ({"plan": {"end": 1997.4}}, "plan.end must be a string or an int, got 1997.4"),
+            ({"evaluation": {"schemes": "none"}}, "evaluation.schemes must be a list, got 'none'"),
+            ({"agents": [{"name": "a", "burn": False}]}, "agents[0].burn must be an int, got False"),
+        )
+        for raw, message in cases:
+            with pytest.raises(ValueError) as info:
+                config_from_dict(raw)
+            assert str(info.value) == message
+        # An int stays an int in a float field, so the hash of an existing config is unchanged.
+        d = _config_dict("levels.csv")
+        d["synthesis"]["delta"] = 1
+        d["plan"]["end"] = 7991
+        d["factor"] = {"L": None}
+        cfg = config_from_dict(d)
+        assert type(cfg.synthesis.delta) is int and cfg.plan.end == 7991 and cfg.factor.L is None
+        assert config_to_dict(cfg)["synthesis"]["delta"] == 1
 
     def test_reference_model_defaults_to_first_agent(self):
         cfg = config_from_dict(_config_dict("levels.csv"))
@@ -637,6 +666,7 @@ class TestBacktest:
         assert (info.value.series, info.value.agent) == ("alpha", "zlag")
         failed = json.loads((tmp_path / "out" / "manifest.json").read_text())["failed_job"]
         assert (failed["series"], failed["agent"]) == ("alpha", "zlag")
+        assert multiprocessing.active_children() == []  # the failed run left no worker behind
 
     def test_synth_commands_must_match_plan_factor(self, tmp_path, capsys):
         for command, factor in (("synth-factor", False), ("synth", True)):
@@ -781,6 +811,22 @@ class TestCliErrors:
         assert cli.main(["synth", "--config", str(tmp_path / "nosuch.yaml")]) == 1
         assert capsys.readouterr().err.startswith("error: [Errno 2]")
 
+    def test_mistyped_config_value_names_its_key(self, tmp_path, capsys):
+        d = config_to_dict(backtest_config(tmp_path / "levels.csv", tmp_path / "out"))
+        syn = d["synthesis"]
+        cases = (
+            ("workers", "two", "workers must be an int, got 'two'"),
+            ("synthesis", {**syn, "draws": "ten"}, "synthesis.draws must be an int, got 'ten'"),
+            ("synthesis", {**syn, "delta": "0.9"}, "synthesis.delta must be a number, got '0.9'"),
+        )
+        cfg_path = tmp_path / "run.yaml"
+        for section, value, message in cases:
+            cfg_path.write_text(json.dumps({**d, section: value}))  # JSON is valid YAML
+            for command in ("audit-lookahead", "backtest"):
+                assert cli.main([command, "--config", str(cfg_path)]) == 1, (command, message)
+                assert capsys.readouterr().err == f"error: {message}\n"
+        assert not (tmp_path / "out").exists()
+
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_failed_job_prints_error(self, tmp_path, capsys):
         # A prior rate this large overflows the zlag agent's first sweep.
@@ -916,6 +962,47 @@ def test_exports_resolve():
             assert hasattr(module, name), f"quantsynth.{info.name}.{name}"
 
 
+def test_pipeline_import_loads_no_scipy():
+    """Pool workers import the pipeline, so SciPy's import time stays off that path."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    code = (
+        f"import sys; sys.path.insert(0, {src!r}); import quantsynth.pipeline; "
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
+
+
+def test_one_worker_pool_per_run(tmp_path, monkeypatch):
+    """A backtest at workers=2 opens one pool of two workers; a stage without jobs opens none."""
+    write_level_panel(tmp_path / "levels.csv")
+    cfg = backtest_config(tmp_path / "levels.csv", tmp_path / "out")
+    cfg = dataclasses.replace(
+        cfg,
+        agents=tuple(dataclasses.replace(a, draws=50, burn=0) for a in cfg.agents),
+        synthesis=dataclasses.replace(cfg.synthesis, draws=6, burn=2),
+    )
+    pools = []
+
+    class CountingPool(ProcessPoolExecutor):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            self.pids = set()
+            pools.append(self)
+
+        def shutdown(self, *args, **kwargs):
+            self.pids.update(self._processes or ())
+            super().shutdown(*args, **kwargs)
+
+    monkeypatch.setattr(pipeline, "ProcessPoolExecutor", CountingPool)
+    run_backtest(cfg, workers=2)
+    assert len(pools) == 1 and len(pools[0].pids) == 2
+    assert multiprocessing.active_children() == []
+    run_stages(cfg, ["evaluate"], workers=2)
+    assert len(pools) == 1
+
+
 def test_benchmark_probes_resolve():
     """Every name the benchmark's tracer wraps exists where it is looked up."""
     path = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
@@ -966,3 +1053,18 @@ def test_traced_benchmark_command_runs(tmp_path, factor, spans):
     assert data["status"] == 0
     for name in spans:
         assert data["spans"].get(name, {}).get("calls", 0) > 0, name
+    # The benchmark checks the traced sweeps against the plan's fits x (draws + burn),
+    # so a sampler that fits several levels per call must still count every sweep.
+    panel = ingest(cfg.data.panel_csv, cfg.data.h)
+    plan, n_series = make_plan(cfg, panel), len(panel.series_ids)
+    synth = cfg.factor if factor else cfg.synthesis
+    agent_sweeps = sum(a.draws + a.burn for a in cfg.agents)
+    expected = len(plan.taus) * (
+        len(plan.agent_targets) * n_series * agent_sweeps
+        + len(plan.synth_targets) * (1 if factor else n_series) * (synth.draws + synth.burn)
+    )
+    traced = sum(
+        data["spans"].get(name, {}).get("sum", {}).get("sweeps", 0)
+        for name in ("agents.fit_dqlm", "drqs.gibbs_drqs", "fdrqs.gibbs_fdrqs")
+    )
+    assert traced == expected
