@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .distributions import CHI_FLOOR, mixture_constants, sample_gig_half
+from .distributions import CHI_FLOOR, _chain_lengths, _gig_params, mixture_constants, sample_gig_half
 from .dlm import ffbs_known_variance, psd_sqrt
 from .quarters import format_time, is_quarter_label, parse_time
 
@@ -84,8 +84,8 @@ def fit_dqlm(
     y: np.ndarray,
     X: np.ndarray,
     spec: DQLMSpec,
-    mcmc: tuple[int, int] = (3000, 1000),
-    rng: np.random.Generator | None = None,
+    mcmc: tuple[int, int],
+    rng: np.random.Generator,
 ) -> DQLMFit:
     """Gibbs sampler for the dynamic quantile linear model.
 
@@ -100,10 +100,9 @@ def fit_dqlm(
     ----------
     y : (T,) response.
     X : (T, p) design, no missing values.
-    mcmc : (retained draws, burn-in iterations).
+    mcmc : (retained draws, burn-in iterations); required.
+    rng : the generator every draw comes from; required.
     """
-    if rng is None:
-        rng = np.random.default_rng()
     y = np.asarray(y, dtype=float)
     X = np.atleast_2d(np.asarray(X, dtype=float))
     T = y.size
@@ -114,13 +113,10 @@ def fit_dqlm(
         raise ValueError(f"need at least p={p} observations, got T={T}")
     if not (np.all(np.isfinite(y)) and np.all(np.isfinite(X))):
         raise ValueError("y and X must be finite")
-    n_keep, n_burn = int(mcmc[0]), int(mcmc[1])
-    if n_keep <= 0:
-        raise ValueError("mcmc draw count must be positive")
-    if n_burn < 0:
-        raise ValueError("burn-in must be nonnegative")
+    n_keep, n_burn = _chain_lengths(mcmc)
 
-    k1, k2 = mixture_constants(spec.tau)
+    consts = mixture_constants(spec.tau)
+    k1, k2 = consts
     m0 = np.zeros(p)
     C0 = spec.prior_scale * np.eye(p)
 
@@ -135,9 +131,8 @@ def fit_dqlm(
     Fdes = X[:, None, :]
     for it in range(n_burn + n_keep):
         resid = y - np.einsum("tp,tp->t", X, beta)
-        chi = np.maximum(resid * resid, CHI_FLOOR) / (sigma * k2)
-        psi = 2.0 / sigma + k1 * k1 / (sigma * k2)
-        v = np.maximum(sample_gig_half(chi, np.full(T, psi), rng), CHI_FLOOR)
+        chi, psi = _gig_params(resid, sigma, consts)
+        v = np.maximum(sample_gig_half(chi, psi, rng), CHI_FLOOR)
 
         ffbs = ffbs_known_variance(
             y[:, None], Fdes, (k1 * v)[:, None], (sigma * k2 * v)[:, None],
@@ -343,7 +338,7 @@ class AgentForecastSet:
                     series,
                     format_time(t, quarterly),
                     agent,
-                    f"{fc.tau:.2f}" if abs(fc.tau - round(fc.tau, 2)) < 1e-12 else repr(fc.tau),
+                    f"{fc.tau:.2f}" if float(f"{fc.tau:.2f}") == fc.tau else repr(fc.tau),
                     repr(fc.a),
                     repr(fc.A),
                 ])

@@ -66,7 +66,7 @@ class AgentConfig:
     """
 
     name: str
-    predictors: tuple = ()
+    predictors: tuple[str, ...] = ()
     delta: float = 0.95
     prior_scale: float = 1000.0
     sigma_shape: float = 0.01
@@ -139,38 +139,33 @@ class PlanConfig:
     synth_fit_start: str | int = ""
     synth_forecast_start: str | int = ""
     end: str | int = ""
-    taus: tuple = DEFAULT_TAUS
+    taus: tuple[float, ...] = DEFAULT_TAUS
     seed: int = 0
     factor: bool = False
 
     def __post_init__(self):
-        taus = tuple(float(t) for t in self.taus)
-        if not taus:
+        if not self.taus:
             raise ValueError("plan.taus must be nonempty")
-        if any(not 0.0 < t < 1.0 for t in taus):
+        if any(not 0.0 < t < 1.0 for t in self.taus):
             raise ValueError("plan.taus must lie strictly inside (0, 1)")
-        if any(b <= a for a, b in zip(taus, taus[1:])):
+        if any(b <= a for a, b in zip(self.taus, self.taus[1:])):
             raise ValueError("plan.taus must be strictly increasing")
-        object.__setattr__(self, "taus", taus)
-        object.__setattr__(self, "seed", int(self.seed))
 
 
 @dataclass(frozen=True)
 class EvalConfig:
     """Scoring settings: weight schemes, reference model, reconstruction size."""
 
-    schemes: tuple = WEIGHT_SCHEMES
+    schemes: tuple[str, ...] = WEIGHT_SCHEMES
     reference: str = ""
     reconstruction_draws: int = 10000
 
     def __post_init__(self):
-        schemes = tuple(str(s) for s in self.schemes)
-        unknown = sorted(set(schemes) - set(WEIGHT_SCHEMES))
+        unknown = sorted(set(self.schemes) - set(WEIGHT_SCHEMES))
         if unknown:
             raise ValueError(f"unknown weight scheme(s) {unknown}; choose from {WEIGHT_SCHEMES}")
-        if not schemes:
+        if not self.schemes:
             raise ValueError("evaluation.schemes must be nonempty")
-        object.__setattr__(self, "schemes", schemes)
         if self.reconstruction_draws < 1:
             raise ValueError("evaluation.reconstruction_draws must be >= 1")
 
@@ -230,7 +225,12 @@ def _accepts(kind: type, value) -> bool:
 
 
 def _check_type(name: str, value, hint) -> None:
-    """Refuse a value not of the field's declared type, naming the field; never convert it."""
+    """Refuse a value or list element not of the field's declared type, naming it; never convert."""
+    if typing.get_origin(hint) is tuple:
+        _check_type(name, value, tuple)
+        for i, item in enumerate(value):
+            _check_type(f"{name}[{i}]", item, typing.get_args(hint)[0])
+        return
     kinds = typing.get_args(hint) or (hint,)
     if not any(_accepts(kind, value) for kind in kinds):
         expected = " or ".join(_TYPE_NAMES[kind] for kind in kinds)

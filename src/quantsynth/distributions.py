@@ -4,8 +4,9 @@ The quantile samplers in this package all rest on the same machinery: the
 asymmetric Laplace (AL) error law whose ``tau``-quantile is zero, its
 normal-exponential mixture representation, and the generalised inverse
 Gaussian (GIG) full conditional of the exponential mixing variable.  This
-module provides the mixture constants and the GIG draw, the latter as a
-pure function of an explicit ``numpy.random.Generator``.
+module provides the mixture constants, the GIG draw (a pure function of an
+explicit ``numpy.random.Generator``) and the two rules all three samplers
+share: ``_gig_params`` (the GIG ``(chi, psi)``) and ``_chain_lengths``.
 
 Conventions
 -----------
@@ -60,6 +61,24 @@ def mixture_constants(tau: float) -> MixtureConstants:
     tau = _validate_tau(tau)
     denom = tau * (1.0 - tau)
     return MixtureConstants((1.0 - 2.0 * tau) / denom, 2.0 / denom)
+
+
+def _gig_params(resid, sigma, consts: MixtureConstants) -> tuple:
+    """``(chi, psi)`` of the mixing variables' GIG(1/2) conditional; floors ``resid**2``."""
+    k1, k2 = consts
+    chi = np.maximum(resid * resid, CHI_FLOOR) / (sigma * k2)
+    psi = 2.0 / sigma + k1 * k1 / (sigma * k2)
+    return chi, psi
+
+
+def _chain_lengths(mcmc) -> tuple[int, int]:
+    """``(retained draws, burn-in sweeps)`` of ``mcmc``; refuse ``draws <= 0`` or ``burn < 0``."""
+    n_keep, n_burn = int(mcmc[0]), int(mcmc[1])
+    if n_keep <= 0:
+        raise ValueError(f"mcmc draw count must be positive, got {n_keep}")
+    if n_burn < 0:
+        raise ValueError(f"mcmc burn-in must be nonnegative, got {n_burn}")
+    return n_keep, n_burn
 
 
 def sample_gig_half(chi, psi, rng: np.random.Generator):

@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .distributions import CHI_FLOOR, mixture_constants, sample_gig_half
+from .distributions import CHI_FLOOR, _chain_lengths, _gig_params, mixture_constants, sample_gig_half
 from .dlm import DiscountConfig, NormalGammaPrior, ffbs_conjugate, psd_sqrt
 
 __all__ = [
@@ -95,6 +95,21 @@ def _agent_stream(root_entropy: np.ndarray, kind: str, name: str) -> np.random.G
     return np.random.default_rng(np.random.SeedSequence([*root_entropy.tolist(), key]))
 
 
+def _agent_reports(agents, shape: tuple) -> tuple[np.ndarray, np.ndarray]:
+    """Agent report ``(means, variances)`` as float arrays of ``shape``, finite, variances > 0."""
+    a_mean, A_var = (np.asarray(x, dtype=float) for x in agents)
+    if a_mean.shape != shape or A_var.shape != shape:
+        raise ValueError(
+            f"agent means and variances must have shape {shape}, "
+            f"got {a_mean.shape} and {A_var.shape}"
+        )
+    if not np.all(np.isfinite(a_mean)):
+        raise ValueError("agent means must be finite")
+    if not (np.all(np.isfinite(A_var)) and np.all(A_var > 0.0)):
+        raise ValueError("agent variances must be positive and finite")
+    return a_mean, A_var
+
+
 def latent_predictor_moments(
     y: np.ndarray,
     theta: np.ndarray,
@@ -136,8 +151,8 @@ def gibbs_drqs(
     y: np.ndarray,
     agents,
     cfg: DRQSConfig,
-    mcmc: tuple[int, int] = (3000, 1000),
-    rng: np.random.Generator | None = None,
+    mcmc: tuple[int, int],
+    rng: np.random.Generator,
     agent_names: list[str] | None = None,
 ) -> DRQSDraws:
     """Gibbs sampler for the univariate synthesis model.
@@ -147,33 +162,21 @@ def gibbs_drqs(
     y : (T,) observed series.
     agents : pair of (T, J) arrays (means, variances) of the agents' reports.
     cfg : model configuration.
-    mcmc : (retained draws, burn-in).
-    rng : main generator; agent-specific substreams are derived from it.
+    mcmc : (retained draws, burn-in); required.
+    rng : main generator, required; agent substreams are derived from it.
     agent_names : J names keying the agents' substreams; ``agent1..agentJ``
         when omitted.
     """
-    if rng is None:
-        rng = np.random.default_rng()
     y = np.asarray(y, dtype=float)
     T = y.size
-    a_mean, A_var = (np.asarray(x, dtype=float) for x in agents)
     J = cfg.J
-    if a_mean.shape != (T, J) or A_var.shape != (T, J):
-        raise ValueError(
-            f"agent means and variances must have shape ({T}, {J}), "
-            f"got {a_mean.shape} and {A_var.shape}"
-        )
+    a_mean, A_var = _agent_reports(agents, (T, J))
     names = list(agent_names) if agent_names is not None else [f"agent{j + 1}" for j in range(J)]
-    if np.any(A_var <= 0.0) or not np.all(np.isfinite(A_var)):
-        raise ValueError("agent variances must be positive and finite")
-    if not (np.all(np.isfinite(y)) and np.all(np.isfinite(a_mean))):
-        raise ValueError("inputs must be finite")
-    n_keep, n_burn = int(mcmc[0]), int(mcmc[1])
-    if n_keep <= 0:
-        raise ValueError("mcmc draw count must be positive")
+    if not np.all(np.isfinite(y)):
+        raise ValueError("y must be finite")
+    n_keep, n_burn = _chain_lengths(mcmc)
 
     consts = mixture_constants(cfg.tau)
-    k1, k2 = consts
     p = J + 1
     prior, disc = cfg.prior, cfg.disc
 
@@ -198,8 +201,7 @@ def gibbs_drqs(
     for it in range(n_burn + n_keep):
         # (1) mixing variables
         resid = y - theta[:, 0] - np.einsum("tj,tj->t", f, theta[:, 1:])
-        chi = np.maximum(resid * resid, CHI_FLOOR) / (sigma * k2)
-        psi = 2.0 / sigma + k1 * k1 / (sigma * k2)
+        chi, psi = _gig_params(resid, sigma, consts)
         v = np.maximum(sample_gig_half(chi, psi, rng), CHI_FLOOR)
 
         # (2) latent predictors, jointly across agents at each t
@@ -270,11 +272,7 @@ def forecast_drqs(
     """
     cfg = draws.cfg
     J = cfg.J
-    a_next, A_next = (np.asarray(x, dtype=float) for x in agents_next)
-    if a_next.shape != (J,) or A_next.shape != (J,):
-        raise ValueError(f"need one (a, A) pair per agent, J={J}")
-    if np.any(A_next <= 0.0):
-        raise ValueError("agent variances must be positive")
+    a_next, A_next = _agent_reports(agents_next, (J,))
 
     R = draws.n_draws
     delta, beta = cfg.disc.delta, cfg.disc.beta

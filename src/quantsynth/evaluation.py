@@ -115,7 +115,8 @@ def reconstruct_predictive(
     qhat: np.ndarray,
     grid: QuantileGrid,
     R: int = 10000,
-    rng: np.random.Generator | None = None,
+    *,
+    rng: np.random.Generator,
 ) -> ReconstructedPredictive:
     """Rebuild a predictive sample from quantile forecasts on a grid.
 
@@ -126,10 +127,9 @@ def reconstruct_predictive(
 
     Tail draws are confined to their tail regions (left at or below the
     lowest quantile, right above the highest), so the empirical quantiles of
-    the sample reproduce the sorted inputs.
+    the sample reproduce the sorted inputs.  ``rng``, the generator of
+    every draw, is required.
     """
-    if rng is None:
-        rng = np.random.default_rng()
     qhat = np.sort(np.asarray(qhat, dtype=float))
     taus = grid.taus
     K = taus.size

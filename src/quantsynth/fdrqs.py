@@ -18,9 +18,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .distributions import CHI_FLOOR, mixture_constants, sample_gig_half
+from .distributions import CHI_FLOOR, _chain_lengths, _gig_params, mixture_constants, sample_gig_half
 from .dlm import ffbs_known_variance, gbrw_filter_sample, psd_sqrt
-from .drqs import QuantileForecast, _evolve_scale, latent_predictor_moments
+from .drqs import QuantileForecast, _agent_reports, _evolve_scale, latent_predictor_moments
 
 __all__ = [
     "FDRQSConfig",
@@ -220,8 +220,8 @@ def gibbs_fdrqs(
     Y: np.ndarray,
     agents,
     cfg: FDRQSConfig,
-    mcmc: tuple[int, int] = (3000, 1000),
-    rng: np.random.Generator | None = None,
+    mcmc: tuple[int, int],
+    rng: np.random.Generator,
     series_ids: list[str] | None = None,
     agent_names: list[str] | None = None,
 ) -> FDRQSDraws:
@@ -233,33 +233,23 @@ def gibbs_fdrqs(
     paths.
 
     ``Y`` is (T, N); ``agents`` a pair of (T, N, J) arrays (means,
-    variances).  ``series_ids`` and ``agent_names`` label the draws and
-    default to ``series1..seriesN`` and ``agent1..agentJ``.
+    variances).  ``mcmc`` (retained draws, burn-in) and the generator
+    ``rng`` are required.  ``series_ids`` and ``agent_names`` label the
+    draws and default to ``series1..seriesN`` and ``agent1..agentJ``.
     """
-    if rng is None:
-        rng = np.random.default_rng()
     Y = np.asarray(Y, dtype=float)
     if Y.ndim != 2:
         raise ValueError("Y must be a (T, N) panel")
     T, N = Y.shape
     if N != cfg.N:
         raise ValueError(f"panel has {N} series, config says {cfg.N}")
-    a_mean, A_var = (np.asarray(x, dtype=float) for x in agents)
     J, L, K = cfg.J, cfg.L, cfg.K
-    if a_mean.shape != (T, N, J) or A_var.shape != (T, N, J):
-        raise ValueError(
-            f"agent means and variances must have shape ({T}, {N}, {J}), "
-            f"got {a_mean.shape} and {A_var.shape}"
-        )
+    a_mean, A_var = _agent_reports(agents, (T, N, J))
     sids = list(series_ids) if series_ids is not None else [f"series{i + 1}" for i in range(N)]
     names = list(agent_names) if agent_names is not None else [f"agent{j + 1}" for j in range(J)]
-    if np.any(A_var <= 0.0) or not np.all(np.isfinite(A_var)):
-        raise ValueError("agent variances must be positive and finite")
-    if not (np.all(np.isfinite(Y)) and np.all(np.isfinite(a_mean))):
-        raise ValueError("inputs must be finite")
-    n_keep, n_burn = int(mcmc[0]), int(mcmc[1])
-    if n_keep <= 0:
-        raise ValueError("mcmc draw count must be positive")
+    if not np.all(np.isfinite(Y)):
+        raise ValueError("Y must be finite")
+    n_keep, n_burn = _chain_lengths(mcmc)
 
     consts = mixture_constants(cfg.tau)
     k1, k2 = consts
@@ -299,8 +289,7 @@ def gibbs_fdrqs(
         # (1) mixing variables and latent predictors, series by series
         mult = np.concatenate([np.ones((T, N, 1)), f], axis=2)
         resid = Y - np.einsum("tnj,tnj->tn", theta, mult)
-        chi = np.maximum(resid * resid, CHI_FLOOR) / (sigma * k2)
-        psi = 2.0 / sigma + k1 * k1 / (sigma * k2)
+        chi, psi = _gig_params(resid, sigma, consts)
         v = np.maximum(sample_gig_half(chi, psi, rng), CHI_FLOOR)
         for i in range(N):
             f_hat, _, root = latent_predictor_moments(
@@ -386,13 +375,7 @@ def forecast_fdrqs(
     """
     cfg = draws.cfg
     N, J, L = cfg.N, cfg.J, cfg.L
-    a_next, A_next = agents_next
-    a_next = np.asarray(a_next, dtype=float)
-    A_next = np.asarray(A_next, dtype=float)
-    if a_next.shape != (N, J) or A_next.shape != (N, J):
-        raise ValueError(f"need agent forecasts for every (series, agent): shape ({N}, {J})")
-    if np.any(A_next <= 0.0) or not np.all(np.isfinite(a_next)):
-        raise ValueError("agent forecasts must be finite with positive variances")
+    a_next, A_next = _agent_reports(agents_next, (N, J))
 
     R = draws.n_draws
     delta = cfg.delta

@@ -271,9 +271,13 @@ class BacktestPlan:
         """Training times for an agent forecasting ``target``."""
         return np.arange(self.agent_fit_start, int(target))
 
-    def synth_fit_times(self, target: int) -> np.ndarray:
-        """Training times for the synthesizer forecasting ``target``."""
-        return np.arange(self.synth_fit_start, int(target))
+    def synth_input_times(self, target: int) -> tuple[np.ndarray, np.ndarray]:
+        """Realized-value times and agent-report times the synthesis of ``target`` reads.
+
+        The reports cover the realized-value (training) times and ``target``.
+        """
+        fit_times = np.arange(self.synth_fit_start, int(target))
+        return fit_times, np.append(fit_times, int(target))
 
     def time_label(self, t: int) -> str:
         return format_time(t, self.quarterly)
@@ -664,8 +668,7 @@ def _synth_payloads(plan: BacktestPlan, panel: SeriesPanel, fset: AgentForecastS
     payloads = []
     for tau in plan.taus:
         for target in plan.synth_targets:
-            fit_times = plan.synth_fit_times(target)
-            all_times = np.append(fit_times, target)
+            fit_times, all_times = plan.synth_input_times(target)
             Y = np.empty((fit_times.size, len(sids)))
             a = np.empty((all_times.size, len(sids), len(names)))
             A = np.empty_like(a)
@@ -1273,9 +1276,10 @@ def audit_lookahead(cfg: RunConfig, panel: SeriesPanel | None = None) -> list:
     """Re-derive each job's inputs and check none is dated past target-1.
 
     Returns one record per audited job with the largest consumed time index.
-    Agent jobs are audited from the job inputs the agent stage runs;
-    synthesis jobs consume realized values through target-1 and agent
-    forecasts whose own inputs end at their target-1.  Scoring consumes the
+    Agent jobs are audited from the job inputs the agent stage runs, and
+    synthesis jobs from the times their payloads read: the newest realized
+    value or, if later, the newest agent report's time - 1 (a report is a
+    function of data through its own time - 1).  Scoring consumes the
     realized value at the target and is retrospective by definition, so it
     is not part of the audit.
     """
@@ -1298,11 +1302,8 @@ def audit_lookahead(cfg: RunConfig, panel: SeriesPanel | None = None) -> list:
             )
     for target in plan.synth_targets:
         target = int(target)
-        fit_times = plan.synth_fit_times(target)
-        consumed = int(fit_times[-1])  # realized y through target-1
-        # Agent forecasts consumed at times fit_times + [target]; each is a
-        # function of data through its own target-1.
-        consumed = max(consumed, target - 1)
+        realized, reports = plan.synth_input_times(target)
+        consumed = max(int(realized[-1]), int(reports[-1]) - 1)
         rows.append(
             {
                 "stage": "synthesis",

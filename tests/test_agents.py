@@ -1,7 +1,12 @@
 """Agent-model fitting, forecasting, and forecast-set plumbing checks."""
 
+import tempfile
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from quantsynth.agents import (
     AgentForecastSet,
@@ -187,6 +192,35 @@ class TestAgentForecastSet:
         for key, fc in fset._data.items():
             got = back._data[key]
             assert got.a == fc.a and got.A == fc.A and got.tau == fc.tau
+
+    @settings(derandomize=True, deadline=None, max_examples=60)
+    @given(
+        series=st.lists(st.text("abcxyz019_-", min_size=1, max_size=5), min_size=1, max_size=3, unique=True),
+        agents=st.lists(st.text("abcxyz019_-", min_size=1, max_size=5), min_size=1, max_size=3, unique=True),
+        taus=st.lists(st.floats(1e-6, 1.0 - 1e-6) | st.sampled_from([0.05, 0.15 + 1e-13]),
+                      min_size=1, max_size=3, unique_by=lambda t: round(t, 10)),
+        start=st.integers(0, 9000),
+        n_times=st.integers(1, 3),
+        quarterly=st.booleans(),
+        data=st.data(),
+    )
+    def test_csv_round_trip_keeps_every_value(self, series, agents, taus, start, n_times, quarterly, data):
+        finite = st.floats(allow_nan=False, allow_infinity=False)
+        positive = st.floats(min_value=0.0, exclude_min=True, allow_infinity=False)
+        rows = [
+            (s, t, agent, tau, data.draw(finite), data.draw(positive))
+            for s in series for t in range(start, start + n_times) for agent in agents for tau in taus
+        ]
+        fset = AgentForecastSet(quarterly=quarterly)
+        for row in rows:
+            fset.add(*row)
+        with tempfile.TemporaryDirectory() as tmp:
+            fset.to_csv(Path(tmp) / "agents.csv")
+            back = AgentForecastSet.from_csv(Path(tmp) / "agents.csv")
+        assert back.quarterly == quarterly and len(back) == len(rows)
+        for s, t, agent, tau, a, A in rows:
+            got = back.get(s, t, agent, tau)
+            assert (got.t, got.tau, got.a, got.A) == (t, tau, a, A)
 
     def test_csv_error_names_row(self, tmp_path):
         path = tmp_path / "bad.csv"

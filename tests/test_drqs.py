@@ -184,16 +184,19 @@ class TestGibbsDRQS:
         y = np.zeros(5)
         a = np.zeros((5, 1))
         cfg = DRQSConfig(tau=0.5, J=1)
+        rng = np.random.default_rng(0)
         with pytest.raises(ValueError, match="positive and finite"):
-            gibbs_drqs(y, (a, np.zeros((5, 1))), cfg, mcmc=(1, 0))
+            gibbs_drqs(y, (a, np.zeros((5, 1))), cfg, mcmc=(1, 0), rng=rng)
         with pytest.raises(ValueError, match="shape"):
-            gibbs_drqs(y, (np.zeros((4, 1)), np.ones((4, 1))), cfg, mcmc=(1, 0))
+            gibbs_drqs(y, (np.zeros((4, 1)), np.ones((4, 1))), cfg, mcmc=(1, 0), rng=rng)
         with pytest.raises(ValueError, match="draw count"):
-            gibbs_drqs(y, (a, np.ones((5, 1))), cfg, mcmc=(0, 10))
+            gibbs_drqs(y, (a, np.ones((5, 1))), cfg, mcmc=(0, 10), rng=rng)
         y_bad = y.copy()
         y_bad[2] = np.nan
         with pytest.raises(ValueError, match="finite"):
-            gibbs_drqs(y_bad, (a, np.ones((5, 1))), cfg, mcmc=(1, 0))
+            gibbs_drqs(y_bad, (a, np.ones((5, 1))), cfg, mcmc=(1, 0), rng=rng)
+        with pytest.raises(ValueError, match="burn-in must be nonnegative, got -3"):
+            gibbs_drqs(y, (a, np.ones((5, 1))), cfg, mcmc=(5, -3), rng=rng)
 
     def test_rejects_tau_and_dimension_errors(self):
         with pytest.raises(ValueError, match="tau"):
@@ -277,7 +280,11 @@ class TestForecastDRQS:
         theta = np.zeros((R, 2, 3))
         dd = _hand_draws(cfg, theta, np.ones((R, 2)), 5.0, 1.0, np.eye(3))
         rng = np.random.default_rng(0)
-        with pytest.raises(ValueError, match="one \\(a, A\\) pair per agent"):
+        with pytest.raises(ValueError, match="must have shape \\(2,\\)"):
             forecast_drqs(dd, (np.zeros(1), np.ones(1)), rng)
         with pytest.raises(ValueError, match="positive"):
             forecast_drqs(dd, (np.zeros(2), np.array([1.0, 0.0])), rng)
+        with pytest.raises(ValueError, match="agent means must be finite"):
+            forecast_drqs(dd, (np.array([0.0, np.nan]), np.ones(2)), rng)
+        with pytest.raises(ValueError, match="positive and finite"):
+            forecast_drqs(dd, (np.zeros(2), np.array([1.0, np.inf])), rng)

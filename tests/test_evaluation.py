@@ -2,11 +2,13 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.special import ndtri
 from scipy.stats import norm
 
 from oracles import check_loss
-from quantsynth.config import DEFAULT_TAUS
+from quantsynth.config import DEFAULT_TAUS, WEIGHT_SCHEMES
 from quantsynth.evaluation import (
     QuantileGrid,
     ScorePanel,
@@ -73,6 +75,19 @@ class TestCRPS:
             q = np.sort(rng.normal(size=grid.K))
             y = rng.normal()
             assert crps_quantile_weighted(y, q, grid, kinds[i % 3]) >= 0.0
+
+    @settings(derandomize=True, deadline=None)
+    @given(
+        taus=st.lists(st.floats(1e-6, 1.0 - 1e-6), min_size=1, max_size=8, unique=True),
+        data=st.data(),
+    )
+    def test_nonnegative_for_any_sorted_curve(self, taus, data):
+        grid = QuantileGrid(np.sort(taus))
+        values = st.floats(-1e12, 1e12)
+        q = np.sort(data.draw(st.lists(values, min_size=grid.K, max_size=grid.K)))
+        y = data.draw(values)
+        for kind in WEIGHT_SCHEMES:
+            assert crps_quantile_weighted(y, q, grid, kind) >= 0.0
 
     def test_matches_check_loss_trapezoid(self):
         # Independent composition: the integrand is 2 nu(tau) rho_tau(y - q).

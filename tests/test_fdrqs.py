@@ -148,14 +148,17 @@ class TestGibbsFDRQS:
         a = np.zeros((T, N, J))
         A = np.ones((T, N, J))
         cfg = FDRQSConfig(tau=0.5, N=N, J=J, L=1)
+        rng = np.random.default_rng(0)
         with pytest.raises(ValueError, match="\\(T, N\\) panel"):
-            gibbs_fdrqs(np.zeros(T), (a, A), cfg, mcmc=(1, 0))
+            gibbs_fdrqs(np.zeros(T), (a, A), cfg, mcmc=(1, 0), rng=rng)
         with pytest.raises(ValueError, match="config says"):
-            gibbs_fdrqs(np.zeros((T, 3)), (a, A), cfg, mcmc=(1, 0))
+            gibbs_fdrqs(np.zeros((T, 3)), (a, A), cfg, mcmc=(1, 0), rng=rng)
         with pytest.raises(ValueError, match="positive and finite"):
-            gibbs_fdrqs(y, (a, np.zeros((T, N, J))), cfg, mcmc=(1, 0))
+            gibbs_fdrqs(y, (a, np.zeros((T, N, J))), cfg, mcmc=(1, 0), rng=rng)
         with pytest.raises(ValueError, match="draw count"):
-            gibbs_fdrqs(y, (a, A), cfg, mcmc=(0, 5))
+            gibbs_fdrqs(y, (a, A), cfg, mcmc=(0, 5), rng=rng)
+        with pytest.raises(ValueError, match="burn-in must be nonnegative, got -3"):
+            gibbs_fdrqs(y, (a, A), cfg, mcmc=(5, -3), rng=rng)
 
     def test_config_validation(self):
         with pytest.raises(ValueError, match="L < N"):
@@ -239,7 +242,9 @@ class TestForecastFDRQS:
             np.broadcast_to(np.eye(K), (R, K, K)).copy(), np.full((R, N), 5.0),
         )
         rng = np.random.default_rng(0)
-        with pytest.raises(ValueError, match="every \\(series, agent\\)"):
+        with pytest.raises(ValueError, match="must have shape \\(2, 1\\)"):
             forecast_fdrqs(dd, (np.zeros((1, J)), np.ones((1, J))), rng)
-        with pytest.raises(ValueError, match="positive variances"):
+        with pytest.raises(ValueError, match="positive and finite"):
             forecast_fdrqs(dd, (np.zeros((N, J)), np.zeros((N, J))), rng)
+        with pytest.raises(ValueError, match="positive and finite"):
+            forecast_fdrqs(dd, (np.zeros((N, J)), np.full((N, J), np.inf)), rng)

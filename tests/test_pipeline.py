@@ -21,6 +21,7 @@ import pytest
 
 from conftest import backtest_config, write_level_panel
 from quantsynth import cli, pipeline
+from quantsynth.agents import fit_dqlm, forecast_dqlm
 from quantsynth.config import (
     config_from_dict,
     config_hash,
@@ -334,6 +335,10 @@ class TestConfig:
             ({"plan": {"end": 1997.4}}, "plan.end must be a string or an int, got 1997.4"),
             ({"evaluation": {"schemes": "none"}}, "evaluation.schemes must be a list, got 'none'"),
             ({"agents": [{"name": "a", "burn": False}]}, "agents[0].burn must be an int, got False"),
+            ({"plan": {"taus": [0.5, "x"]}}, "plan.taus[1] must be a number, got 'x'"),
+            ({"evaluation": {"schemes": ["none", 1]}}, "evaluation.schemes[1] must be a string, got 1"),
+            ({"agents": [{"name": "a", "predictors": [3]}]},
+             "agents[0].predictors[0] must be a string, got 3"),
         )
         for raw, message in cases:
             with pytest.raises(ValueError) as info:
@@ -347,6 +352,10 @@ class TestConfig:
         cfg = config_from_dict(d)
         assert type(cfg.synthesis.delta) is int and cfg.plan.end == 7991 and cfg.factor.L is None
         assert config_to_dict(cfg)["synthesis"]["delta"] == 1
+        # Checking the list elements converts none of them either.
+        assert config_hash(backtest_config("levels.csv", "out")) == (
+            "730960fb0213e701f45d8a69af530e4da38f21abe3cd86b998fc43ab45d3628b"
+        )
 
     def test_reference_model_defaults_to_first_agent(self):
         cfg = config_from_dict(_config_dict("levels.csv"))
@@ -375,9 +384,9 @@ class TestPlan:
         np.testing.assert_array_equal(
             plan.agent_fit_times(tgt), np.arange(quarter_to_int("1991Q1"), tgt)
         )
-        np.testing.assert_array_equal(
-            plan.synth_fit_times(tgt), np.arange(quarter_to_int("1996Q1"), tgt)
-        )
+        realized, reports = plan.synth_input_times(tgt)
+        np.testing.assert_array_equal(realized, np.arange(quarter_to_int("1996Q1"), tgt))
+        np.testing.assert_array_equal(reports, np.arange(quarter_to_int("1996Q1"), tgt + 1))
         assert plan.time_label(tgt) == "1997Q1"
 
     def test_ordering_violation_names_both_dates(self, panel):
@@ -407,6 +416,20 @@ class TestPlan:
         assert "agent zlag:" in str(exc.value) and "agent base:" not in str(exc.value)
         d["plan"]["agent_fit_start"] = "1995Q2"
         make_plan(config_from_dict(d), pan)
+
+    def test_shortest_agent_window_fits(self, panel):
+        # 1995Q2..1995Q4 gives zlag (p=3) the shortest window make_plan accepts: T = p.
+        src, pan = panel
+        d = _config_dict(src)
+        d["plan"]["agent_fit_start"] = "1995Q2"
+        plan = make_plan(config_from_dict(d), pan)
+        target = int(plan.agent_targets[0])
+        job = next(j for j in pipeline._agent_jobs(plan, pan, target) if j["agent"].name == "zlag")
+        assert job["X"].shape == (3, 3)
+        rng = np.random.default_rng(5)
+        fit = fit_dqlm(job["y"], job["X"], plan.agent_specs[0.25]["zlag"], mcmc=(50, 10), rng=rng)
+        fc = forecast_dqlm(fit, job["x_next"], rng, t_next=target)
+        assert np.all(np.isfinite(fit.beta)) and np.isfinite(fc.a) and np.isfinite(fc.A)
 
     def test_missing_pieces_reported_together(self, panel):
         src, pan = panel
@@ -752,6 +775,20 @@ class TestBacktest:
         assert not any(r["ok"] for r in rows)
         assert all(r["max_input_time"] == r["target"] for r in rows)
 
+    def test_audit_reports_synthesis_window_that_reads_its_target(self, mini_run, monkeypatch):
+        # Planted off-by-one: every synthesis window reads the agent reports one time later.
+        cfg, _, _ = mini_run
+        times = pipeline.BacktestPlan.synth_input_times
+        monkeypatch.setattr(
+            pipeline.BacktestPlan,
+            "synth_input_times",
+            lambda self, target: (times(self, target)[0], times(self, target)[1] + 1),
+        )
+        rows = [r for r in audit_lookahead(cfg) if r["stage"] == "synthesis"]
+        assert len(rows) == 4
+        assert not any(r["ok"] for r in rows)
+        assert all(r["max_input_time"] == r["target"] for r in rows)
+
     def test_reconstruct_stage_writes_draws(self, mini_run, tmp_path, capsys):
         cfg, root, _ = mini_run
         shutil.copy(root / "out" / "forecasts.csv", tmp_path / "forecasts.csv")
@@ -818,6 +855,7 @@ class TestCliErrors:
             ("workers", "two", "workers must be an int, got 'two'"),
             ("synthesis", {**syn, "draws": "ten"}, "synthesis.draws must be an int, got 'ten'"),
             ("synthesis", {**syn, "delta": "0.9"}, "synthesis.delta must be a number, got '0.9'"),
+            ("plan", {**d["plan"], "taus": [0.1, "x"]}, "plan.taus[1] must be a number, got 'x'"),
         )
         cfg_path = tmp_path / "run.yaml"
         for section, value, message in cases:
