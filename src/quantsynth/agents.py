@@ -20,7 +20,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .distributions import CHI_FLOOR, _chain_lengths, _gig_params, mixture_constants, sample_gig_half
+from .distributions import (
+    CHI_FLOOR, _chain_lengths, _gig_params, _validate_tau, mixture_constants, sample_gig_half,
+)
 from .dlm import ffbs_known_variance, psd_sqrt
 from .quarters import format_time, is_quarter_label, parse_time
 
@@ -48,8 +50,7 @@ class DQLMSpec:
     sigma_rate: float = 0.01
 
     def __post_init__(self):
-        if not 0.0 < self.tau < 1.0:
-            raise ValueError(f"tau must lie in (0, 1), got {self.tau}")
+        _validate_tau(self.tau)
         if not 0.0 < self.delta <= 1.0:
             raise ValueError(f"delta must lie in (0, 1], got {self.delta}")
         if self.prior_scale <= 0 or self.sigma_shape <= 0 or self.sigma_rate <= 0:
@@ -193,8 +194,7 @@ class AgentForecast:
             raise ValueError("forecast mean a must be finite")
         if not (np.isfinite(self.A) and self.A > 0.0):
             raise ValueError("forecast variance A must be positive")
-        if not 0.0 < self.tau < 1.0:
-            raise ValueError(f"tau must lie in (0, 1), got {self.tau}")
+        _validate_tau(self.tau)
 
 
 def forecast_dqlm(

@@ -104,25 +104,27 @@ def sample_gig_half(chi, psi, rng: np.random.Generator):
     """
     chi = np.asarray(chi, dtype=float)
     psi = np.asarray(psi, dtype=float)
-    if np.any(~np.isfinite(chi)) or np.any(~np.isfinite(psi)):
-        raise ValueError("chi and psi must be finite")
-    if np.any(psi <= 0.0):
-        raise ValueError("psi must be positive")
-    if np.any(chi < 0.0):
-        raise ValueError("chi must be nonnegative")
+    if (chi.size and psi.size and chi.min() > 0.0 and psi.min() > 0.0
+            and max(chi.max(), psi.max()) < np.inf):
+        # Valid and no chi at zero, as the samplers' floored chi always is:
+        # one Wald draw over the broadcast shape, in the masked path's C order.
+        out = 1.0 / rng.wald(np.sqrt(psi / chi), psi)
+    else:
+        if np.any(~np.isfinite(chi)) or np.any(~np.isfinite(psi)):
+            raise ValueError("chi and psi must be finite")
+        if np.any(psi <= 0.0):
+            raise ValueError("psi must be positive")
+        if np.any(chi < 0.0):
+            raise ValueError("chi must be nonnegative")
 
-    chi_b, psi_b = np.broadcast_arrays(chi, psi)
-    out = np.empty(chi_b.shape, dtype=float)
-
-    zero = chi_b == 0.0
-    if np.any(zero):
-        out[zero] = rng.gamma(shape=0.5, scale=2.0 / psi_b[zero])
-    if np.any(~zero):
-        c = chi_b[~zero]
-        p = psi_b[~zero]
-        y = rng.wald(np.sqrt(p / c), p)
-        out[~zero] = 1.0 / y
-
-    if out.ndim == 0 or (np.ndim(chi) == 0 and np.ndim(psi) == 0):
-        return float(out.reshape(-1)[0]) if out.size == 1 else out
-    return out
+        chi_b, psi_b = np.broadcast_arrays(chi, psi)
+        out = np.empty(chi_b.shape, dtype=float)
+        zero = chi_b == 0.0
+        if np.any(zero):
+            out[zero] = rng.gamma(shape=0.5, scale=2.0 / psi_b[zero])
+        if np.any(~zero):
+            c = chi_b[~zero]
+            p = psi_b[~zero]
+            y = rng.wald(np.sqrt(p / c), p)
+            out[~zero] = 1.0 / y
+    return float(out) if np.ndim(out) == 0 else out

@@ -16,9 +16,16 @@ There are two forward filters: one scalar-observation filter
 (:func:`_filter_scalar`, known or learned scale) behind :func:`ffbs_conjugate`
 and the scalar case of :func:`ffbs_known_variance`, and the vector filter of
 :func:`ffbs_known_variance`.  Both FFBS samplers share one backward state
-sampler (:func:`_sample_states`); :func:`ffbs_conjugate` and
-:func:`gbrw_filter_sample` share one backward precision sampler
-(:func:`_sample_precisions`).
+sampler (:func:`_sample_states`), which takes the noise of all ``T`` steps
+from one stacked product and divides by the learned scale path, or not at
+all for the known-variance model's unit scale (``scale=None``);
+:func:`ffbs_conjugate` and :func:`gbrw_filter_sample` share one backward
+precision sampler (:func:`_sample_precisions`).
+
+The state dimension is small (2 to 6 in the agent model), so the cost of a
+sweep is mostly NumPy's per-call overhead, not arithmetic: the kernels keep
+NumPy calls per time step few.  They must also keep every output bit, which
+the reference loops in ``tests/oracles.py`` pin.
 
 All evolution noise is discount-implied: the time-``t`` prior scale matrix is
 ``R_t = C_{t-1} / delta``.  Gamma laws are (shape, rate) throughout.
@@ -26,6 +33,7 @@ All evolution noise is discount-implied: the time-``t`` prior scale matrix is
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -101,16 +109,23 @@ def psd_sqrt(C: np.ndarray) -> np.ndarray:
     C = np.asarray(C, dtype=float)
     C = 0.5 * (C + np.swapaxes(C, -1, -2))
     w, V = np.linalg.eigh(C)
-    trace = np.trace(C, axis1=-2, axis2=-1)
-    bad = w[..., 0] < -PSD_FAIL_RATIO * np.maximum(np.abs(trace), 1.0)
-    if np.any(bad):
-        raise np.linalg.LinAlgError(
-            "state scale matrix failed PSD check: "
-            f"min eigenvalue {w[..., 0].min():.3e} vs trace {np.max(np.abs(trace)):.3e}"
-        )
-    floor = PSD_CLIP_RATIO * np.maximum(w[..., -1:], 0.0)
-    w = np.clip(w, floor, None)
+    # The failure threshold is at most -PSD_FAIL_RATIO, so the trace is
+    # only needed when some smallest eigenvalue falls below that.
+    if w[..., 0].min() < -PSD_FAIL_RATIO:
+        trace = np.trace(C, axis1=-2, axis2=-1)
+        if np.any(w[..., 0] < -PSD_FAIL_RATIO * np.maximum(np.abs(trace), 1.0)):
+            raise np.linalg.LinAlgError(
+                "state scale matrix failed PSD check: "
+                f"min eigenvalue {w[..., 0].min():.3e} vs trace {np.max(np.abs(trace)):.3e}"
+            )
+    w = np.maximum(w, PSD_CLIP_RATIO * np.maximum(w[..., -1:], 0.0))
     return (V * np.sqrt(w)[..., None, :]) @ np.swapaxes(V, -1, -2)
+
+
+def _broadcast(x, shape: tuple) -> np.ndarray:
+    """``x`` as a float array of ``shape``: itself when it has that shape, else a broadcast view."""
+    x = np.asarray(x, dtype=float)
+    return x if x.shape == shape else np.broadcast_to(x, shape)
 
 
 def _state_normals(z_state, T: int, p: int, rng: np.random.Generator) -> np.ndarray:
@@ -127,16 +142,19 @@ def _sample_states(m, C, delta: float, z, scale) -> np.ndarray:
 
     ``x_T = m_T + sqrt(C_T) z_T / scale_T``, then
     ``x_t = m_t + delta (x_{t+1} - m_t) + sqrt(1 - delta) sqrt(C_t) z_t / scale_t``
-    with the symmetric root of :func:`psd_sqrt`; ``scale`` is ``(T,)``.
+    with the symmetric root of :func:`psd_sqrt`; ``scale`` is ``(T,)``, or
+    None for a unit scale.  All ``T`` noise terms come from one stacked
+    product, which gives the bits of ``T`` separate matrix-vector products.
     """
-    sqrtC = psd_sqrt(C)
+    noise = (psd_sqrt(C) @ z[:, :, None])[:, :, 0]
+    noise[:-1] *= np.sqrt(1.0 - delta)
+    if scale is not None:
+        noise /= scale[:, None]
     T = m.shape[0]
     x = np.empty_like(m)
-    x[T - 1] = m[T - 1] + (sqrtC[T - 1] @ z[T - 1]) / scale[T - 1]
-    sd_factor = np.sqrt(1.0 - delta)
+    x[T - 1] = m[T - 1] + noise[T - 1]
     for t in range(T - 2, -1, -1):
-        mean = m[t] + delta * (x[t + 1] - m[t])
-        x[t] = mean + sd_factor * (sqrtC[t] @ z[t]) / scale[t]
+        x[t] = m[t] + delta * (x[t + 1] - m[t]) + noise[t]
     return x
 
 
@@ -180,23 +198,25 @@ def _filter_scalar(y, F, v, k1, k2, m0, C0, delta, s0, beta=None, n0=None):
 
     m_prev, C_prev = m0, C0
     n_prev, s_prev = n0, s0
-    for t in range(T):
+    # Python floats for the per-step scalars: the same IEEE arithmetic as
+    # NumPy's, without a NumPy scalar per operation.
+    for t, (F_t, y_t, v_t) in enumerate(zip(F, y.tolist(), v.tolist())):
         R = C_prev / delta
-        RF = R @ F[t]
-        f_t = float(F[t] @ m_prev)
-        Q = float(F[t] @ RF) + s_prev * k2 * v[t]
-        if not np.isfinite(Q) or Q <= 0.0:
+        RF = R @ F_t
+        f_t = float(F_t @ m_prev)
+        Q = float(F_t @ RF) + s_prev * k2 * v_t
+        if not math.isfinite(Q) or Q <= 0.0:
             raise FloatingPointError(f"non-finite or nonpositive predictive variance Q at t={t}")
-        e = y[t] - f_t - k1 * v[t]
+        e = y_t - f_t - k1 * v_t
         A = RF / Q
         m[t] = m_prev + A * e
-        C_t = R - Q * np.outer(A, A)
+        C_t = R - Q * (A[:, None] * A)
         if learned:
-            n[t] = beta * n_prev + 3.0
-            r_t = (beta * n_prev + e * e / Q + 2.0 * v[t] / s_prev) / n[t]
+            n_t = beta * n_prev + 3.0
+            r_t = (beta * n_prev + e * e / Q + 2.0 * v_t / s_prev) / n_t
             C_t = r_t * C_t
-            s[t] = r_t * s_prev
-            n_prev, s_prev = n[t], s[t]
+            n_prev, s_prev = n_t, r_t * s_prev
+            n[t], s[t] = n_prev, s_prev
         C[t] = 0.5 * (C_t + C_t.T)
         m_prev, C_prev = m[t], C[t]
     return m, C, n, s
@@ -250,7 +270,7 @@ def ffbs_conjugate(
     p = prior.m0.size
     if F.shape != (T, p):
         raise ValueError(f"F must have shape ({T}, {p}), got {F.shape}")
-    if v.shape != (T,) or np.any(v <= 0.0):
+    if v.shape != (T,) or (v <= 0.0).any():
         raise ValueError("v must be positive with one entry per observation")
 
     k1, k2 = consts
@@ -262,7 +282,7 @@ def ffbs_conjugate(
     z_state = _state_normals(z_state, T, p, rng)
     phi = _sample_precisions(n, n * s, disc.beta, rng)
     theta = _sample_states(m, C, disc.delta, z_state, np.sqrt(phi * s))
-    if not (np.all(np.isfinite(theta)) and np.all(np.isfinite(phi))):
+    if not (np.isfinite(theta).all() and np.isfinite(phi).all()):
         raise FloatingPointError("non-finite state draw in backward pass")
     return ConjugateFFBS(theta=theta, phi=phi, m=m, C=C, n=n, s=s)
 
@@ -302,15 +322,15 @@ def ffbs_known_variance(
     if F.shape[:2] != (T, N):
         raise ValueError(f"F must have shape ({T}, {N}, p), got {F.shape}")
     p = F.shape[2]
-    offsets = np.broadcast_to(np.asarray(offsets, dtype=float), (T, N))
-    obs_var = np.broadcast_to(np.asarray(obs_var, dtype=float), (T, N))
-    if np.any(obs_var <= 0.0):
+    offsets = _broadcast(offsets, (T, N))
+    obs_var = _broadcast(obs_var, (T, N))
+    if (obs_var <= 0.0).any():
         raise ValueError("observation variances must be positive")
     if not 0.0 < delta <= 1.0:
         raise ValueError(f"delta must lie in (0, 1], got {delta}")
 
-    m0 = np.atleast_1d(np.asarray(m0, dtype=float)).copy()
-    C0 = np.atleast_2d(np.asarray(C0, dtype=float)).copy()
+    m0 = np.atleast_1d(np.asarray(m0, dtype=float))
+    C0 = np.atleast_2d(np.asarray(C0, dtype=float))
     if N == 1:
         # Offsets folded into y, k1 = 0 and k2 = s = 1: subtracting 0.0 * v and
         # scaling by 1.0 are exact, so this is the known-variance update bit for bit.
@@ -343,8 +363,7 @@ def ffbs_known_variance(
             m_prev, C_prev = m[t], C[t]
 
     z_state = _state_normals(z_state, T, p, rng)
-    # A unit scale divides exactly, so this is the plain discount smoother draw.
-    state = _sample_states(m, C, delta, z_state, np.ones(T))
+    state = _sample_states(m, C, delta, z_state, None)
     return KnownVarianceFFBS(state=state, m=m, C=C)
 
 

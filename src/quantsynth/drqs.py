@@ -22,7 +22,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .distributions import CHI_FLOOR, _chain_lengths, _gig_params, mixture_constants, sample_gig_half
+from .distributions import (
+    CHI_FLOOR, _chain_lengths, _gig_params, _validate_tau, mixture_constants, sample_gig_half,
+)
 from .dlm import DiscountConfig, NormalGammaPrior, ffbs_conjugate, psd_sqrt
 
 __all__ = [
@@ -57,8 +59,7 @@ class DRQSConfig:
     disc: DiscountConfig = field(default_factory=DiscountConfig)
 
     def __post_init__(self):
-        if not 0.0 < self.tau < 1.0:
-            raise ValueError(f"tau must lie in (0, 1), got {self.tau}")
+        _validate_tau(self.tau)
         if self.J < 1:
             raise ValueError("need at least one agent")
         if self.prior is None:

@@ -18,7 +18,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .distributions import CHI_FLOOR, _chain_lengths, _gig_params, mixture_constants, sample_gig_half
+from .distributions import (
+    CHI_FLOOR, _chain_lengths, _gig_params, _validate_tau, mixture_constants, sample_gig_half,
+)
 from .dlm import ffbs_known_variance, gbrw_filter_sample, psd_sqrt
 from .drqs import QuantileForecast, _agent_reports, _evolve_scale, latent_predictor_moments
 
@@ -63,8 +65,7 @@ class FDRQSConfig:
     fixed_loadings: np.ndarray | None = None
 
     def __post_init__(self):
-        if not 0.0 < self.tau < 1.0:
-            raise ValueError(f"tau must lie in (0, 1), got {self.tau}")
+        _validate_tau(self.tau)
         if self.N < 1 or self.J < 1 or self.L < 1:
             raise ValueError("N, J, L must all be at least 1")
         K = self.L * (self.J + 1)

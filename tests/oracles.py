@@ -8,7 +8,10 @@ with ``rho_tau`` the check loss, so its ``tau``-quantile is exactly 0.
 
 The two scalar forward filters below are the loops ``ffbs_conjugate`` and
 the one-series case of ``ffbs_known_variance`` ran before they shared one
-filter; the package's filter must reproduce them bit for bit.
+filter, and ``sample_gig_half``, ``psd_sqrt`` and ``sample_states`` are the
+GIG draw, symmetric root and backward state sampler as they were before
+their per-call overhead was cut; the package must reproduce all of them bit
+for bit, drawing the same random numbers in the same order.
 """
 
 from __future__ import annotations
@@ -16,6 +19,7 @@ from __future__ import annotations
 import numpy as np
 
 from quantsynth.distributions import _validate_tau, mixture_constants
+from quantsynth.dlm import PSD_CLIP_RATIO, PSD_FAIL_RATIO
 
 
 def _validate_sigma(sigma: float) -> float:
@@ -183,3 +187,61 @@ def known_variance_scalar_filter(y, F, offsets, obs_var, m0, C0, delta):
         C[t] = 0.5 * (C_t + C_t.T)
         m_prev, C_prev = m[t], C[t]
     return m, C
+
+
+def sample_gig_half(chi, psi, rng: np.random.Generator):
+    """``GIG(1/2, chi, psi)`` draws: gamma where ``chi == 0``, reciprocal Wald elsewhere."""
+    chi = np.asarray(chi, dtype=float)
+    psi = np.asarray(psi, dtype=float)
+    if np.any(~np.isfinite(chi)) or np.any(~np.isfinite(psi)):
+        raise ValueError("chi and psi must be finite")
+    if np.any(psi <= 0.0):
+        raise ValueError("psi must be positive")
+    if np.any(chi < 0.0):
+        raise ValueError("chi must be nonnegative")
+
+    chi_b, psi_b = np.broadcast_arrays(chi, psi)
+    out = np.empty(chi_b.shape, dtype=float)
+
+    zero = chi_b == 0.0
+    if np.any(zero):
+        out[zero] = rng.gamma(shape=0.5, scale=2.0 / psi_b[zero])
+    if np.any(~zero):
+        c = chi_b[~zero]
+        p = psi_b[~zero]
+        y = rng.wald(np.sqrt(p / c), p)
+        out[~zero] = 1.0 / y
+
+    if out.ndim == 0 or (np.ndim(chi) == 0 and np.ndim(psi) == 0):
+        return float(out.reshape(-1)[0]) if out.size == 1 else out
+    return out
+
+
+def psd_sqrt(C: np.ndarray) -> np.ndarray:
+    """Symmetric root of (a batch of) PSD matrices, small negative eigenvalues clipped."""
+    C = np.asarray(C, dtype=float)
+    C = 0.5 * (C + np.swapaxes(C, -1, -2))
+    w, V = np.linalg.eigh(C)
+    trace = np.trace(C, axis1=-2, axis2=-1)
+    bad = w[..., 0] < -PSD_FAIL_RATIO * np.maximum(np.abs(trace), 1.0)
+    if np.any(bad):
+        raise np.linalg.LinAlgError(
+            "state scale matrix failed PSD check: "
+            f"min eigenvalue {w[..., 0].min():.3e} vs trace {np.max(np.abs(trace)):.3e}"
+        )
+    floor = PSD_CLIP_RATIO * np.maximum(w[..., -1:], 0.0)
+    w = np.clip(w, floor, None)
+    return (V * np.sqrt(w)[..., None, :]) @ np.swapaxes(V, -1, -2)
+
+
+def sample_states(m, C, delta: float, z, scale) -> np.ndarray:
+    """Backward state draw from filtered ``m`` (T, p) and ``C`` (T, p, p), one matvec per step."""
+    sqrtC = psd_sqrt(C)
+    T = m.shape[0]
+    x = np.empty_like(m)
+    x[T - 1] = m[T - 1] + (sqrtC[T - 1] @ z[T - 1]) / scale[T - 1]
+    sd_factor = np.sqrt(1.0 - delta)
+    for t in range(T - 2, -1, -1):
+        mean = m[t] + delta * (x[t + 1] - m[t])
+        x[t] = mean + sd_factor * (sqrtC[t] @ z[t]) / scale[t]
+    return x

@@ -1,12 +1,15 @@
 """Checks for the asymmetric Laplace law, its mixture form, and GIG sampling."""
 
+import re
+
 import numpy as np
 import pytest
 from scipy.integrate import quad
 
 from conftest import ks_distance
+import oracles
 from oracles import al_cdf, al_log_density, al_ppf, al_rvs, al_rvs_mixture, check_loss
-from quantsynth.distributions import mixture_constants, sample_gig_half
+from quantsynth.distributions import CHI_FLOOR, mixture_constants, sample_gig_half
 
 
 class TestCheckLoss:
@@ -155,3 +158,43 @@ class TestGIGHalf:
             sample_gig_half(-1.0, 1.0, rng)
         with pytest.raises(ValueError):
             sample_gig_half(np.inf, 1.0, rng)
+
+
+def _gig_cases(seed: int, count: int):
+    """``(chi, psi)`` pairs: scalars, broadcast shapes, exact zeros in chi, floored and huge values."""
+    rng = np.random.default_rng(seed)
+    yield 1.0, 2.0
+    yield 0.0, 2.0
+    yield np.zeros(7), 3.0
+    yield 0.5, rng.uniform(0.1, 5.0, size=6)
+    yield np.full((4, 3), CHI_FLOOR), rng.uniform(0.1, 5.0, size=3)
+    yield rng.exponential(size=(5, 1)), rng.uniform(0.1, 5.0, size=(1, 4))
+    for _ in range(count):
+        shape = tuple(int(k) for k in rng.integers(1, 9, size=rng.integers(1, 3)))
+        chi = rng.exponential(size=shape) * 10.0 ** rng.uniform(-14.0, 3.0, size=shape)
+        chi[rng.uniform(size=shape) < rng.choice([0.0, 0.3, 1.0])] = 0.0
+        psi = rng.uniform(0.01, 50.0, size=shape[-1:] if rng.uniform() < 0.3 else shape)
+        yield chi, psi
+
+
+class TestGIGMatchesOracle:
+    """The GIG draw reproduces the pre-fast-path sampler: same values, same generator state."""
+
+    def test_draws_and_generator_state(self):
+        for i, (chi, psi) in enumerate(_gig_cases(31, 400)):
+            got_rng, want_rng = np.random.default_rng(i), np.random.default_rng(i)
+            got = sample_gig_half(chi, psi, got_rng)
+            want = oracles.sample_gig_half(chi, psi, want_rng)
+            assert type(got) is type(want), i
+            assert np.array_equal(got, want), i
+            assert got_rng.bit_generator.state == want_rng.bit_generator.state, i
+
+    @pytest.mark.parametrize("chi, psi", [
+        (np.nan, 1.0), (1.0, np.nan), (np.array([1.0, np.inf]), 1.0), (1.0, np.array([1.0, np.inf])),
+        (np.array([1.0, -1.0]), 1.0), (1.0, np.array([1.0, 0.0])), (np.array([0.0, 1.0]), -1.0),
+    ])
+    def test_rejects_what_the_oracle_rejects(self, chi, psi):
+        with pytest.raises(ValueError) as want:
+            oracles.sample_gig_half(chi, psi, np.random.default_rng(0))
+        with pytest.raises(ValueError, match=re.escape(str(want.value))):
+            sample_gig_half(chi, psi, np.random.default_rng(0))

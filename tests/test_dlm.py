@@ -1,10 +1,13 @@
 """Filtering and backward-sampling checks against closed-form and dense oracles."""
 
+import re
+
 import numpy as np
 import pytest
 
 from conftest import dense_joint_smoother
-from oracles import conjugate_filter, known_variance_scalar_filter
+import oracles
+from oracles import conjugate_filter, known_variance_scalar_filter, sample_states
 from quantsynth.distributions import CHI_FLOOR, mixture_constants
 from quantsynth.dlm import (
     DiscountConfig,
@@ -232,7 +235,7 @@ class TestScalarFilterMatchesOracle:
             got = ffbs_conjugate(y, F, v, consts, prior, disc, np.random.default_rng(seed), z_state=z)
             m, C, n, s = conjugate_filter(y, F, v, consts, prior, disc)
             phi = _sample_precisions(n, n * s, beta, np.random.default_rng(seed))
-            theta = _sample_states(m, C, delta, z, np.sqrt(phi * s))
+            theta = sample_states(m, C, delta, z, np.sqrt(phi * s))
             for name, want in (("m", m), ("C", C), ("n", n), ("s", s), ("phi", phi), ("theta", theta)):
                 assert np.array_equal(getattr(got, name), want), (i, name)
 
@@ -250,7 +253,7 @@ class TestScalarFilterMatchesOracle:
                 y, F, offsets, obs_var, m0, C0, delta, np.random.default_rng(0), z_state=z
             )
             m, C = known_variance_scalar_filter(y, F, offsets, obs_var, m0, C0, delta)
-            state = _sample_states(m, C, delta, z, np.ones(T))
+            state = sample_states(m, C, delta, z, np.ones(T))
             for name, want in (("m", m), ("C", C), ("state", state)):
                 assert np.array_equal(getattr(got, name), want), (i, name)
 
@@ -267,6 +270,50 @@ class TestScalarFilterMatchesOracle:
                 np.zeros(2), np.full((2, 1), np.nan), np.ones(2), mixture_constants(0.5),
                 prior, DiscountConfig(), np.random.default_rng(0),
             )
+
+
+def _scale_cases(seed: int, count: int):
+    """``(C, rng)`` stacks of PSD scale matrices: p in 1..6 and 20, some singular or zero.
+
+    Rank-deficient stacks put eigenvalues at rounding level, often slightly
+    negative, so the clip to ``PSD_CLIP_RATIO`` of the largest one fires.
+    """
+    rng = np.random.default_rng(seed)
+    dims = [1, 2, 3, 4, 5, 6, 20]
+    for i in range(count):
+        p = dims[i % len(dims)]
+        T = int(rng.integers(1, 40))
+        A = rng.normal(size=(T, p, int(rng.integers(1, p + 1)) if rng.uniform() < 0.4 else p))
+        C = A @ np.swapaxes(A, 1, 2) * 10.0 ** rng.uniform(-8.0, 4.0)
+        C[rng.uniform(size=T) < 0.1] = 0.0
+        yield C, rng
+
+
+class TestKernelsMatchOracle:
+    """``psd_sqrt`` and ``_sample_states`` reproduce their one-matvec-per-step originals bit for bit."""
+
+    def test_psd_sqrt(self):
+        for i, (C, _) in enumerate(_scale_cases(41, 350)):
+            assert np.array_equal(psd_sqrt(C), oracles.psd_sqrt(C)), i
+            assert np.array_equal(psd_sqrt(C[0]), oracles.psd_sqrt(C[0])), i
+
+    def test_psd_sqrt_refuses_what_the_oracle_refuses(self):
+        C = np.stack([np.eye(3), np.diag([1.0, 0.5, -1e-3])])
+        with pytest.raises(np.linalg.LinAlgError) as want:
+            oracles.psd_sqrt(C)
+        with pytest.raises(np.linalg.LinAlgError, match=re.escape(str(want.value))):
+            psd_sqrt(C)
+
+    @pytest.mark.parametrize("scale", ["none", "ones", "random"])
+    def test_sample_states(self, scale):
+        for i, (C, rng) in enumerate(_scale_cases(42, 350)):
+            T, p = C.shape[:2]
+            m = rng.normal(size=(T, p))
+            z = rng.standard_normal((T, p))
+            delta = 1.0 if rng.uniform() < 0.2 else float(rng.uniform(0.5, 1.0))
+            s = {"none": None, "ones": np.ones(T), "random": rng.uniform(0.01, 30.0, size=T)}[scale]
+            want = sample_states(m, C, delta, z, np.ones(T) if s is None else s)
+            assert np.array_equal(_sample_states(m, C, delta, z, s), want), i
 
 
 class TestGBRW:
