@@ -113,9 +113,8 @@ def main(argv=None) -> None:
             times = {side: [] for side in trees}
             same = True
             for rep in range(args.reps):
-                order = list(trees) if rep % 2 == 0 else list(reversed(list(trees)))
                 outs = {}
-                for side in order:
+                for side in list(trees)[:: 1 if rep % 2 == 0 else -1]:
                     us, outs[side] = _time(runners[side][sampler], sweeps, seed=rep)
                     times[side].append(us)
                 if "base" in outs:

@@ -2,8 +2,9 @@
 
 Levels near 0 and 1 go through every sampler and forecaster.  A
 near-constant series drives the squared residuals below ``CHI_FLOOR``, agent
-reports can sit at ``VARIANCE_FLOOR``, and a huge scale makes the GIG's
-``chi`` underflow to 0; each must still give finite draws.
+reports can sit at ``VARIANCE_FLOOR``, and a scale so large that
+``sigma * kappa2`` overflows sends the GIG's ``chi`` to 0; each must still
+give finite draws.
 """
 
 import numpy as np
