@@ -1,16 +1,17 @@
 """Microseconds per Gibbs sweep of the three samplers, one source tree against another.
 
 Prints µs per sweep for ``fit_dqlm``, ``gibbs_drqs`` and ``gibbs_fdrqs`` at
-several window lengths T.  With ``--base DIR`` it also loads the package
-from ``DIR/src/quantsynth`` under a second name in the same process, and
-times the two trees in alternating order, rep by rep: on a shared host the
-speed of one process drifts too much between processes for two separate
-runs to compare.  Each row then adds the base tree's median, the median
-of the per-rep ratios base/this, and whether both trees returned the same
-draws bit for bit.
+window lengths T = 15, 60 and 120: the median of ``REPS`` timed calls of
+``SWEEPS`` sweeps (``FACTOR_SWEEPS`` for FDRQS).  With ``--base DIR`` it
+also loads the package from ``DIR/src/quantsynth`` under a second name in
+the same process, and times the two trees in alternating order, rep by
+rep: on a shared host the speed of one process drifts too much between
+processes for two separate runs to compare.  Each row then adds the base
+tree's median, the median of the per-rep ratios base/this, and whether
+both trees returned the same draws bit for bit.
 
     python scripts/sweep_cost.py
-    python scripts/sweep_cost.py --base ../parent-checkout --reps 9
+    python scripts/sweep_cost.py --base ../parent-checkout
 
 Shapes: the agent model has an intercept and two predictors (p = 3, the
 grid19 ``zlag`` agent); DRQS synthesizes J = 3 agents; FDRQS has N = 6
@@ -30,6 +31,10 @@ from pathlib import Path
 import numpy as np
 
 HERE = Path(__file__).resolve().parents[1]
+T_VALUES = (15, 60, 120)
+REPS = 9  # timed calls per sampler, T and tree
+SWEEPS = 40  # sweeps per agent or DRQS call
+FACTOR_SWEEPS = 8  # sweeps per FDRQS call
 
 
 def load_tree(root: Path, name: str):
@@ -91,10 +96,6 @@ def _time(run, sweeps: int, seed: int):
 def main(argv=None) -> None:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("--base", type=Path, help="checkout to compare against (its src/quantsynth)")
-    ap.add_argument("--T", type=int, nargs="+", default=[15, 60, 120], help="window lengths")
-    ap.add_argument("--reps", type=int, default=7, help="timed calls per sampler, T and tree")
-    ap.add_argument("--sweeps", type=int, default=40, help="sweeps per agent/DRQS call")
-    ap.add_argument("--factor-sweeps", type=int, default=8, help="sweeps per FDRQS call")
     args = ap.parse_args(argv)
 
     trees = {"this": load_tree(HERE, "quantsynth_this")}
@@ -105,14 +106,14 @@ def main(argv=None) -> None:
     if "base" in trees:
         cols += f" {'base_us':>10} {'base/this':>9} {'same':>5}"
     print(cols)
-    for T in args.T:
+    for T in T_VALUES:
         inp = _inputs(T, seed=T)
         runners = {side: _runners(pkg, inp) for side, pkg in trees.items()}
         for sampler in runners["this"]:
-            sweeps = args.factor_sweeps if sampler == "gibbs_fdrqs" else args.sweeps
+            sweeps = FACTOR_SWEEPS if sampler == "gibbs_fdrqs" else SWEEPS
             times = {side: [] for side in trees}
             same = True
-            for rep in range(args.reps):
+            for rep in range(REPS):
                 outs = {}
                 for side in list(trees)[:: 1 if rep % 2 == 0 else -1]:
                     us, outs[side] = _time(runners[side][sampler], sweeps, seed=rep)

@@ -17,9 +17,7 @@ There are two forward filters: one scalar-observation filter
 and the scalar case of :func:`ffbs_known_variance`, and the vector filter of
 :func:`ffbs_known_variance`.  Both FFBS samplers share one backward state
 sampler (:func:`_sample_states`), which takes the noise of all ``T`` steps
-from one stacked product and divides by the learned scale path, or not at
-all for the known-variance model's unit scale (``scale=None``);
-:func:`ffbs_conjugate` and :func:`gbrw_filter_sample` share one backward
+from one stacked product; :func:`ffbs_conjugate` and :func:`gbrw_filter_sample` share one backward
 precision sampler (:func:`_sample_precisions`).
 
 The state dimension is small (2 to 6 in the agent model), so the cost of a
@@ -122,12 +120,6 @@ def psd_sqrt(C: np.ndarray) -> np.ndarray:
     return (V * np.sqrt(w)[..., None, :]) @ np.swapaxes(V, -1, -2)
 
 
-def _broadcast(x, shape: tuple) -> np.ndarray:
-    """``x`` as a float array of ``shape``: itself when it has that shape, else a broadcast view."""
-    x = np.asarray(x, dtype=float)
-    return x if x.shape == shape else np.broadcast_to(x, shape)
-
-
 def _state_normals(z_state, T: int, p: int, rng: np.random.Generator) -> np.ndarray:
     """The ``(T, p)`` standard normals of a backward state draw: given, or drawn from ``rng``."""
     if z_state is None:
@@ -142,14 +134,13 @@ def _sample_states(m, C, delta: float, z, scale) -> np.ndarray:
 
     ``x_T = m_T + sqrt(C_T) z_T / scale_T``, then
     ``x_t = m_t + delta (x_{t+1} - m_t) + sqrt(1 - delta) sqrt(C_t) z_t / scale_t``
-    with the symmetric root of :func:`psd_sqrt`; ``scale`` is ``(T,)``, or
-    None for a unit scale.  All ``T`` noise terms come from one stacked
-    product, which gives the bits of ``T`` separate matrix-vector products.
+    with the symmetric root of :func:`psd_sqrt`; ``scale`` is ``(T,)``.  All
+    ``T`` noise terms come from one stacked product, which gives the bits of
+    ``T`` separate matrix-vector products.
     """
     noise = (psd_sqrt(C) @ z[:, :, None])[:, :, 0]
     noise[:-1] *= np.sqrt(1.0 - delta)
-    if scale is not None:
-        noise /= scale[:, None]
+    noise /= scale[:, None]
     T = m.shape[0]
     x = np.empty_like(m)
     x[T - 1] = m[T - 1] + noise[T - 1]
@@ -322,8 +313,8 @@ def ffbs_known_variance(
     if F.shape[:2] != (T, N):
         raise ValueError(f"F must have shape ({T}, {N}, p), got {F.shape}")
     p = F.shape[2]
-    offsets = _broadcast(offsets, (T, N))
-    obs_var = _broadcast(obs_var, (T, N))
+    offsets = np.broadcast_to(np.asarray(offsets, dtype=float), (T, N))
+    obs_var = np.broadcast_to(np.asarray(obs_var, dtype=float), (T, N))
     if (obs_var <= 0.0).any():
         raise ValueError("observation variances must be positive")
     if not 0.0 < delta <= 1.0:
@@ -363,7 +354,8 @@ def ffbs_known_variance(
             m_prev, C_prev = m[t], C[t]
 
     z_state = _state_normals(z_state, T, p, rng)
-    state = _sample_states(m, C, delta, z_state, None)
+    # A unit scale divides exactly, so this is the plain discount smoother draw.
+    state = _sample_states(m, C, delta, z_state, np.ones(T))
     return KnownVarianceFFBS(state=state, m=m, C=C)
 
 

@@ -304,15 +304,15 @@ class TestKernelsMatchOracle:
         with pytest.raises(np.linalg.LinAlgError, match=re.escape(str(want.value))):
             psd_sqrt(C)
 
-    @pytest.mark.parametrize("scale", ["none", "ones", "random"])
+    @pytest.mark.parametrize("scale", ["ones", "random"])
     def test_sample_states(self, scale):
         for i, (C, rng) in enumerate(_scale_cases(42, 350)):
             T, p = C.shape[:2]
             m = rng.normal(size=(T, p))
             z = rng.standard_normal((T, p))
             delta = 1.0 if rng.uniform() < 0.2 else float(rng.uniform(0.5, 1.0))
-            s = {"none": None, "ones": np.ones(T), "random": rng.uniform(0.01, 30.0, size=T)}[scale]
-            want = sample_states(m, C, delta, z, np.ones(T) if s is None else s)
+            s = {"ones": np.ones(T), "random": rng.uniform(0.01, 30.0, size=T)}[scale]
+            want = sample_states(m, C, delta, z, s)
             assert np.array_equal(_sample_states(m, C, delta, z, s), want), i
 
 
