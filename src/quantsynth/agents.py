@@ -130,29 +130,33 @@ def fit_dqlm(
     keep_CT = np.empty((n_keep, p, p))
 
     Fdes = X[:, None, :]
-    for it in range(n_burn + n_keep):
-        resid = y - np.einsum("tp,tp->t", X, beta)
-        chi, psi = _gig_params(resid, sigma, consts)
-        v = np.maximum(sample_gig_half(chi, psi, rng), CHI_FLOOR)
+    try:
+        for it in range(n_burn + n_keep):
+            resid = y - np.einsum("tp,tp->t", X, beta)
+            chi, psi = _gig_params(resid, sigma, consts)
+            v = np.maximum(sample_gig_half(chi, psi, rng), CHI_FLOOR)
 
-        ffbs = ffbs_known_variance(
-            y[:, None], Fdes, (k1 * v)[:, None], (sigma * k2 * v)[:, None],
-            m0, C0, spec.delta, rng,
-        )
-        beta = ffbs.state
+            ffbs = ffbs_known_variance(
+                y[:, None], Fdes, (k1 * v)[:, None], (sigma * k2 * v)[:, None],
+                m0, C0, spec.delta, rng,
+            )
+            beta = ffbs.state
 
-        resid2 = y - np.einsum("tp,tp->t", X, beta) - k1 * v
-        rate = spec.sigma_rate + float(np.sum(resid2 * resid2 / (2.0 * k2 * v) + v))
-        shape = spec.sigma_shape + 1.5 * T
-        sigma = 1.0 / rng.gamma(shape=shape, scale=1.0 / rate)
+            resid2 = y - np.einsum("tp,tp->t", X, beta) - k1 * v
+            rate = spec.sigma_rate + float(np.sum(resid2 * resid2 / (2.0 * k2 * v) + v))
+            shape = spec.sigma_shape + 1.5 * T
+            sigma = 1.0 / rng.gamma(shape=shape, scale=1.0 / rate)
 
-        if not (np.isfinite(sigma) and sigma > 0.0 and np.all(np.isfinite(beta))):
-            raise FloatingPointError(f"non-finite sampler state at iteration {it}")
-        if it >= n_burn:
-            r = it - n_burn
-            keep_beta[r] = beta
-            keep_sigma[r] = sigma
-            keep_CT[r] = ffbs.C[-1]
+            if not (np.isfinite(sigma) and sigma > 0.0 and np.all(np.isfinite(beta))):
+                raise FloatingPointError(f"non-finite sampler state at iteration {it}")
+            if it >= n_burn:
+                r = it - n_burn
+                keep_beta[r] = beta
+                keep_sigma[r] = sigma
+                keep_CT[r] = ffbs.C[-1]
+    except Exception as exc:
+        exc.quantsynth_sweep = it  # the sweep that failed travels with the exception
+        raise
 
     return DQLMFit(spec=spec, beta=keep_beta, sigma=keep_sigma, C_T=keep_CT)
 

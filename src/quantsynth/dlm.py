@@ -141,12 +141,17 @@ def _sample_states(m, C, delta: float, z, scale) -> np.ndarray:
     noise = (psd_sqrt(C) @ z[:, :, None])[:, :, 0]
     noise[:-1] *= np.sqrt(1.0 - delta)
     noise /= scale[:, None]
-    T = m.shape[0]
-    x = np.empty_like(m)
-    x[T - 1] = m[T - 1] + noise[T - 1]
-    for t in range(T - 2, -1, -1):
-        x[t] = m[t] + delta * (x[t + 1] - m[t]) + noise[t]
-    return x
+    # The recursion runs on Python floats, row by row: the same elementwise
+    # IEEE arithmetic, in the same association, as NumPy row operations.
+    delta = float(delta)
+    rows_m, rows_n = m.tolist(), noise.tolist()
+    x_next = [m_i + n_i for m_i, n_i in zip(rows_m[-1], rows_n[-1])]
+    x = [x_next]
+    for m_t, n_t in zip(rows_m[-2::-1], rows_n[-2::-1]):
+        x_next = [m_i + delta * (x_i - m_i) + n_i for m_i, x_i, n_i in zip(m_t, x_next, n_t)]
+        x.append(x_next)
+    x.reverse()
+    return np.array(x)
 
 
 def _sample_precisions(n, d, beta, rng: np.random.Generator) -> np.ndarray:
@@ -191,7 +196,7 @@ def _filter_scalar(y, F, v, k1, k2, m0, C0, delta, s0, beta=None, n0=None):
     n_prev, s_prev = n0, s0
     # Python floats for the per-step scalars: the same IEEE arithmetic as
     # NumPy's, without a NumPy scalar per operation.
-    for t, (F_t, y_t, v_t) in enumerate(zip(F, y.tolist(), v.tolist())):
+    for t, (F_t, m_t, C_t, y_t, v_t) in enumerate(zip(F, m, C, y.tolist(), v.tolist())):
         R = C_prev / delta
         RF = R @ F_t
         f_t = float(F_t @ m_prev)
@@ -200,16 +205,24 @@ def _filter_scalar(y, F, v, k1, k2, m0, C0, delta, s0, beta=None, n0=None):
             raise FloatingPointError(f"non-finite or nonpositive predictive variance Q at t={t}")
         e = y_t - f_t - k1 * v_t
         A = RF / Q
-        m[t] = m_prev + A * e
-        C_t = R - Q * (A[:, None] * A)
+        # Each step is written in place; IEEE + and * commute, so these are
+        # the bits of m_prev + A e and R - Q (A A').
+        np.multiply(A, e, out=m_t)
+        m_t += m_prev
+        AA = A[:, None] * A
+        AA *= Q
+        np.subtract(R, AA, out=C_t)
         if learned:
             n_t = beta * n_prev + 3.0
             r_t = (beta * n_prev + e * e / Q + 2.0 * v_t / s_prev) / n_t
-            C_t = r_t * C_t
+            C_t *= r_t
             n_prev, s_prev = n_t, r_t * s_prev
             n[t], s[t] = n_prev, s_prev
-        C[t] = 0.5 * (C_t + C_t.T)
-        m_prev, C_prev = m[t], C[t]
+        if t == 0:
+            # C0 need only be close to symmetric; from an exactly symmetric
+            # C_{t-1} on, R, A A' and C_t are exactly symmetric already.
+            C_t[...] = 0.5 * (C_t + C_t.T)
+        m_prev, C_prev = m_t, C_t
     return m, C, n, s
 
 

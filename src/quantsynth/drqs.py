@@ -199,33 +199,38 @@ def gibbs_drqs(
         C_T=np.empty((n_keep, p, p)),
     )
 
-    for it in range(n_burn + n_keep):
-        # (1) mixing variables
-        resid = y - theta[:, 0] - np.einsum("tj,tj->t", f, theta[:, 1:])
-        chi, psi = _gig_params(resid, sigma, consts)
-        v = np.maximum(sample_gig_half(chi, psi, rng), CHI_FLOOR)
+    try:
+        for it in range(n_burn + n_keep):
+            # (1) mixing variables
+            resid = y - theta[:, 0] - np.einsum("tj,tj->t", f, theta[:, 1:])
+            chi, psi = _gig_params(resid, sigma, consts)
+            v = np.maximum(sample_gig_half(chi, psi, rng), CHI_FLOOR)
 
-        # (2) latent predictors, jointly across agents at each t
-        f_hat, _, root = latent_predictor_moments(y, theta, sigma, v, a_mean, A_var, consts)
-        z_f = np.column_stack([st.standard_normal(T) for st in f_streams])
-        f = f_hat + np.einsum("tij,tj->ti", root, z_f)
+            # (2) latent predictors, jointly across agents at each t
+            f_hat, _, root = latent_predictor_moments(y, theta, sigma, v, a_mean, A_var, consts)
+            z_f = np.column_stack([st.standard_normal(T) for st in f_streams])
+            f = f_hat + np.einsum("tij,tj->ti", root, z_f)
 
-        # (3) joint weight and scale path
-        Fdes = np.column_stack([np.ones(T), f])
-        z_state = np.column_stack([st.standard_normal(T) for st in state_streams])
-        ffbs = ffbs_conjugate(y, Fdes, v, consts, prior, disc, rng, z_state=z_state)
-        theta = ffbs.theta
-        sigma = 1.0 / ffbs.phi
+            # (3) joint weight and scale path
+            Fdes = np.column_stack([np.ones(T), f])
+            z_state = np.column_stack([st.standard_normal(T) for st in state_streams])
+            ffbs = ffbs_conjugate(y, Fdes, v, consts, prior, disc, rng, z_state=z_state)
+            theta = ffbs.theta
+            sigma = 1.0 / ffbs.phi
 
-        if not (np.all(np.isfinite(theta)) and np.all(np.isfinite(sigma)) and np.all(sigma > 0)):
-            raise FloatingPointError(f"non-finite sweep state at iteration {it}")
-        if it >= n_burn:
-            r = it - n_burn
-            keep.theta[r] = theta
-            keep.sigma[r] = sigma
-            keep.n_T[r] = ffbs.n[-1]
-            keep.s_T[r] = ffbs.s[-1]
-            keep.C_T[r] = ffbs.C[-1]
+            finite = np.all(np.isfinite(theta)) and np.all(np.isfinite(sigma))
+            if not (finite and np.all(sigma > 0)):
+                raise FloatingPointError(f"non-finite sweep state at iteration {it}")
+            if it >= n_burn:
+                r = it - n_burn
+                keep.theta[r] = theta
+                keep.sigma[r] = sigma
+                keep.n_T[r] = ffbs.n[-1]
+                keep.s_T[r] = ffbs.s[-1]
+                keep.C_T[r] = ffbs.C[-1]
+    except Exception as exc:
+        exc.quantsynth_sweep = it  # the sweep that failed travels with the exception
+        raise
 
     return keep
 

@@ -282,71 +282,76 @@ def gibbs_fdrqs(
         n_T=np.empty((n_keep, N)),
     )
 
-    for it in range(n_burn + n_keep):
-        lam_blocks = lam.reshape(N, J + 1, L).transpose(0, 2, 1)  # (N, L, J+1)
-        u_blocks = u.reshape(T, J + 1, L)
-        theta = np.einsum("nlj,tjl->tnj", lam_blocks, u_blocks)  # (T, N, J+1)
+    try:
+        for it in range(n_burn + n_keep):
+            lam_blocks = lam.reshape(N, J + 1, L).transpose(0, 2, 1)  # (N, L, J+1)
+            u_blocks = u.reshape(T, J + 1, L)
+            theta = np.einsum("nlj,tjl->tnj", lam_blocks, u_blocks)  # (T, N, J+1)
 
-        # (1) mixing variables and latent predictors, series by series
-        mult = np.concatenate([np.ones((T, N, 1)), f], axis=2)
-        resid = Y - np.einsum("tnj,tnj->tn", theta, mult)
-        chi, psi = _gig_params(resid, sigma, consts)
-        v = np.maximum(sample_gig_half(chi, psi, rng), CHI_FLOOR)
-        for i in range(N):
-            f_hat, _, root = latent_predictor_moments(
-                Y[:, i], theta[:, i, :], sigma[:, i], v[:, i],
-                a_mean[:, i, :], A_var[:, i, :], consts,
-            )
-            f[:, i, :] = f_hat + np.einsum("tjk,tk->tj", root, rng.standard_normal((T, J)))
-        mult = np.concatenate([np.ones((T, N, 1)), f], axis=2)
-
-        # (2)-(4) loadings and shrinkage prior
-        if free_lam:
-            omegas = omegas_from_deltas(deltas)
-            if np.any(omegas < OMEGA_UNDERFLOW):
-                raise FloatingPointError(f"shrinkage weight underflow at sweep {it}")
-            prior_prec = (phi_load * omegas[None, :, :]).transpose(0, 2, 1).reshape(N, K)
-            w_obs = 1.0 / (k2 * sigma * v)  # (T, N)
+            # (1) mixing variables and latent predictors, series by series
+            mult = np.concatenate([np.ones((T, N, 1)), f], axis=2)
+            resid = Y - np.einsum("tnj,tnj->tn", theta, mult)
+            chi, psi = _gig_params(resid, sigma, consts)
+            v = np.maximum(sample_gig_half(chi, psi, rng), CHI_FLOOR)
             for i in range(N):
-                util = np.repeat(mult[:, i, :], L, axis=1) * u  # (T, K)
-                prec = util.T @ (util * w_obs[:, i, None])
-                prec[np.arange(K), np.arange(K)] += prior_prec[i]
-                rhs = util.T @ ((Y[:, i] - k1 * v[:, i]) * w_obs[:, i])
-                try:
-                    cf = np.linalg.cholesky(prec)
-                except np.linalg.LinAlgError:
-                    raise np.linalg.LinAlgError(
-                        f"loading precision factorization failed for series {sids[i]}"
-                    ) from None
-                h_hat = np.linalg.solve(cf.T, np.linalg.solve(cf, rhs))
-                lam[i] = h_hat + np.linalg.solve(cf.T, rng.standard_normal(K))
-            lam_blocks = lam.reshape(N, J + 1, L).transpose(0, 2, 1)
-            phi_load = sample_local_precisions(lam_blocks, omegas, cfg.nu, rng)
-            deltas = _update_deltas(lam_blocks, phi_load, deltas, cfg.a1, cfg.a2, rng)
+                f_hat, _, root = latent_predictor_moments(
+                    Y[:, i], theta[:, i, :], sigma[:, i], v[:, i],
+                    a_mean[:, i, :], A_var[:, i, :], consts,
+                )
+                f[:, i, :] = f_hat + np.einsum("tjk,tk->tj", root, rng.standard_normal((T, J)))
+            mult = np.concatenate([np.ones((T, N, 1)), f], axis=2)
 
-        # (5) factor path in one block
-        Ftil = np.repeat(mult, L, axis=2) * lam[None, :, :]  # (T, N, K)
-        ffbs = ffbs_known_variance(
-            Y, Ftil, k1 * v, k2 * sigma * v, cfg.m0, cfg.C0, cfg.delta, rng
-        )
-        u = ffbs.state
+            # (2)-(4) loadings and shrinkage prior
+            if free_lam:
+                omegas = omegas_from_deltas(deltas)
+                if np.any(omegas < OMEGA_UNDERFLOW):
+                    raise FloatingPointError(f"shrinkage weight underflow at sweep {it}")
+                prior_prec = (phi_load * omegas[None, :, :]).transpose(0, 2, 1).reshape(N, K)
+                w_obs = 1.0 / (k2 * sigma * v)  # (T, N)
+                for i in range(N):
+                    util = np.repeat(mult[:, i, :], L, axis=1) * u  # (T, K)
+                    prec = util.T @ (util * w_obs[:, i, None])
+                    prec[np.arange(K), np.arange(K)] += prior_prec[i]
+                    rhs = util.T @ ((Y[:, i] - k1 * v[:, i]) * w_obs[:, i])
+                    try:
+                        cf = np.linalg.cholesky(prec)
+                    except np.linalg.LinAlgError:
+                        raise np.linalg.LinAlgError(
+                            f"loading precision factorization failed for series {sids[i]}"
+                        ) from None
+                    h_hat = np.linalg.solve(cf.T, np.linalg.solve(cf, rhs))
+                    lam[i] = h_hat + np.linalg.solve(cf.T, rng.standard_normal(K))
+                lam_blocks = lam.reshape(N, J + 1, L).transpose(0, 2, 1)
+                phi_load = sample_local_precisions(lam_blocks, omegas, cfg.nu, rng)
+                deltas = _update_deltas(lam_blocks, phi_load, deltas, cfg.a1, cfg.a2, rng)
 
-        # (6) per-series precision paths
-        fitted = np.einsum("tnk,tk->tn", Ftil, u)
-        sq = (Y - fitted - k1 * v) ** 2
-        g = gbrw_filter_sample(sq, v, k2, cfg.n0, d0, cfg.beta, rng)
-        sigma = 1.0 / g.phi
+            # (5) factor path in one block
+            Ftil = np.repeat(mult, L, axis=2) * lam[None, :, :]  # (T, N, K)
+            ffbs = ffbs_known_variance(
+                Y, Ftil, k1 * v, k2 * sigma * v, cfg.m0, cfg.C0, cfg.delta, rng
+            )
+            u = ffbs.state
 
-        if not (np.all(np.isfinite(u)) and np.all(np.isfinite(lam)) and np.all(np.isfinite(sigma))):
-            raise FloatingPointError(f"non-finite sweep state at iteration {it}")
-        if it >= n_burn:
-            r = it - n_burn
-            keep.u[r] = u
-            keep.lam[r] = lam
-            keep.sigma[r] = sigma
-            keep.deltas[r] = deltas
-            keep.u_C_T[r] = ffbs.C[-1]
-            keep.n_T[r] = g.n[-1]
+            # (6) per-series precision paths
+            fitted = np.einsum("tnk,tk->tn", Ftil, u)
+            sq = (Y - fitted - k1 * v) ** 2
+            g = gbrw_filter_sample(sq, v, k2, cfg.n0, d0, cfg.beta, rng)
+            sigma = 1.0 / g.phi
+
+            finite = np.all(np.isfinite(u)) and np.all(np.isfinite(lam))
+            if not (finite and np.all(np.isfinite(sigma))):
+                raise FloatingPointError(f"non-finite sweep state at iteration {it}")
+            if it >= n_burn:
+                r = it - n_burn
+                keep.u[r] = u
+                keep.lam[r] = lam
+                keep.sigma[r] = sigma
+                keep.deltas[r] = deltas
+                keep.u_C_T[r] = ffbs.C[-1]
+                keep.n_T[r] = g.n[-1]
+    except Exception as exc:
+        exc.quantsynth_sweep = it  # the sweep that failed travels with the exception
+        raise
 
     return keep
 

@@ -468,21 +468,25 @@ def task_stream(seed: int, *labels) -> np.random.Generator:
 
 
 class JobError(RuntimeError):
-    """A (tau, window) job failed; identifies the job, and the fit within it, and keeps the cause.
+    """A (tau, window) job failed; identifies the job, the fit and sweep within it, and keeps the cause.
 
     ``series`` and ``agent`` name the failing fit when the job runs several;
-    they are None where the job has no such axis.
+    they are None where the job has no such axis.  ``sweep`` is the Gibbs
+    sweep (0-based, burn-in included) the failure happened in, or None when
+    it happened outside a sampler's sweep loop.
     """
 
     def __init__(self, stage: str, tau: float, target_label: str, cause: BaseException,
-                 series: str | None = None, agent: str | None = None):
+                 series: str | None = None, agent: str | None = None, sweep: int | None = None):
         self.stage = stage
         self.tau = tau
         self.target_label = target_label
         self.cause = cause
         self.series = series
         self.agent = agent
-        fit = "".join(f", {k}={v}" for k, v in (("series", series), ("agent", agent)) if v is not None)
+        self.sweep = sweep
+        where = (("series", series), ("agent", agent), ("sweep", sweep))
+        fit = "".join(f", {k}={v}" for k, v in where if v is not None)
         super().__init__(f"{stage} stage failed at tau={tau}, window={target_label}{fit}: {cause}")
 
 
@@ -580,7 +584,8 @@ def _run_pool(
     def failure(i: int, exc: Exception) -> JobError:
         p = payloads[i]
         series, agent = getattr(exc, "quantsynth_fit", (None, None))
-        return JobError(stage, p["tau"], plan.time_label(p["target"]), exc, series, agent)
+        sweep = getattr(exc, "quantsynth_sweep", None)
+        return JobError(stage, p["tau"], plan.time_label(p["target"]), exc, series, agent, sweep)
 
     if pool is None:
         for i, payload in enumerate(payloads):
@@ -1240,6 +1245,7 @@ def run_stages(
             "window": exc.target_label,
             "series": exc.series,
             "agent": exc.agent,
+            "sweep": exc.sweep,
             "error": str(exc.cause),
         }
         raise

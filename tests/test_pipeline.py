@@ -674,7 +674,7 @@ class TestBacktest:
         assert not manifest["complete"]
         assert manifest["failed_job"] == {
             "stage": "agents", "tau": 0.1, "window": "1996Q1", "series": "beta", "agent": "zlag",
-            "error": "planted failure",
+            "sweep": None, "error": "planted failure",
         }
 
     def test_job_error_names_the_failing_fit_from_a_worker(self, tmp_path):
