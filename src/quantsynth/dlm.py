@@ -15,10 +15,13 @@ Three samplers shared by the agent model and both synthesizers:
 There are two forward filters: one scalar-observation filter
 (:func:`_filter_scalar`, known or learned scale) behind :func:`ffbs_conjugate`
 and the scalar case of :func:`ffbs_known_variance`, and the vector filter of
-:func:`ffbs_known_variance`.  Both FFBS samplers share one backward state
-sampler (:func:`_sample_states`), which takes the noise of all ``T`` steps
-from one stacked product; :func:`ffbs_conjugate` and :func:`gbrw_filter_sample` share one backward
-precision sampler (:func:`_sample_precisions`).
+:func:`ffbs_known_variance`.  The scalar filter writes each step's moments in
+place and symmetrizes only the first filtered scale matrix.  Both FFBS
+samplers share one backward state sampler (:func:`_sample_states`), which
+takes the noise of all ``T`` steps from one stacked product and runs the
+recursion on Python floats; :func:`ffbs_conjugate` and
+:func:`gbrw_filter_sample` share one backward precision sampler
+(:func:`_sample_precisions`).
 
 The state dimension is small (2 to 6 in the agent model), so the cost of a
 sweep is mostly NumPy's per-call overhead, not arithmetic: the kernels keep
@@ -136,7 +139,9 @@ def _sample_states(m, C, delta: float, z, scale) -> np.ndarray:
     ``x_t = m_t + delta (x_{t+1} - m_t) + sqrt(1 - delta) sqrt(C_t) z_t / scale_t``
     with the symmetric root of :func:`psd_sqrt`; ``scale`` is ``(T,)``.  All
     ``T`` noise terms come from one stacked product, which gives the bits of
-    ``T`` separate matrix-vector products.
+    ``T`` separate matrix-vector products.  The recursion itself runs on
+    Python floats, which costs no NumPy call per step and gives the bits of
+    the same NumPy row operations.
     """
     noise = (psd_sqrt(C) @ z[:, :, None])[:, :, 0]
     noise[:-1] *= np.sqrt(1.0 - delta)
@@ -184,6 +189,12 @@ def _filter_scalar(y, F, v, k1, k2, m0, C0, delta, s0, beta=None, n0=None):
     ``(n0, s0)``.  ``y`` and ``v`` are ``(T,)``, ``F`` is ``(T, p)``.  Returns
     ``(m, C, n, s)``; ``n`` and ``s`` are ``(T,)`` paths, or None for a known
     scale.
+
+    Each step writes ``m_t`` and ``C_t`` into their rows of ``m`` and ``C``.
+    Only the first step's ``C_t`` is symmetrized, as ``(C + C')/2``: ``C0``
+    need only be close to symmetric, and from an exactly symmetric
+    ``C_{t-1}`` on every ``C_t`` is exactly symmetric, so the average would
+    return its input.
     """
     T, p = F.shape
     learned = beta is not None
