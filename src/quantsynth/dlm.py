@@ -140,14 +140,12 @@ def _sample_states(m, C, delta: float, z, scale) -> np.ndarray:
     with the symmetric root of :func:`psd_sqrt`; ``scale`` is ``(T,)``.  All
     ``T`` noise terms come from one stacked product, which gives the bits of
     ``T`` separate matrix-vector products.  The recursion itself runs on
-    Python floats, which costs no NumPy call per step and gives the bits of
-    the same NumPy row operations.
+    Python floats: no NumPy call per step, and the same elementwise IEEE
+    arithmetic, in the same association, as NumPy row operations.
     """
     noise = (psd_sqrt(C) @ z[:, :, None])[:, :, 0]
     noise[:-1] *= np.sqrt(1.0 - delta)
     noise /= scale[:, None]
-    # The recursion runs on Python floats, row by row: the same elementwise
-    # IEEE arithmetic, in the same association, as NumPy row operations.
     delta = float(delta)
     rows_m, rows_n = m.tolist(), noise.tolist()
     x_next = [m_i + n_i for m_i, n_i in zip(rows_m[-1], rows_n[-1])]
@@ -229,9 +227,7 @@ def _filter_scalar(y, F, v, k1, k2, m0, C0, delta, s0, beta=None, n0=None):
             C_t *= r_t
             n_prev, s_prev = n_t, r_t * s_prev
             n[t], s[t] = n_prev, s_prev
-        if t == 0:
-            # C0 need only be close to symmetric; from an exactly symmetric
-            # C_{t-1} on, R, A A' and C_t are exactly symmetric already.
+        if t == 0:  # later C_t are exactly symmetric already (see above)
             C_t[...] = 0.5 * (C_t + C_t.T)
         m_prev, C_prev = m_t, C_t
     return m, C, n, s

@@ -218,8 +218,7 @@ def gibbs_drqs(
             theta = ffbs.theta
             sigma = 1.0 / ffbs.phi
 
-            finite = np.all(np.isfinite(theta)) and np.all(np.isfinite(sigma))
-            if not (finite and np.all(sigma > 0)):
+            if not (np.all(np.isfinite(theta)) and np.all(np.isfinite(sigma)) and np.all(sigma > 0)):
                 raise FloatingPointError(f"non-finite sweep state at iteration {it}")
             if it >= n_burn:
                 r = it - n_burn

@@ -338,8 +338,7 @@ def gibbs_fdrqs(
             g = gbrw_filter_sample(sq, v, k2, cfg.n0, d0, cfg.beta, rng)
             sigma = 1.0 / g.phi
 
-            finite = np.all(np.isfinite(u)) and np.all(np.isfinite(lam))
-            if not (finite and np.all(np.isfinite(sigma))):
+            if not (np.all(np.isfinite(u)) and np.all(np.isfinite(lam)) and np.all(np.isfinite(sigma))):
                 raise FloatingPointError(f"non-finite sweep state at iteration {it}")
             if it >= n_burn:
                 r = it - n_burn

@@ -468,7 +468,7 @@ def task_stream(seed: int, *labels) -> np.random.Generator:
 
 
 class JobError(RuntimeError):
-    """A (tau, window) job failed; identifies the job, the fit and sweep within it, and keeps the cause.
+    """A (tau, window) job failed; names the job, the fit and sweep within it, and keeps the cause.
 
     ``series`` and ``agent`` name the failing fit when the job runs several;
     they are None where the job has no such axis.  ``sweep`` is the Gibbs

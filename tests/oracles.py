@@ -10,8 +10,9 @@ The two scalar forward filters below are the loops ``ffbs_conjugate`` and
 the one-series case of ``ffbs_known_variance`` ran before they shared one
 filter, and ``sample_gig_half``, ``psd_sqrt`` and ``sample_states`` are the
 GIG draw, symmetric root and backward state sampler as they were before
-their per-call overhead was cut; the package must reproduce all of them bit
-for bit, drawing the same random numbers in the same order.
+their per-call overhead was cut.  ``sample_precisions`` is the backward
+gamma-beta precision draw.  The package must reproduce all of them bit for
+bit, drawing the same random numbers in the same order.
 """
 
 from __future__ import annotations
@@ -245,3 +246,19 @@ def sample_states(m, C, delta: float, z, scale) -> np.ndarray:
         mean = m[t] + delta * (x[t + 1] - m[t])
         x[t] = mean + sd_factor * (sqrtC[t] @ z[t]) / scale[t]
     return x
+
+
+def sample_precisions(n, d, beta, rng: np.random.Generator) -> np.ndarray:
+    """Backward gamma-beta precision draw from the filtered ``(n, d)``: terminal gamma first."""
+    T = n.shape[0]
+    phi = np.empty_like(n)
+    phi[T - 1] = rng.gamma(shape=n[T - 1] / 2.0, scale=2.0 / d[T - 1])
+    if T > 1:
+        shape = (1.0 - beta) * n[: T - 1] / 2.0
+        eta = np.zeros_like(shape)
+        pos = shape > 0.0
+        if np.any(pos):
+            eta[pos] = rng.gamma(shape=shape[pos], scale=2.0 / d[: T - 1][pos])
+        for t in range(T - 2, -1, -1):
+            phi[t] = beta * phi[t + 1] + eta[t]
+    return phi

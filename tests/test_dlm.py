@@ -4,15 +4,21 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import dense_joint_smoother
 import oracles
-from oracles import conjugate_filter, known_variance_scalar_filter, sample_states
+from oracles import (
+    conjugate_filter,
+    known_variance_scalar_filter,
+    sample_precisions,
+    sample_states,
+)
 from quantsynth.distributions import CHI_FLOOR, mixture_constants
 from quantsynth.dlm import (
     DiscountConfig,
     NormalGammaPrior,
-    _sample_precisions,
     _sample_states,
     ffbs_conjugate,
     ffbs_known_variance,
@@ -217,14 +223,29 @@ def _random_prior_scale(rng, p: int) -> np.ndarray:
     return A @ A.T / p + 0.1 * np.eye(p)
 
 
+def _nearly_symmetric(C0: np.ndarray, asymmetry: float) -> np.ndarray:
+    """``C0`` with its top-right entry moved by ``asymmetry`` of the top-left one.
+
+    A small move keeps ``np.allclose(C0, C0.T)``, which is all
+    ``NormalGammaPrior`` asks, while ``C0`` differs from its transpose; a
+    zero move returns ``C0``'s values unchanged.
+    """
+    C0 = C0.copy()
+    C0[0, -1] += asymmetry * C0[0, 0]
+    return C0
+
+
 class TestScalarFilterMatchesOracle:
     """Both scalar FFBS paths reproduce their reference loops bit for bit."""
 
-    def test_learned_scale(self):
-        for i, (T, p, tau, delta, beta, v, rng) in enumerate(_scalar_cases(21, 300)):
+    def _check_learned_scale(self, cases, asymmetry: float):
+        for i, (T, p, tau, delta, beta, v, rng) in enumerate(cases):
+            p = max(p, 2) if asymmetry else p
             consts = mixture_constants(tau)
+            C0 = _nearly_symmetric(_random_prior_scale(rng, p), asymmetry)
+            assert np.allclose(C0, C0.T) and np.array_equal(C0, C0.T) == (not asymmetry)
             prior = NormalGammaPrior(
-                m0=rng.normal(size=p), C0=_random_prior_scale(rng, p),
+                m0=rng.normal(size=p), C0=C0,
                 n0=float(rng.uniform(0.5, 5.0)), s0=float(rng.uniform(0.1, 3.0)),
             )
             disc = DiscountConfig(delta=delta, beta=beta)
@@ -232,20 +253,24 @@ class TestScalarFilterMatchesOracle:
             y = rng.normal(scale=2.0, size=T)
             z = rng.standard_normal((T, p))
             seed = int(rng.integers(2**32))
-            got = ffbs_conjugate(y, F, v, consts, prior, disc, np.random.default_rng(seed), z_state=z)
+            gen, want_gen = np.random.default_rng(seed), np.random.default_rng(seed)
+            got = ffbs_conjugate(y, F, v, consts, prior, disc, gen, z_state=z)
             m, C, n, s = conjugate_filter(y, F, v, consts, prior, disc)
-            phi = _sample_precisions(n, n * s, beta, np.random.default_rng(seed))
+            phi = sample_precisions(n, n * s, beta, want_gen)
             theta = sample_states(m, C, delta, z, np.sqrt(phi * s))
             for name, want in (("m", m), ("C", C), ("n", n), ("s", s), ("phi", phi), ("theta", theta)):
                 assert np.array_equal(getattr(got, name), want), (i, name)
+            assert gen.bit_generator.state == want_gen.bit_generator.state, i
 
-    def test_known_scale(self):
-        for i, (T, p, tau, delta, _, v, rng) in enumerate(_scalar_cases(22, 300)):
+    def _check_known_scale(self, cases, asymmetry: float):
+        for i, (T, p, tau, delta, _, v, rng) in enumerate(cases):
+            p = max(p, 2) if asymmetry else p
             # The agent model's inputs: offsets k1*v and variances sigma*k2*v.
             k1, k2 = mixture_constants(tau)
             sigma = float(rng.uniform(0.1, 5.0))
             offsets, obs_var = (k1 * v)[:, None], (sigma * k2 * v)[:, None]
-            m0, C0 = rng.normal(size=p), _random_prior_scale(rng, p)
+            m0, C0 = rng.normal(size=p), _nearly_symmetric(_random_prior_scale(rng, p), asymmetry)
+            assert np.allclose(C0, C0.T) and np.array_equal(C0, C0.T) == (not asymmetry)
             F = rng.normal(size=(T, 1, p))
             y = rng.normal(scale=2.0, size=(T, 1))
             z = rng.standard_normal((T, p))
@@ -256,6 +281,54 @@ class TestScalarFilterMatchesOracle:
             state = sample_states(m, C, delta, z, np.ones(T))
             for name, want in (("m", m), ("C", C), ("state", state)):
                 assert np.array_equal(getattr(got, name), want), (i, name)
+
+    def test_learned_scale(self):
+        self._check_learned_scale(_scalar_cases(21, 300), asymmetry=0.0)
+
+    def test_known_scale(self):
+        self._check_known_scale(_scalar_cases(22, 300), asymmetry=0.0)
+
+    # A prior scale that is only close to symmetric: the filter symmetrizes
+    # the first filtered scale alone, and must still give the loops' bits.
+    @pytest.mark.parametrize("asymmetry", [1e-12, 1e-9])
+    def test_learned_scale_nearly_symmetric_prior(self, asymmetry):
+        self._check_learned_scale(_scalar_cases(23, 150), asymmetry)
+
+    @pytest.mark.parametrize("asymmetry", [1e-12, 1e-9])
+    def test_known_scale_nearly_symmetric_prior(self, asymmetry):
+        self._check_known_scale(_scalar_cases(24, 150), asymmetry)
+
+    @settings(derandomize=True, deadline=None, max_examples=150)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        T=st.integers(1, 40),
+        p=st.integers(1, 6),
+        learned=st.booleans(),
+        delta=st.floats(0.5, 1.0),
+        design_scale=st.floats(1e-3, 1e3),
+        asymmetry=st.sampled_from([0.0, 1e-12, 1e-9]),
+    )
+    def test_every_filtered_scale_equals_its_transpose(
+        self, seed, T, p, learned, delta, design_scale, asymmetry
+    ):
+        # The reason one symmetrization suffices: every returned C_t is
+        # exactly symmetric, whatever the inputs.
+        rng = np.random.default_rng(seed)
+        C0 = _nearly_symmetric(_random_prior_scale(rng, p), asymmetry)
+        F = design_scale * rng.normal(size=(T, p))
+        y = rng.normal(scale=2.0, size=T)
+        v = rng.exponential(size=T) + CHI_FLOOR
+        consts = mixture_constants(float(rng.uniform(0.01, 0.99)))
+        if learned:
+            prior = NormalGammaPrior(m0=rng.normal(size=p), C0=C0, n0=2.0, s0=0.5)
+            disc = DiscountConfig(delta=delta, beta=float(rng.uniform(0.5, 1.0)))
+            C = ffbs_conjugate(y, F, v, consts, prior, disc, rng).C
+        else:
+            C = ffbs_known_variance(
+                y[:, None], F[:, None, :], (consts.kappa1 * v)[:, None],
+                (consts.kappa2 * v)[:, None], rng.normal(size=p), C0, delta, rng,
+            ).C
+        assert np.array_equal(C, np.swapaxes(C, 1, 2))
 
     def test_bad_predictive_variance_raises_floating_point_error(self):
         # A negative prior scale (known scale) or a NaN design (learned scale) spoils Q.

@@ -4,14 +4,15 @@ Levels near 0 and 1 go through every sampler and forecaster.  A
 near-constant series drives the squared residuals below ``CHI_FLOOR``, agent
 reports can sit at ``VARIANCE_FLOOR``, and a scale so large that
 ``sigma * kappa2`` overflows sends the GIG's ``chi`` to 0; each must still
-give finite draws.
+give finite draws.  A failure inside a sampler's sweep loop carries the
+sweep it happened in.
 """
 
 import numpy as np
 import pytest
 
 import oracles
-from quantsynth import agents, drqs
+from quantsynth import agents, drqs, fdrqs
 from quantsynth.agents import VARIANCE_FLOOR, DQLMSpec, fit_dqlm, forecast_dqlm
 from quantsynth.distributions import CHI_FLOOR, _gig_params, mixture_constants, sample_gig_half
 from quantsynth.drqs import DRQSConfig, forecast_drqs, gibbs_drqs
@@ -116,3 +117,47 @@ def test_huge_scale_sends_chi_to_zero_and_draws_the_gamma_limit():
     v = np.maximum(sample_gig_half(chi, psi, np.random.default_rng(0)), CHI_FLOOR)
     assert _finite(v) and np.all(v > 0.0)
     assert np.array_equal(v, np.maximum(oracles.sample_gig_half(chi, psi, np.random.default_rng(0)), CHI_FLOOR))
+
+
+def _run_agent_model(rng):
+    T = 12
+    X = np.column_stack([np.ones(T), rng.normal(size=T)])
+    fit_dqlm(X @ np.array([0.5, 1.0]) + rng.normal(size=T), X, DQLMSpec(tau=0.5), (6, 4), rng)
+
+
+def _run_drqs(rng):
+    T, J = 12, 2
+    y = rng.normal(size=T)
+    a = y[:, None] + rng.normal(0.0, 0.5, (T, J))
+    gibbs_drqs(y, (a, np.full((T, J), 0.3)), DRQSConfig(tau=0.5, J=J), mcmc=(6, 4), rng=rng)
+
+
+def _run_fdrqs(rng):
+    T, N, J = 12, 3, 2
+    Y = rng.normal(size=(T, N))
+    a = Y[:, :, None] + rng.normal(0.0, 0.5, (T, N, J))
+    cfg = FDRQSConfig(tau=0.5, N=N, J=J, L=1)
+    gibbs_fdrqs(Y, (a, np.full((T, N, J), 0.3)), cfg, mcmc=(6, 4), rng=rng)
+
+
+@pytest.mark.parametrize(
+    "module, ffbs, run",
+    [(agents, "ffbs_known_variance", _run_agent_model), (drqs, "ffbs_conjugate", _run_drqs),
+     (fdrqs, "ffbs_known_variance", _run_fdrqs)],
+)
+@pytest.mark.parametrize("k", [1, 5, 10])
+def test_failure_names_its_sweep(monkeypatch, module, ffbs, run, k):
+    # Fault injection: the sampler's FFBS raises on its k-th call, which is
+    # sweep k - 1 (burn-in counted) of the chain's 10.
+    real, calls = getattr(module, ffbs), []
+
+    def failing(*args, **kwargs):
+        calls.append(None)
+        if len(calls) == k:
+            raise FloatingPointError("planted")
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(module, ffbs, failing)
+    with pytest.raises(FloatingPointError, match="planted") as info:
+        run(np.random.default_rng(6))
+    assert info.value.quantsynth_sweep == k - 1

@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy.special import ndtri
 from scipy.stats import norm
@@ -214,6 +214,33 @@ class TestReconstruction:
         rec = reconstruct_predictive(np.array([3.0, 1.0, 2.0, 4.0]), grid, R=1000, rng=rng)
         interior = rec.draws[rec.counts[0]: rec.counts[0] + rec.counts[1]]
         assert np.all((interior > 1.0) & (interior <= 2.0))
+
+    @settings(derandomize=True, deadline=None, max_examples=150)
+    @given(
+        levels=st.lists(st.integers(1, 99), min_size=4, max_size=12, unique=True),
+        data=st.data(),
+    )
+    def test_any_curve_gives_nondecreasing_empirical_quantiles(self, levels, data):
+        # Monotone rearrangement (Chernozhukov, Fernandez-Val & Galichon 2010):
+        # a curve in any order, crossing quantiles included, is read as its
+        # sorted self, and the sample's quantiles follow that sorted curve.
+        grid = QuantileGrid(np.sort(levels) / 100.0)
+        values = st.lists(st.floats(-1e6, 1e6), min_size=grid.K, max_size=grid.K)
+        curve = np.array(data.draw(values))
+        q = np.sort(curve)
+        assume(q[1] != q[0] and q[-1] != q[-2])
+        rec = reconstruct_predictive(curve, grid, R=400, rng=np.random.default_rng(0))
+        sorted_rec = reconstruct_predictive(q, grid, R=400, rng=np.random.default_rng(0))
+        assert np.array_equal(rec.draws, sorted_rec.draws)
+        # Piece k lies between sorted values k-1 and k (the tails beyond the
+        # ends), up to the rounding of the tail maps and interval fills.
+        tol = 1e-12 * (np.abs(q).max() + abs(rec.mu1) + abs(rec.mu2) + rec.sigma1 + rec.sigma2)
+        edges = np.concatenate([[-np.inf], q, [np.inf]])
+        pieces = np.split(rec.draws, np.cumsum(rec.counts)[:-1])
+        for k, piece in enumerate(pieces):
+            assert np.all((piece >= edges[k] - tol) & (piece <= edges[k + 1] + tol)), k
+        emp = np.quantile(rec.draws, grid.taus, method="inverted_cdf")
+        assert np.all(np.diff(emp) >= 0.0)
 
     @pytest.mark.parametrize("R", [9_999, 10_000, 10_001, 777])
     def test_piece_counts_always_sum_to_R(self, R):

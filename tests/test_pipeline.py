@@ -20,7 +20,7 @@ import numpy as np
 import pytest
 
 from conftest import backtest_config, write_level_panel
-from quantsynth import cli, pipeline
+from quantsynth import agents, cli, pipeline
 from quantsynth.agents import fit_dqlm, forecast_dqlm
 from quantsynth.config import (
     config_from_dict,
@@ -677,8 +677,40 @@ class TestBacktest:
             "sweep": None, "error": "planted failure",
         }
 
+    def test_job_error_names_the_failing_sweep(self, tmp_path, monkeypatch):
+        # Fault injection: the agent sampler's FFBS raises on its k-th call in an
+        # inline run.  Each fit runs 60 + 120 sweeps, and the first job fits
+        # alpha/base, alpha/zlag, beta/base, beta/zlag, so call 3 * 180 + 44 is
+        # sweep 43 of beta/zlag.
+        write_level_panel(tmp_path / "levels.csv")
+        cfg = backtest_config(tmp_path / "levels.csv", tmp_path / "out")
+        ffbs, calls = agents.ffbs_known_variance, []
+
+        def failing_ffbs(*args, **kwargs):
+            calls.append(None)
+            if len(calls) == 3 * 180 + 44:
+                raise FloatingPointError("planted sweep failure")
+            return ffbs(*args, **kwargs)
+
+        monkeypatch.setattr(agents, "ffbs_known_variance", failing_ffbs)
+        with pytest.raises(pipeline.JobError) as info:
+            run_stages(cfg, ["agents"], workers=1)
+        err = info.value
+        assert (err.stage, err.tau, err.target_label, err.series, err.agent, err.sweep) == (
+            "agents", 0.1, "1996Q1", "beta", "zlag", 43
+        )
+        assert str(err) == (
+            "agents stage failed at tau=0.1, window=1996Q1, series=beta, agent=zlag, sweep=43: "
+            "planted sweep failure"
+        )
+        failed = json.loads((tmp_path / "out" / "manifest.json").read_text())["failed_job"]
+        assert failed == {
+            "stage": "agents", "tau": 0.1, "window": "1996Q1", "series": "beta", "agent": "zlag",
+            "sweep": 43, "error": "planted sweep failure",
+        }
+
     def test_job_error_names_the_failing_fit_from_a_worker(self, tmp_path):
-        # A prior rate this large overflows the zlag agent's first sweep in every job.
+        # A prior rate this large overflows the zlag agent's second sweep (sweep 1) in every job.
         write_level_panel(tmp_path / "levels.csv")
         cfg = backtest_config(tmp_path / "levels.csv", tmp_path / "out")
         cfg = dataclasses.replace(
@@ -686,9 +718,9 @@ class TestBacktest:
         )
         with pytest.raises(pipeline.JobError) as info:
             run_stages(cfg, ["agents"], workers=2)
-        assert (info.value.series, info.value.agent) == ("alpha", "zlag")
+        assert (info.value.series, info.value.agent, info.value.sweep) == ("alpha", "zlag", 1)
         failed = json.loads((tmp_path / "out" / "manifest.json").read_text())["failed_job"]
-        assert (failed["series"], failed["agent"]) == ("alpha", "zlag")
+        assert (failed["series"], failed["agent"], failed["sweep"]) == ("alpha", "zlag", 1)
         assert multiprocessing.active_children() == []  # the failed run left no worker behind
 
     def test_synth_commands_must_match_plan_factor(self, tmp_path, capsys):
@@ -867,7 +899,7 @@ class TestCliErrors:
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_failed_job_prints_error(self, tmp_path, capsys):
-        # A prior rate this large overflows the zlag agent's first sweep.
+        # A prior rate this large overflows the zlag agent's second sweep (sweep 1).
         write_level_panel(tmp_path / "levels.csv")
         cfg = backtest_config(tmp_path / "levels.csv", tmp_path / "out")
         cfg = dataclasses.replace(
@@ -877,7 +909,8 @@ class TestCliErrors:
         dump_config(cfg, cfg_path)
         assert cli.main(["fit-agents", "--config", str(cfg_path), "--tau", "0.5"]) == 1
         assert capsys.readouterr().err.startswith(
-            "error: agents stage failed at tau=0.5, window=1996Q1, series=alpha, agent=zlag: "
+            "error: agents stage failed at tau=0.5, window=1996Q1, series=alpha, agent=zlag, "
+            "sweep=1: "
         )
 
     def test_missing_agent_forecast_names_its_quarter(self, mini_run, tmp_path, capsys):
