@@ -20,6 +20,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .config import tau_key
 from .distributions import (
     CHI_FLOOR, _chain_lengths, _gig_params, _validate_tau, mixture_constants, sample_gig_half,
 )
@@ -222,10 +223,6 @@ def forecast_dqlm(
     return AgentForecast(t=t, tau=fit.spec.tau, a=a, A=A)
 
 
-def _tau_key(tau: float) -> float:
-    return round(float(tau), 10)
-
-
 _CSV_COLUMNS = ("series", "time", "agent", "tau", "a", "A")
 
 
@@ -241,7 +238,7 @@ class AgentForecastSet:
     quarterly: bool = False
 
     def add(self, series: str, t: int, agent: str, tau: float, a: float, A: float) -> None:
-        key = (str(series), int(t), str(agent), _tau_key(tau))
+        key = (str(series), int(t), str(agent), tau_key(tau))
         if key in self._data:
             raise ValueError(f"duplicate forecast key {key}")
         self._data[key] = AgentForecast(t=int(t), tau=float(tau), a=float(a), A=float(A))
@@ -251,7 +248,7 @@ class AgentForecastSet:
 
     def get(self, series: str, t: int, agent: str, tau: float) -> AgentForecast:
         """The stored forecast; a missing one raises ``ValueError`` naming its time as written."""
-        key = (str(series), int(t), str(agent), _tau_key(tau))
+        key = (str(series), int(t), str(agent), tau_key(tau))
         if key not in self._data:
             raise ValueError(
                 f"missing forecast for series={series} t={format_time(t, self.quarterly)} "
@@ -329,9 +326,7 @@ class AgentForecastSet:
         out.validate()
         return out
 
-    def to_csv(self, path, quarterly: bool | None = None) -> None:
-        if quarterly is None:
-            quarterly = self.quarterly
+    def to_csv(self, path) -> None:
         with open(path, "w", newline="", encoding="utf-8") as fh:
             writer = csv.writer(fh, lineterminator="\n")
             writer.writerow(_CSV_COLUMNS)
@@ -340,7 +335,7 @@ class AgentForecastSet:
                 fc = self._data[key]
                 writer.writerow([
                     series,
-                    format_time(t, quarterly),
+                    format_time(t, self.quarterly),
                     agent,
                     f"{fc.tau:.2f}" if float(f"{fc.tau:.2f}") == fc.tau else repr(fc.tau),
                     repr(fc.a),

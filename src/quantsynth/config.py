@@ -36,6 +36,11 @@ DEFAULT_TAUS = tuple(round(0.05 * k, 10) for k in range(1, 20))
 WEIGHT_SCHEMES = ("none", "right", "left")
 
 
+def tau_key(tau) -> float:
+    """The key a quantile level is stored and matched under: ``tau`` rounded to 10 decimals."""
+    return round(float(tau), 10)
+
+
 @dataclass(frozen=True)
 class DataConfig:
     """Input panel location and response-transform settings.
@@ -148,8 +153,11 @@ class PlanConfig:
             raise ValueError("plan.taus must be nonempty")
         if any(not 0.0 < t < 1.0 for t in self.taus):
             raise ValueError("plan.taus must lie strictly inside (0, 1)")
-        if any(b <= a for a, b in zip(self.taus, self.taus[1:])):
-            raise ValueError("plan.taus must be strictly increasing")
+        for a, b in zip(self.taus, self.taus[1:]):
+            if tau_key(b) <= tau_key(a):
+                raise ValueError(
+                    f"plan.taus must be strictly increasing at 10 decimals, got {a!r} then {b!r}"
+                )
 
 
 @dataclass(frozen=True)

@@ -123,15 +123,6 @@ def psd_sqrt(C: np.ndarray) -> np.ndarray:
     return (V * np.sqrt(w)[..., None, :]) @ np.swapaxes(V, -1, -2)
 
 
-def _state_normals(z_state, T: int, p: int, rng: np.random.Generator) -> np.ndarray:
-    """The ``(T, p)`` standard normals of a backward state draw: given, or drawn from ``rng``."""
-    if z_state is None:
-        return rng.standard_normal((T, p))
-    if z_state.shape != (T, p):
-        raise ValueError(f"z_state must have shape ({T}, {p})")
-    return z_state
-
-
 def _sample_states(m, C, delta: float, z, scale) -> np.ndarray:
     """Backward state draw from the filtered moments ``m`` (T, p) and ``C`` (T, p, p).
 
@@ -290,7 +281,10 @@ def ffbs_conjugate(
         beta=disc.beta, n0=float(prior.n0),
     )
 
-    z_state = _state_normals(z_state, T, p, rng)
+    if z_state is None:
+        z_state = rng.standard_normal((T, p))
+    elif z_state.shape != (T, p):
+        raise ValueError(f"z_state must have shape ({T}, {p})")
     phi = _sample_precisions(n, n * s, disc.beta, rng)
     theta = _sample_states(m, C, disc.delta, z_state, np.sqrt(phi * s))
     if not (np.isfinite(theta).all() and np.isfinite(phi).all()):
@@ -316,7 +310,6 @@ def ffbs_known_variance(
     C0: np.ndarray,
     delta: float,
     rng: np.random.Generator,
-    z_state: np.ndarray | None = None,
 ) -> KnownVarianceFFBS:
     """FFBS for ``y_t = offsets_t + F_t state_t + N(0, diag(obs_var_t))``.
 
@@ -373,9 +366,8 @@ def ffbs_known_variance(
             C[t] = 0.5 * (C_t + C_t.T)
             m_prev, C_prev = m[t], C[t]
 
-    z_state = _state_normals(z_state, T, p, rng)
     # A unit scale divides exactly, so this is the plain discount smoother draw.
-    state = _sample_states(m, C, delta, z_state, np.ones(T))
+    state = _sample_states(m, C, delta, rng.standard_normal((T, p)), np.ones(T))
     return KnownVarianceFFBS(state=state, m=m, C=C)
 
 

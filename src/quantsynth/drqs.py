@@ -73,7 +73,6 @@ class DRQSDraws:
     """Stacked retained draws plus the terminal filter quantities forecasting needs."""
 
     cfg: DRQSConfig
-    agent_names: list[str]
     theta: np.ndarray  # (R, T, J+1)
     sigma: np.ndarray  # (R, T)
     n_T: np.ndarray  # (R,)
@@ -191,7 +190,6 @@ def gibbs_drqs(
 
     keep = DRQSDraws(
         cfg=cfg,
-        agent_names=names,
         theta=np.empty((n_keep, T, p)),
         sigma=np.empty((n_keep, T)),
         n_T=np.empty(n_keep),

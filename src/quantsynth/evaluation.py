@@ -43,15 +43,6 @@ class QuantileGrid:
         if np.any(np.diff(taus) <= 0.0):
             raise ValueError("levels must be strictly increasing")
 
-    @classmethod
-    def default(cls) -> "QuantileGrid":
-        """The 19-level grid 0.05, 0.10, ..., 0.95."""
-        return cls(np.round(np.arange(1, 20) * 0.05, 10))
-
-    @property
-    def K(self) -> int:
-        return self.taus.size
-
 
 def quantile_weights(taus: np.ndarray, kind: str = "none") -> np.ndarray:
     """Emphasis weight nu(tau): 1, tau^2 (right tail) or (1-tau)^2 (left tail)."""
@@ -162,7 +153,9 @@ def reconstruct_predictive(
         u = rng.uniform(size=counts[k])
         pieces.append(hi - u * (hi - lo))  # lands in (lo, hi]
     u = rng.uniform(size=counts[-1])
-    pieces.append(mu2 + sigma2 * ndtri(taus[-1] + u * (1.0 - taus[-1])))
+    # A u within ~2^-50 of 1 rounds the level to 1.0, where ndtri is inf.
+    level = np.minimum(taus[-1] + u * (1.0 - taus[-1]), np.nextafter(1.0, 0.0))
+    pieces.append(mu2 + sigma2 * ndtri(level))
     draws = np.concatenate(pieces)
     return ReconstructedPredictive(
         draws=draws, mu1=float(mu1), sigma1=float(sigma1),

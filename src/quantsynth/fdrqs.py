@@ -189,8 +189,6 @@ class FDRQSDraws:
     """
 
     cfg: FDRQSConfig
-    agent_names: list[str]
-    series_ids: list[str]
     u: np.ndarray  # (R, T, K)
     lam: np.ndarray  # (R, N, K)
     sigma: np.ndarray  # (R, T, N)
@@ -224,7 +222,6 @@ def gibbs_fdrqs(
     mcmc: tuple[int, int],
     rng: np.random.Generator,
     series_ids: list[str] | None = None,
-    agent_names: list[str] | None = None,
 ) -> FDRQSDraws:
     """Gibbs sampler for the factor synthesis model.
 
@@ -235,8 +232,8 @@ def gibbs_fdrqs(
 
     ``Y`` is (T, N); ``agents`` a pair of (T, N, J) arrays (means,
     variances).  ``mcmc`` (retained draws, burn-in) and the generator
-    ``rng`` are required.  ``series_ids`` and ``agent_names`` label the
-    draws and default to ``series1..seriesN`` and ``agent1..agentJ``.
+    ``rng`` are required.  ``series_ids`` names the series in error
+    messages and defaults to ``series1..seriesN``.
     """
     Y = np.asarray(Y, dtype=float)
     if Y.ndim != 2:
@@ -247,7 +244,6 @@ def gibbs_fdrqs(
     J, L, K = cfg.J, cfg.L, cfg.K
     a_mean, A_var = _agent_reports(agents, (T, N, J))
     sids = list(series_ids) if series_ids is not None else [f"series{i + 1}" for i in range(N)]
-    names = list(agent_names) if agent_names is not None else [f"agent{j + 1}" for j in range(J)]
     if not np.all(np.isfinite(Y)):
         raise ValueError("Y must be finite")
     n_keep, n_burn = _chain_lengths(mcmc)
@@ -272,8 +268,6 @@ def gibbs_fdrqs(
 
     keep = FDRQSDraws(
         cfg=cfg,
-        agent_names=names,
-        series_ids=sids,
         u=np.empty((n_keep, T, K)),
         lam=np.empty((n_keep, N, K)),
         sigma=np.empty((n_keep, T, N)),

@@ -42,7 +42,7 @@ import numpy as np
 
 from ._worker import limit_worker_threads
 from .agents import AgentForecastSet, DQLMSpec, fit_dqlm, forecast_dqlm
-from .config import AgentConfig, RunConfig, config_hash
+from .config import AgentConfig, RunConfig, config_hash, tau_key
 from .dlm import DiscountConfig
 from .drqs import DRQSConfig, forecast_drqs, gibbs_drqs
 from .evaluation import QuantileGrid, ScorePanel, crps_quantile_weighted, pit, reconstruct_predictive
@@ -319,10 +319,10 @@ def make_plan(cfg: RunConfig, panel: SeriesPanel) -> BacktestPlan:
 
     afs, afos = dates["agent_fit_start"], dates["agent_forecast_start"]
     sfs, sfos, end = dates["synth_fit_start"], dates["synth_forecast_start"], dates["end"]
-    lbl = lambda t: format_time(t, panel.quarterly)
     if not afs < afos:
         issues.append(
-            f"agent_fit_start {lbl(afs)} must precede agent_forecast_start {lbl(afos)}: "
+            f"agent_fit_start {panel.time_label(afs)} must precede "
+            f"agent_forecast_start {panel.time_label(afos)}: "
             "agents need at least one training observation"
         )
     else:
@@ -330,21 +330,25 @@ def make_plan(cfg: RunConfig, panel: SeriesPanel) -> BacktestPlan:
             p = 1 + len(agent.predictors)
             if afos - afs < p:
                 issues.append(
-                    f"agent {agent.name}: the first window {lbl(afs)}..{lbl(afos - 1)} has "
-                    f"{afos - afs} observation(s) but the design has p={p} columns "
-                    "(intercept and predictors)"
+                    f"agent {agent.name}: the first window "
+                    f"{panel.time_label(afs)}..{panel.time_label(afos - 1)} has {afos - afs} "
+                    f"observation(s) but the design has p={p} columns (intercept and predictors)"
                 )
     if not afos <= sfs:
         issues.append(
-            f"synth_fit_start {lbl(sfs)} precedes agent_forecast_start {lbl(afos)}: "
+            f"synth_fit_start {panel.time_label(sfs)} precedes "
+            f"agent_forecast_start {panel.time_label(afos)}: "
             "the synthesizer can only train on times where agent forecasts exist"
         )
     if not sfs < sfos:
         issues.append(
-            f"synth_fit_start {lbl(sfs)} must precede synth_forecast_start {lbl(sfos)}"
+            f"synth_fit_start {panel.time_label(sfs)} must precede "
+            f"synth_forecast_start {panel.time_label(sfos)}"
         )
     if not sfos <= end:
-        issues.append(f"synth_forecast_start {lbl(sfos)} must not exceed end {lbl(end)}")
+        issues.append(
+            f"synth_forecast_start {panel.time_label(sfos)} must not exceed end {panel.time_label(end)}"
+        )
 
     lag = cfg.data.predictor_lag
     any_predictors = any(a.predictors for a in cfg.agents)
@@ -354,10 +358,13 @@ def make_plan(cfg: RunConfig, panel: SeriesPanel) -> BacktestPlan:
         t0, t1 = int(rec.times[0]), int(rec.times[-1])
         if t0 > earliest_needed:
             issues.append(
-                f"series {sid} starts at {lbl(t0)} but the plan needs data from {lbl(earliest_needed)}"
+                f"series {sid} starts at {panel.time_label(t0)} "
+                f"but the plan needs data from {panel.time_label(earliest_needed)}"
             )
         if t1 < end:
-            issues.append(f"series {sid} ends at {lbl(t1)} before plan end {lbl(end)}")
+            issues.append(
+                f"series {sid} ends at {panel.time_label(t1)} before plan end {panel.time_label(end)}"
+            )
         for agent in cfg.agents:
             for name in agent.predictors:
                 if name != "y_lag" and name not in rec.predictors:
@@ -537,7 +544,7 @@ def _run_synth_window(payload: dict) -> tuple[list, list]:
 def _run_factor_window(payload: dict) -> tuple[list, list]:
     """Fit the factor synthesizer jointly over all series for one (tau, window)."""
     tau, target, seed = payload["tau"], payload["target"], payload["seed"]
-    names, series_ids = payload["agent_names"], payload["series_ids"]
+    series_ids = payload["series_ids"]
     rng = task_stream(seed, "synthesis-factor", tau, target)
     draws = gibbs_fdrqs(
         payload["Y"],
@@ -546,7 +553,6 @@ def _run_factor_window(payload: dict) -> tuple[list, list]:
         mcmc=payload["mcmc"],
         rng=rng,
         series_ids=series_ids,
-        agent_names=names,
     )
     ff = forecast_fdrqs(draws, (payload["a_next"], payload["A_next"]), rng, t_next=target)
     rows = []
@@ -720,10 +726,10 @@ def stage_synthesize(
 
 def _forecast_curves(plan: BacktestPlan, rows: list) -> dict:
     """Point forecasts as ``{(series, time): curve over plan.taus}``; refuses a curve missing a level."""
-    levels = [round(float(t), 10) for t in plan.taus]
+    levels = [tau_key(t) for t in plan.taus]
     maps: dict = {}
     for series, t, tau, point, *_ in rows:
-        maps.setdefault((series, int(t)), {})[round(float(tau), 10)] = float(point)
+        maps.setdefault((series, int(t)), {})[tau_key(tau)] = float(point)
     curves = {}
     for (series, t), curve_map in maps.items():
         if sorted(curve_map) != levels:
@@ -1140,7 +1146,7 @@ _READERS = {
     "forecasts.csv": lambda path: read_forecasts(path),
 }
 _WRITERS = {
-    "agent_forecasts.csv": lambda fset, path, quarterly: fset.to_csv(path, quarterly=quarterly),
+    "agent_forecasts.csv": lambda fset, path, quarterly: fset.to_csv(path),
     "forecasts.csv": lambda rows, path, quarterly: write_forecasts(rows, path, quarterly),
     "joint_draws.csv": lambda rows, path, quarterly: write_joint_draws(rows, path, quarterly),
     "scores.csv": lambda panels, path, quarterly: write_scores(panels, path, quarterly),
@@ -1152,17 +1158,11 @@ _WRITERS = {
 }
 
 
-def run_stages(
-    cfg: RunConfig,
-    names,
-    panel: SeriesPanel | None = None,
-    workers: int | None = None,
-    out_dir=None,
-) -> RunManifest:
+def run_stages(cfg: RunConfig, names) -> RunManifest:
     """Run the named stages of :data:`STAGES` in order and write their artifacts.
 
     Each stage takes its inputs from an earlier stage of the same call, or
-    else from ``out_dir``; if one is in neither place,
+    else from ``cfg.out_dir``; if one is in neither place,
     :class:`MissingInputError` is raised before any stage runs, as is
     :class:`RunRefusedError` for an invalid plan, when ``evaluate`` or
     ``reconstruct`` is asked for with fewer than 4 quantile levels
@@ -1173,19 +1173,17 @@ def run_stages(
     the manifest is still written with ``complete`` false and the failing
     job identified.
 
-    With ``workers > 1`` the first stage that submits jobs opens one spawn
+    With ``cfg.workers > 1`` the first stage that submits jobs opens one spawn
     process pool, which every later stage reuses; it is shut down, pending
     jobs cancelled, before the manifest is written, so no worker outlives
     the call.
     """
-    if panel is None:
-        panel = ingest(cfg.data.panel_csv, cfg.data.h)
+    panel = ingest(cfg.data.panel_csv, cfg.data.h)
     try:
         plan = make_plan(cfg, panel)
     except ValueError as exc:
         raise RunRefusedError(str(exc)) from None
-    workers = cfg.workers if workers is None else int(workers)
-    out = Path(cfg.out_dir if out_dir is None else out_dir)
+    out = Path(cfg.out_dir)
     stages = [STAGES[name] for name in names]
 
     for name in ("evaluate", "reconstruct"):
@@ -1220,9 +1218,9 @@ def run_stages(
     pool = None
     try:
         for stage in stages:
-            if stage.pooled and workers > 1 and pool is None:
+            if stage.pooled and cfg.workers > 1 and pool is None:
                 pool = ProcessPoolExecutor(
-                    max_workers=workers, mp_context=get_context("spawn"),
+                    max_workers=cfg.workers, mp_context=get_context("spawn"),
                     initializer=limit_worker_threads,
                 )
             inputs = [artifacts[a] if a in artifacts else _READERS[a](out / a) for a in stage.reads]
@@ -1261,24 +1259,19 @@ def run_stages(
     return manifest
 
 
-def run_backtest(
-    cfg: RunConfig,
-    panel: SeriesPanel | None = None,
-    workers: int | None = None,
-    out_dir=None,
-) -> RunManifest:
+def run_backtest(cfg: RunConfig) -> RunManifest:
     """Execute the full expanding-window protocol and write all artifacts.
 
-    Artifacts in ``out_dir``: ``agent_forecasts.csv``, ``forecasts.csv``,
+    Artifacts in ``cfg.out_dir``: ``agent_forecasts.csv``, ``forecasts.csv``,
     ``scores.csv``, ``ratios.csv``, ``pit.csv``, plot data under ``plots/``,
     optionally ``joint_draws.csv``, and ``manifest.json``.  Any job failure
     aborts the run; the manifest is still written with ``complete`` false
     and the failing job identified.
     """
-    return run_stages(cfg, ("agents", "synthesis", "evaluate"), panel, workers, out_dir)
+    return run_stages(cfg, ("agents", "synthesis", "evaluate"))
 
 
-def audit_lookahead(cfg: RunConfig, panel: SeriesPanel | None = None) -> list:
+def audit_lookahead(cfg: RunConfig) -> list:
     """Re-derive each job's inputs and check none is dated past target-1.
 
     Returns one record per audited job with the largest consumed time index.
@@ -1289,8 +1282,7 @@ def audit_lookahead(cfg: RunConfig, panel: SeriesPanel | None = None) -> list:
     realized value at the target and is retrospective by definition, so it
     is not part of the audit.
     """
-    if panel is None:
-        panel = ingest(cfg.data.panel_csv, cfg.data.h)
+    panel = ingest(cfg.data.panel_csv, cfg.data.h)
     plan = make_plan(cfg, panel)
     rows = []
     for target in plan.agent_targets:

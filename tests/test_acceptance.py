@@ -21,6 +21,7 @@ from conftest import (
     write_level_panel,
 )
 from oracles import al_cdf, al_log_density, al_rvs_mixture, mgp_prior_omegas
+from quantsynth.config import DEFAULT_TAUS
 from quantsynth.distributions import mixture_constants, sample_gig_half
 from quantsynth.dlm import (
     DiscountConfig,
@@ -297,9 +298,9 @@ class TestAcceptance:
         grid2 = QuantileGrid(np.array([0.25, 0.75]))
         err_two_node = abs(crps_quantile_weighted(0.0, np.array([-1.0, 1.0]), grid2) - 0.25)
 
-        grid = QuantileGrid.default()
-        q = np.linspace(-2.0, 2.0, grid.K)
-        err_perfect = abs(crps_quantile_weighted(0.3, np.full(grid.K, 0.3), grid))
+        grid = QuantileGrid(DEFAULT_TAUS)
+        q = np.linspace(-2.0, 2.0, grid.taus.size)
+        err_perfect = abs(crps_quantile_weighted(0.3, np.full(grid.taus.size, 0.3), grid))
         err_homog = max(
             abs(crps_quantile_weighted(1.2, 3.0 * q, grid, kind)
                 - 3.0 * crps_quantile_weighted(0.4, q, grid, kind))
@@ -321,7 +322,7 @@ class TestAcceptance:
     def test_10_reconstruction_recovers_normal(self, capsys):
         t0 = time.perf_counter()
         rng = np.random.default_rng(110)
-        grid = QuantileGrid.default()
+        grid = QuantileGrid(DEFAULT_TAUS)
         qn = stats.norm.ppf(grid.taus)
         rec = reconstruct_predictive(qn, grid, R=10_000, rng=rng)
         tail_err = max(abs(rec.mu1), abs(rec.sigma1 - 1.0),
@@ -341,7 +342,7 @@ class TestAcceptance:
         # alpha=0.01 Kolmogorov band around the uniform.
         t0 = time.perf_counter()
         rng = np.random.default_rng(111)
-        grid = QuantileGrid.default()
+        grid = QuantileGrid(DEFAULT_TAUS)
         zq = stats.norm.ppf(grid.taus)
         T = 2000
         mu = np.sin(np.arange(T) / 7.0)

@@ -273,14 +273,14 @@ class TestScalarFilterMatchesOracle:
             assert np.allclose(C0, C0.T) and np.array_equal(C0, C0.T) == (not asymmetry)
             F = rng.normal(size=(T, 1, p))
             y = rng.normal(scale=2.0, size=(T, 1))
-            z = rng.standard_normal((T, p))
-            got = ffbs_known_variance(
-                y, F, offsets, obs_var, m0, C0, delta, np.random.default_rng(0), z_state=z
-            )
+            seed = int(rng.integers(2**32))
+            gen, want_gen = np.random.default_rng(seed), np.random.default_rng(seed)
+            got = ffbs_known_variance(y, F, offsets, obs_var, m0, C0, delta, gen)
             m, C = known_variance_scalar_filter(y, F, offsets, obs_var, m0, C0, delta)
-            state = sample_states(m, C, delta, z, np.ones(T))
+            state = sample_states(m, C, delta, want_gen.standard_normal((T, p)), np.ones(T))
             for name, want in (("m", m), ("C", C), ("state", state)):
                 assert np.array_equal(getattr(got, name), want), (i, name)
+            assert gen.bit_generator.state == want_gen.bit_generator.state, i
 
     def test_learned_scale(self):
         self._check_learned_scale(_scalar_cases(21, 300), asymmetry=0.0)

@@ -23,7 +23,6 @@ def _hand_draws(cfg, theta, sigma, n_T, s_T, C_T):
     R = theta.shape[0]
     return DRQSDraws(
         cfg=cfg,
-        agent_names=[f"a{j + 1}" for j in range(cfg.J)],
         theta=theta,
         sigma=sigma,
         n_T=np.full(R, float(n_T)),

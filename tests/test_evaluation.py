@@ -21,8 +21,8 @@ from quantsynth.evaluation import (
 
 class TestQuantileGrid:
     def test_default_grid(self):
-        g = QuantileGrid.default()
-        assert g.K == 19
+        g = QuantileGrid(DEFAULT_TAUS)
+        assert g.taus.size == 19
         np.testing.assert_allclose(g.taus, np.linspace(0.05, 0.95, 19))
 
     def test_validation(self):
@@ -54,14 +54,14 @@ class TestCRPS:
         assert abs(val - 0.25) < 1e-12
 
     def test_perfect_forecast_scores_zero(self):
-        grid = QuantileGrid.default()
-        flat = np.full(grid.K, 0.3)
+        grid = QuantileGrid(DEFAULT_TAUS)
+        flat = np.full(grid.taus.size, 0.3)
         for kind in ("none", "right", "left"):
             assert crps_quantile_weighted(0.3, flat, grid, kind) == 0.0
 
     def test_positive_homogeneity(self):
-        grid = QuantileGrid.default()
-        q = np.linspace(-2.0, 2.0, grid.K)
+        grid = QuantileGrid(DEFAULT_TAUS)
+        q = np.linspace(-2.0, 2.0, grid.taus.size)
         for kind in ("none", "right", "left"):
             c1 = crps_quantile_weighted(0.4, q, grid, kind)
             c2 = crps_quantile_weighted(3.0 * 0.4, 3.0 * q, grid, kind)
@@ -69,10 +69,10 @@ class TestCRPS:
 
     def test_nonnegative_on_random_monotone_forecasts(self):
         rng = np.random.default_rng(13)
-        grid = QuantileGrid.default()
+        grid = QuantileGrid(DEFAULT_TAUS)
         kinds = ("none", "right", "left")
         for i in range(10_000):
-            q = np.sort(rng.normal(size=grid.K))
+            q = np.sort(rng.normal(size=grid.taus.size))
             y = rng.normal()
             assert crps_quantile_weighted(y, q, grid, kinds[i % 3]) >= 0.0
 
@@ -84,7 +84,7 @@ class TestCRPS:
     def test_nonnegative_for_any_sorted_curve(self, taus, data):
         grid = QuantileGrid(np.sort(taus))
         values = st.floats(-1e12, 1e12)
-        q = np.sort(data.draw(st.lists(values, min_size=grid.K, max_size=grid.K)))
+        q = np.sort(data.draw(st.lists(values, min_size=grid.taus.size, max_size=grid.taus.size)))
         y = data.draw(values)
         for kind in WEIGHT_SCHEMES:
             assert crps_quantile_weighted(y, q, grid, kind) >= 0.0
@@ -92,22 +92,22 @@ class TestCRPS:
     def test_matches_check_loss_trapezoid(self):
         # Independent composition: the integrand is 2 nu(tau) rho_tau(y - q).
         rng = np.random.default_rng(7)
-        grid = QuantileGrid.default()
+        grid = QuantileGrid(DEFAULT_TAUS)
         taus = grid.taus
         for kind in ("none", "right", "left"):
             nu = quantile_weights(taus, kind)
             for _ in range(50):
-                q = np.sort(rng.normal(size=grid.K))
+                q = np.sort(rng.normal(size=grid.taus.size))
                 y = rng.normal()
                 integrand = np.array(
-                    [2.0 * nu[k] * check_loss(y - q[k], taus[k]) for k in range(grid.K)]
+                    [2.0 * nu[k] * check_loss(y - q[k], taus[k]) for k in range(grid.taus.size)]
                 )
                 expect = np.trapezoid(integrand, taus)
                 got = crps_quantile_weighted(y, q, grid, kind)
                 assert abs(got - expect) < 1e-12
 
     def test_rejects_shape_mismatch(self):
-        grid = QuantileGrid.default()
+        grid = QuantileGrid(DEFAULT_TAUS)
         with pytest.raises(ValueError, match="match the grid"):
             crps_quantile_weighted(0.0, np.zeros(5), grid)
 
@@ -181,7 +181,7 @@ class TestReconstruction:
         # Feeding exact standard-normal quantiles must return mu=0, sigma=1
         # for both fitted tails, to solver precision.
         rng = np.random.default_rng(13)
-        grid = QuantileGrid.default()
+        grid = QuantileGrid(DEFAULT_TAUS)
         qn = norm.ppf(grid.taus)
         rec = reconstruct_predictive(qn, grid, R=10_000, rng=rng)
         assert abs(rec.mu1) < 1e-10 and abs(rec.sigma1 - 1.0) < 1e-10
@@ -192,7 +192,7 @@ class TestReconstruction:
 
     def test_empirical_quantiles_match_inputs(self):
         rng = np.random.default_rng(13)
-        grid = QuantileGrid.default()
+        grid = QuantileGrid(DEFAULT_TAUS)
         qn = norm.ppf(grid.taus)
         rec = reconstruct_predictive(qn, grid, R=10_000, rng=rng)
         emp = np.quantile(rec.draws, grid.taus)
@@ -201,7 +201,7 @@ class TestReconstruction:
 
     def test_tail_draws_stay_in_tail_regions(self):
         rng = np.random.default_rng(13)
-        grid = QuantileGrid.default()
+        grid = QuantileGrid(DEFAULT_TAUS)
         qn = norm.ppf(grid.taus)
         rec = reconstruct_predictive(qn, grid, R=10_000, rng=rng)
         left = rec.draws[: rec.counts[0]]
@@ -225,7 +225,7 @@ class TestReconstruction:
         # a curve in any order, crossing quantiles included, is read as its
         # sorted self, and the sample's quantiles follow that sorted curve.
         grid = QuantileGrid(np.sort(levels) / 100.0)
-        values = st.lists(st.floats(-1e6, 1e6), min_size=grid.K, max_size=grid.K)
+        values = st.lists(st.floats(-1e6, 1e6), min_size=grid.taus.size, max_size=grid.taus.size)
         curve = np.array(data.draw(values))
         q = np.sort(curve)
         assume(q[1] != q[0] and q[-1] != q[-2])
@@ -245,7 +245,7 @@ class TestReconstruction:
     @pytest.mark.parametrize("R", [9_999, 10_000, 10_001, 777])
     def test_piece_counts_always_sum_to_R(self, R):
         rng = np.random.default_rng(13)
-        grid = QuantileGrid.default()
+        grid = QuantileGrid(DEFAULT_TAUS)
         qn = norm.ppf(grid.taus)
         rec = reconstruct_predictive(qn, grid, R=R, rng=rng)
         assert rec.counts.sum() == R and rec.draws.size == R
@@ -263,6 +263,20 @@ class TestReconstruction:
             z = ndtri(q)
             assert np.array_equal(z, norm.ppf(q))
             assert not np.any(np.signbit(z) & (z == 0.0))  # array_equal takes -0.0 for 0.0
+
+    @pytest.mark.parametrize("tau_K", [0.9, 0.95, 0.99])
+    def test_uniforms_next_to_one_give_finite_right_tail(self, tau_K):
+        # A level taus[-1] + u * (1 - taus[-1]) rounds to 1.0 for these u, and ndtri(1.0) is inf.
+        class NearOne:
+            def uniform(self, size):
+                return 1.0 - np.resize(np.arange(1.0, 6.0), size) * 2.0**-53
+
+        grid = QuantileGrid(np.array([0.1, 0.35, 0.65, tau_K]))
+        qhat = norm.ppf(grid.taus)
+        rec = reconstruct_predictive(qhat, grid, R=100, rng=NearOne())
+        assert np.all(np.isfinite(rec.draws))
+        right = rec.draws[-rec.counts[-1]:]
+        assert right.size > 0 and np.all(right >= qhat[-1])
 
     def test_errors(self):
         rng = np.random.default_rng(0)

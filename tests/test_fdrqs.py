@@ -80,11 +80,9 @@ class TestShrinkagePrior:
 
 def _hand_factor_draws(cfg, R, lam, u, sigma, u_C_T, n_T):
     """Assemble FDRQSDraws with trivial shrinkage fields."""
-    N, J, L = cfg.N, cfg.J, cfg.L
+    J, L = cfg.J, cfg.L
     return FDRQSDraws(
         cfg=cfg,
-        agent_names=[f"a{j + 1}" for j in range(J)],
-        series_ids=[f"s{i + 1}" for i in range(N)],
         u=u,
         lam=lam,
         sigma=sigma,

@@ -13,11 +13,14 @@ import re
 import shutil
 import subprocess
 import sys
+import tempfile
 from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import backtest_config, write_level_panel
 from quantsynth import agents, cli, pipeline
@@ -189,6 +192,53 @@ class TestIngest:
         rec = panel.record(rows[0]["series"])
         assert float(rows[0]["y"]) == rec.y[0]
         assert rows[0]["time"] == panel.time_label(rec.times[0])
+
+
+    @settings(derandomize=True, deadline=None, max_examples=60)
+    @given(
+        series=st.lists(st.text("abcxyz019_", min_size=1, max_size=5), min_size=1, max_size=3, unique=True),
+        n_predictors=st.integers(0, 2),
+        h=st.sampled_from([1, 2, 3]),
+        data=st.data(),
+    )
+    def test_ingest_and_write_panel_round_trip(self, series, n_predictors, h, data):
+        # Gap-free quarterly panels with positive finite levels, written as the CSV ingest reads.
+        level = st.floats(min_value=1e-300, max_value=1e300)
+        value = st.floats(allow_nan=False, allow_infinity=False)
+        names = [f"x{k}" for k in range(n_predictors)]
+        inputs = {}
+        for sid in series:
+            start = data.draw(st.integers(1900 * 4, 2100 * 4))
+            n = data.draw(st.integers(h + 1, h + 8))
+            Y = np.array(data.draw(st.lists(level, min_size=n, max_size=n)))
+            X = {name: np.array(data.draw(st.lists(value, min_size=n, max_size=n))) for name in names}
+            inputs[sid] = (np.arange(start, start + n), Y, X)
+        rows = [
+            (sid, int_to_quarter(t), Y[i], *(X[name][i] for name in names))
+            for sid, (times, Y, X) in inputs.items() for i, t in enumerate(times)
+        ]
+        with tempfile.TemporaryDirectory() as tmp:
+            _write_levels(Path(tmp) / "levels.csv", rows, header=("series", "time", "Y", *names))
+            panel = ingest(Path(tmp) / "levels.csv", h)
+            write_panel(panel, Path(tmp) / "panel.csv")
+            with open(Path(tmp) / "panel.csv", newline="", encoding="utf-8") as fh:
+                written = list(csv.reader(fh))
+        assert panel.quarterly and panel.h == h and panel.series_ids == sorted(series)
+        assert written[0] == ["series", "time", "y", *names]
+        back = iter(written[1:])
+        for sid in panel.series_ids:
+            times, Y, X = inputs[sid]
+            rec = panel.record(sid)
+            assert np.array_equal(rec.times, times[h:])
+            assert np.array_equal(rec.y, 400.0 * (np.log(Y[h:]) - np.log(Y[:-h])) / h)
+            assert list(rec.predictors) == names
+            for name in names:
+                assert np.array_equal(rec.predictors[name], X[name][h:])
+            for i, t in enumerate(rec.times):
+                row = next(back)
+                assert row[:2] == [sid, int_to_quarter(t)]
+                assert [float(c) for c in row[2:]] == [rec.y[i], *(rec.predictors[n][i] for n in names)]
+        assert next(back, None) is None
 
 
 class TestBuildDesign:
@@ -664,7 +714,7 @@ class TestBacktest:
 
         monkeypatch.setattr(pipeline, "fit_dqlm", failing_fourth_fit)
         with pytest.raises(pipeline.JobError) as info:
-            run_stages(cfg, ["agents"], workers=1)
+            run_stages(dataclasses.replace(cfg, workers=1), ["agents"])
         err = info.value
         assert (err.stage, err.series, err.agent) == ("agents", "beta", "zlag")
         assert str(err) == (
@@ -694,7 +744,7 @@ class TestBacktest:
 
         monkeypatch.setattr(agents, "ffbs_known_variance", failing_ffbs)
         with pytest.raises(pipeline.JobError) as info:
-            run_stages(cfg, ["agents"], workers=1)
+            run_stages(dataclasses.replace(cfg, workers=1), ["agents"])
         err = info.value
         assert (err.stage, err.tau, err.target_label, err.series, err.agent, err.sweep) == (
             "agents", 0.1, "1996Q1", "beta", "zlag", 43
@@ -717,7 +767,7 @@ class TestBacktest:
             cfg, agents=(cfg.agents[0], dataclasses.replace(cfg.agents[1], sigma_rate=1e308))
         )
         with pytest.raises(pipeline.JobError) as info:
-            run_stages(cfg, ["agents"], workers=2)
+            run_stages(dataclasses.replace(cfg, workers=2), ["agents"])
         assert (info.value.series, info.value.agent, info.value.sweep) == ("alpha", "zlag", 1)
         failed = json.loads((tmp_path / "out" / "manifest.json").read_text())["failed_job"]
         assert (failed["series"], failed["agent"], failed["sweep"]) == ("alpha", "zlag", 1)
@@ -744,7 +794,7 @@ class TestBacktest:
             monkeypatch.setattr(
                 pipeline, attr, lambda *a, _fn=fn, _attr=attr: calls.append(_attr) or _fn(*a)
             )
-        run_stages(cfg, ["evaluate"], out_dir=tmp_path)
+        run_stages(dataclasses.replace(cfg, out_dir=str(tmp_path)), ["evaluate"])
         assert calls == ["read_forecasts", "stage_evaluate", "write_scores"]
         assert filecmp.cmp(root / "out" / "scores.csv", tmp_path / "scores.csv", shallow=False)
 
@@ -768,7 +818,7 @@ class TestBacktest:
             factor=dataclasses.replace(cfg.factor, draws=60, burn=20, write_joint_draws=True),
             out_dir=str(root / "out_factor"),
         )
-        run_backtest(cfg, workers=2)
+        run_backtest(dataclasses.replace(cfg, workers=2))
         got = {
             name: hashlib.sha256((root / "out_factor" / name).read_bytes()).hexdigest()
             for name in FACTOR_SHA256
@@ -895,6 +945,21 @@ class TestCliErrors:
             for command in ("audit-lookahead", "backtest"):
                 assert cli.main([command, "--config", str(cfg_path)]) == 1, (command, message)
                 assert capsys.readouterr().err == f"error: {message}\n"
+        assert not (tmp_path / "out").exists()
+
+    def test_levels_sharing_a_forecast_key_refused_before_any_stage(self, tmp_path, capsys):
+        # Forecasts are keyed by tau at 10 decimals, so these two levels would collide.
+        write_level_panel(tmp_path / "levels.csv")
+        d = config_to_dict(backtest_config(tmp_path / "levels.csv", tmp_path / "out"))
+        d["plan"]["taus"] = [0.1, 0.35, 0.5, 0.500000000001, 0.9]
+        message = "plan.taus must be strictly increasing at 10 decimals, got 0.5 then 0.500000000001"
+        with pytest.raises(ValueError) as info:
+            config_from_dict(d)
+        assert str(info.value) == message
+        cfg_path = tmp_path / "run.yaml"
+        cfg_path.write_text(json.dumps(d))
+        assert cli.main(["backtest", "--config", str(cfg_path)]) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
@@ -1045,6 +1110,22 @@ def test_pipeline_import_loads_no_scipy():
     assert proc.stdout.strip() == "[]"
 
 
+def test_bootstrap_imports_load_no_numerical_stack():
+    """The bare package, the worker bootstrap and the CLI module load neither NumPy nor SciPy.
+
+    ``limit_worker_threads`` must set the thread limits before NumPy loads.
+    """
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    code = (
+        f"import sys; sys.path.insert(0, {src!r}); "
+        "import quantsynth, quantsynth._worker, quantsynth.cli; "
+        "print(sorted(m for m in sys.modules if m.split('.')[0] in ('numpy', 'scipy')))"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
+
+
 def test_one_worker_pool_per_run(tmp_path, monkeypatch):
     """A backtest at workers=2 opens one pool of two workers; a stage without jobs opens none."""
     write_level_panel(tmp_path / "levels.csv")
@@ -1067,10 +1148,11 @@ def test_one_worker_pool_per_run(tmp_path, monkeypatch):
             super().shutdown(*args, **kwargs)
 
     monkeypatch.setattr(pipeline, "ProcessPoolExecutor", CountingPool)
-    run_backtest(cfg, workers=2)
+    cfg = dataclasses.replace(cfg, workers=2)
+    run_backtest(cfg)
     assert len(pools) == 1 and len(pools[0].pids) == 2
     assert multiprocessing.active_children() == []
-    run_stages(cfg, ["evaluate"], workers=2)
+    run_stages(cfg, ["evaluate"])
     assert len(pools) == 1
 
 
@@ -1139,3 +1221,22 @@ def test_traced_benchmark_command_runs(tmp_path, factor, spans):
         for name in ("agents.fit_dqlm", "drqs.gibbs_drqs", "fdrqs.gibbs_fdrqs")
     )
     assert traced == expected
+
+
+def test_sweep_cost_script_runs_against_a_base_checkout(monkeypatch, capsys):
+    """``scripts/sweep_cost.py`` runs every sampler, and a tree compared with itself gives the same draws."""
+    root = Path(__file__).resolve().parents[1]
+    spec = importlib.util.spec_from_file_location("_sweep_cost", root / "scripts" / "sweep_cost.py")
+    sweep_cost = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(sweep_cost)
+    for name, value in (("T_VALUES", (8,)), ("REPS", 2), ("SWEEPS", 2), ("FACTOR_SWEEPS", 1)):
+        monkeypatch.setattr(sweep_cost, name, value)
+    try:
+        sweep_cost.main(["--base", str(root)])
+    finally:
+        for name in [m for m in sys.modules if m.split(".")[0] in ("quantsynth_this", "quantsynth_base")]:
+            del sys.modules[name]
+    header, *rows = capsys.readouterr().out.splitlines()
+    assert header.split() == ["sampler", "T", "this_us", "base_us", "base/this", "same"]
+    assert [row.split()[0] for row in rows] == ["fit_dqlm", "gibbs_drqs", "gibbs_fdrqs"]
+    assert all(row.split()[-1] == "True" for row in rows), rows
