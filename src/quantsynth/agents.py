@@ -20,11 +20,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .config import tau_key
+from .config import MIN_AGENT_DRAWS, tau_key
 from .distributions import (
     CHI_FLOOR, _chain_lengths, _gig_params, _validate_tau, mixture_constants, sample_gig_half,
 )
-from .dlm import ffbs_known_variance, psd_sqrt
+from .dlm import _check_discount, ffbs_known_variance, psd_sqrt
 from .quarters import format_time, is_quarter_label, parse_time
 
 __all__ = [
@@ -52,8 +52,7 @@ class DQLMSpec:
 
     def __post_init__(self):
         _validate_tau(self.tau)
-        if not 0.0 < self.delta <= 1.0:
-            raise ValueError(f"delta must lie in (0, 1], got {self.delta}")
+        _check_discount("delta", self.delta)
         if self.prior_scale <= 0 or self.sigma_shape <= 0 or self.sigma_rate <= 0:
             raise ValueError("prior hyperparameters must be positive")
 
@@ -76,10 +75,6 @@ class DQLMFit:
     @property
     def n_draws(self) -> int:
         return self.beta.shape[0]
-
-    @property
-    def T(self) -> int:
-        return self.beta.shape[1]
 
 
 def fit_dqlm(
@@ -187,9 +182,8 @@ def predictive_cloud(fit: DQLMFit, x_next: np.ndarray, rng: np.random.Generator)
 
 @dataclass(frozen=True)
 class AgentForecast:
-    """Gaussian summary of one agent's tau-quantile forecast at one time."""
+    """Gaussian summary of one agent's tau-quantile forecast."""
 
-    t: int
     tau: float
     a: float
     A: float
@@ -202,25 +196,21 @@ class AgentForecast:
         _validate_tau(self.tau)
 
 
-def forecast_dqlm(
-    fit: DQLMFit,
-    x_next: np.ndarray,
-    rng: np.random.Generator,
-    t_next: int | None = None,
-) -> AgentForecast:
+def forecast_dqlm(fit: DQLMFit, x_next: np.ndarray, rng: np.random.Generator) -> AgentForecast:
     """Summarize the one-step predictive quantile as an ``(a, A)`` Gaussian.
 
     ``a`` is the mean and ``A`` the variance of the predictive draw cloud
     from :func:`predictive_cloud`; ``A`` is floored at 1e-10 so degenerate
     posteriors still yield a valid variance.
     """
-    if fit.n_draws < 50:
-        raise ValueError(f"need at least 50 retained draws for a stable variance, got {fit.n_draws}")
+    if fit.n_draws < MIN_AGENT_DRAWS:
+        raise ValueError(
+            f"need at least {MIN_AGENT_DRAWS} retained draws for a stable variance, got {fit.n_draws}"
+        )
     cloud = predictive_cloud(fit, x_next, rng)
     a = float(cloud.mean())
     A = max(float(cloud.var()), VARIANCE_FLOOR)
-    t = fit.T if t_next is None else int(t_next)
-    return AgentForecast(t=t, tau=fit.spec.tau, a=a, A=A)
+    return AgentForecast(tau=fit.spec.tau, a=a, A=A)
 
 
 _CSV_COLUMNS = ("series", "time", "agent", "tau", "a", "A")
@@ -241,7 +231,7 @@ class AgentForecastSet:
         key = (str(series), int(t), str(agent), tau_key(tau))
         if key in self._data:
             raise ValueError(f"duplicate forecast key {key}")
-        self._data[key] = AgentForecast(t=int(t), tau=float(tau), a=float(a), A=float(A))
+        self._data[key] = AgentForecast(tau=float(tau), a=float(a), A=float(A))
 
     def __len__(self) -> int:
         return len(self._data)

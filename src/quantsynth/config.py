@@ -33,6 +33,10 @@ __all__ = [
 
 DEFAULT_TAUS = tuple(round(0.05 * k, 10) for k in range(1, 20))
 
+# Fewest retained draws an agent fit may keep: its forecast variance is the
+# variance of that many predictive draws.
+MIN_AGENT_DRAWS = 50
+
 WEIGHT_SCHEMES = ("none", "right", "left")
 
 
@@ -82,8 +86,10 @@ class AgentConfig:
     def __post_init__(self):
         if not self.name:
             raise ValueError("every agent needs a nonempty name")
-        if self.draws < 50:
-            raise ValueError(f"agent {self.name}: need at least 50 retained draws, got {self.draws}")
+        if self.draws < MIN_AGENT_DRAWS:
+            raise ValueError(
+                f"agent {self.name}: need at least {MIN_AGENT_DRAWS} retained draws, got {self.draws}"
+            )
         if self.burn < 0:
             raise ValueError(f"agent {self.name}: burn must be >= 0")
 

@@ -60,6 +60,12 @@ PSD_FAIL_RATIO = 1e-8
 PSD_CLIP_RATIO = 1e-12
 
 
+def _check_discount(name: str, value) -> None:
+    """The one rule for a discount factor (``delta`` or ``beta``): it lies in (0, 1]."""
+    if not 0.0 < value <= 1.0:
+        raise ValueError(f"{name} must lie in (0, 1], got {value}")
+
+
 @dataclass(frozen=True)
 class DiscountConfig:
     """Discount factors: ``delta`` for the state scale, ``beta`` for the precision walk."""
@@ -68,10 +74,8 @@ class DiscountConfig:
     beta: float = 0.9
 
     def __post_init__(self):
-        if not 0.0 < self.delta <= 1.0:
-            raise ValueError(f"delta must lie in (0, 1], got {self.delta}")
-        if not 0.0 < self.beta <= 1.0:
-            raise ValueError(f"beta must lie in (0, 1], got {self.beta}")
+        _check_discount("delta", self.delta)
+        _check_discount("beta", self.beta)
 
 
 @dataclass(frozen=True)
@@ -153,8 +157,8 @@ def _sample_precisions(n, d, beta, rng: np.random.Generator) -> np.ndarray:
 
     ``phi_T ~ Gamma(n_T/2, d_T/2)``, then
     ``phi_t = beta*phi_{t+1} + Gamma((1-beta)*n_t/2, d_t/2)``; a zero shape
-    adds nothing.  ``n`` and ``d`` are ``(T,)`` or ``(T, N)``, and ``beta``
-    broadcasts over series.  Draws the terminal gamma, then the others.
+    adds nothing.  ``n`` and ``d`` are ``(T,)`` or ``(T, N)``, and ``beta`` is
+    a scalar.  Draws the terminal gamma, then the others.
     """
     T = n.shape[0]
     phi = np.empty_like(n)
@@ -244,7 +248,7 @@ def ffbs_conjugate(
     prior: NormalGammaPrior,
     disc: DiscountConfig,
     rng: np.random.Generator,
-    z_state: np.ndarray | None = None,
+    z_state: np.ndarray,
 ) -> ConjugateFFBS:
     """Forward filter, backward sample for the mixture-form quantile DLM.
 
@@ -261,9 +265,8 @@ def ffbs_conjugate(
     consts : mixture constants for the targeted quantile level.
     prior, disc : conjugate prior and discounts.
     rng : generator for the gamma draws.
-    z_state : optional (T, p) standard normals for the state draws; supplying
-        them lets the caller key the noise by coordinate identity.  Drawn from
-        ``rng`` when omitted.
+    z_state : (T, p) standard normals for the state draws; the caller draws
+        them, so it can key the noise by coordinate identity.
     """
     y = np.asarray(y, dtype=float)
     F = np.atleast_2d(np.asarray(F, dtype=float))
@@ -281,9 +284,7 @@ def ffbs_conjugate(
         beta=disc.beta, n0=float(prior.n0),
     )
 
-    if z_state is None:
-        z_state = rng.standard_normal((T, p))
-    elif z_state.shape != (T, p):
+    if z_state.shape != (T, p):
         raise ValueError(f"z_state must have shape ({T}, {p})")
     phi = _sample_precisions(n, n * s, disc.beta, rng)
     theta = _sample_states(m, C, disc.delta, z_state, np.sqrt(phi * s))
@@ -330,8 +331,7 @@ def ffbs_known_variance(
     obs_var = np.broadcast_to(np.asarray(obs_var, dtype=float), (T, N))
     if (obs_var <= 0.0).any():
         raise ValueError("observation variances must be positive")
-    if not 0.0 < delta <= 1.0:
-        raise ValueError(f"delta must lie in (0, 1], got {delta}")
+    _check_discount("delta", delta)
 
     m0 = np.atleast_1d(np.asarray(m0, dtype=float))
     C0 = np.atleast_2d(np.asarray(C0, dtype=float))
@@ -373,9 +373,9 @@ def ffbs_known_variance(
 
 @dataclass
 class GBRWSample:
-    """Sampled precision path(s) plus the forward gamma filter parameters."""
+    """Sampled precision paths plus the forward gamma filter parameters, all ``(T, N)``."""
 
-    phi: np.ndarray  # (T,) or (T, N)
+    phi: np.ndarray
     n: np.ndarray
     d: np.ndarray
 
@@ -384,9 +384,9 @@ def gbrw_filter_sample(
     sq_resid: np.ndarray,
     v: np.ndarray,
     kappa2: float,
-    n0,
-    d0,
-    beta,
+    n0: float,
+    d0: float,
+    beta: float,
     rng: np.random.Generator,
 ) -> GBRWSample:
     """Forward gamma filter and backward draw of precision paths.
@@ -396,30 +396,22 @@ def gbrw_filter_sample(
     ``phi_T ~ Gamma(n_T/2, d_T/2)`` then
     ``phi_t = beta*phi_{t+1} + Gamma((1-beta)*n_t/2, d_t/2)``.
 
-    ``sq_resid`` and ``v`` are ``(T,)`` or ``(T, N)``; ``n0``, ``d0`` and
-    ``beta`` broadcast over series.
+    ``sq_resid`` and ``v`` are ``(T, N)``; ``n0``, ``d0`` and ``beta`` are
+    scalars shared by every series.
     """
     sq_resid = np.asarray(sq_resid, dtype=float)
     v = np.asarray(v, dtype=float)
-    squeeze = sq_resid.ndim == 1
-    if squeeze:
-        sq_resid = sq_resid[:, None]
-        v = v[:, None]
-    if v.shape != sq_resid.shape:
-        raise ValueError("sq_resid and v must share a shape")
+    if sq_resid.ndim != 2 or v.shape != sq_resid.shape:
+        raise ValueError("sq_resid and v must share one (T, N) shape")
     if np.any(v <= 0.0):
         raise ValueError("mixing variables v must be positive")
     if np.any(sq_resid < 0.0):
         raise ValueError("squared residuals must be nonnegative")
-    T, N = sq_resid.shape
-    n0 = np.broadcast_to(np.asarray(n0, dtype=float), (N,))
-    d0 = np.broadcast_to(np.asarray(d0, dtype=float), (N,))
-    beta = np.broadcast_to(np.asarray(beta, dtype=float), (N,))
-    if np.any(n0 <= 0) or np.any(d0 <= 0):
+    if not (n0 > 0 and d0 > 0):
         raise ValueError("n0 and d0 must be positive")
-    if np.any((beta <= 0) | (beta > 1)):
-        raise ValueError("beta must lie in (0, 1]")
+    _check_discount("beta", beta)
 
+    T, N = sq_resid.shape
     n = np.empty((T, N))
     d = np.empty((T, N))
     n_prev, d_prev = n0, d0
@@ -428,7 +420,4 @@ def gbrw_filter_sample(
         d[t] = beta * d_prev + sq_resid[t] / (kappa2 * v[t]) + 2.0 * v[t]
         n_prev, d_prev = n[t], d[t]
 
-    phi = _sample_precisions(n, d, beta, rng)
-    if squeeze:
-        return GBRWSample(phi=phi[:, 0], n=n[:, 0], d=d[:, 0])
-    return GBRWSample(phi=phi, n=n, d=d)
+    return GBRWSample(phi=_sample_precisions(n, d, beta, rng), n=n, d=d)

@@ -83,10 +83,6 @@ class DRQSDraws:
     def n_draws(self) -> int:
         return self.theta.shape[0]
 
-    @property
-    def T(self) -> int:
-        return self.theta.shape[1]
-
 
 def _agent_stream(root_entropy: np.ndarray, kind: str, name: str) -> np.random.Generator:
     """Generator keyed by (root entropy, role, stable name hash), order-free."""
@@ -236,18 +232,16 @@ def gibbs_drqs(
 class QuantileForecast:
     """Posterior predictive draws of one conditional quantile plus summaries."""
 
-    t: int
     tau: float
     draws: np.ndarray
     point: float
     interval: tuple[float, float]
 
     @classmethod
-    def from_draws(cls, t: int, tau: float, draws: np.ndarray) -> "QuantileForecast":
+    def from_draws(cls, tau: float, draws: np.ndarray) -> "QuantileForecast":
         draws = np.asarray(draws, dtype=float)
         lo, hi = np.percentile(draws, [2.5, 97.5])
-        return cls(t=int(t), tau=float(tau), draws=draws,
-                   point=float(draws.mean()), interval=(float(lo), float(hi)))
+        return cls(tau=float(tau), draws=draws, point=float(draws.mean()), interval=(float(lo), float(hi)))
 
 
 def _evolve_scale(sigma_T, n_T, beta, rng):
@@ -258,12 +252,7 @@ def _evolve_scale(sigma_T, n_T, beta, rng):
     return beta * sigma_T / gam
 
 
-def forecast_drqs(
-    draws: DRQSDraws,
-    agents_next,
-    rng: np.random.Generator,
-    t_next: int | None = None,
-) -> QuantileForecast:
+def forecast_drqs(draws: DRQSDraws, agents_next, rng: np.random.Generator) -> QuantileForecast:
     """One-step-ahead synthesized quantile forecast.
 
     Per retained draw: evolve the scale by a beta shock, advance the weights
@@ -290,5 +279,4 @@ def forecast_drqs(
         theta_next = theta_T
     f_next = a_next + np.sqrt(A_next) * rng.standard_normal((R, J))
     q = theta_next[:, 0] + np.einsum("rj,rj->r", f_next, theta_next[:, 1:])
-    t = draws.T if t_next is None else int(t_next)
-    return QuantileForecast.from_draws(t, cfg.tau, q)
+    return QuantileForecast.from_draws(cfg.tau, q)

@@ -21,7 +21,7 @@ import numpy as np
 from .distributions import (
     CHI_FLOOR, _chain_lengths, _gig_params, _validate_tau, mixture_constants, sample_gig_half,
 )
-from .dlm import ffbs_known_variance, gbrw_filter_sample, psd_sqrt
+from .dlm import _check_discount, ffbs_known_variance, gbrw_filter_sample, psd_sqrt
 from .drqs import QuantileForecast, _agent_reports, _evolve_scale, latent_predictor_moments
 
 __all__ = [
@@ -45,8 +45,7 @@ class FDRQSConfig:
     ``L`` must be smaller than ``N`` when loadings are free; passing
     ``fixed_loadings`` (an (N, L*(J+1)) array) freezes the loading matrix,
     skips the shrinkage-prior updates, and lifts that restriction (used for
-    degenerate and reduction setups).  ``beta`` may be a scalar or per-series
-    vector; ``n0``/``s0`` likewise.
+    degenerate and reduction setups).
     """
 
     tau: float
@@ -55,13 +54,13 @@ class FDRQSConfig:
     L: int = 5
     m0: np.ndarray | None = None
     C0: np.ndarray | None = None
-    n0: float | np.ndarray = 0.001
-    s0: float | np.ndarray = 0.001
-    nu: float | np.ndarray = 3.0
-    a1: float | np.ndarray = 2.5
-    a2: float | np.ndarray = 3.5
+    n0: float = 0.001
+    s0: float = 0.001
+    nu: float = 3.0
+    a1: float = 2.5
+    a2: float = 3.5
     delta: float = 0.85
-    beta: float | np.ndarray = 0.85
+    beta: float = 0.85
     fixed_loadings: np.ndarray | None = None
 
     def __post_init__(self):
@@ -94,20 +93,11 @@ class FDRQSConfig:
         if C0.shape != (K, K):
             raise ValueError(f"C0 must have shape ({K}, {K})")
         object.__setattr__(self, "C0", C0)
-        for name in ("n0", "s0", "beta"):
-            val = np.broadcast_to(np.asarray(getattr(self, name), dtype=float), (self.N,)).copy()
-            if np.any(val <= 0.0):
+        for name in ("n0", "s0", "nu", "a1", "a2"):
+            if not getattr(self, name) > 0.0:
                 raise ValueError(f"{name} entries must be positive")
-            object.__setattr__(self, name, val)
-        if np.any(self.beta > 1.0):
-            raise ValueError("beta entries must lie in (0, 1]")
-        for name in ("nu", "a1", "a2"):
-            val = np.broadcast_to(np.asarray(getattr(self, name), dtype=float), (self.J + 1,)).copy()
-            if np.any(val <= 0.0):
-                raise ValueError(f"{name} entries must be positive")
-            object.__setattr__(self, name, val)
-        if not 0.0 < self.delta <= 1.0:
-            raise ValueError(f"delta must lie in (0, 1], got {self.delta}")
+        _check_discount("delta", self.delta)
+        _check_discount("beta", self.beta)
 
     @property
     def K(self) -> int:
@@ -122,17 +112,16 @@ def omegas_from_deltas(deltas: np.ndarray) -> np.ndarray:
 def sample_local_precisions(
     lam_blocks: np.ndarray,
     omegas: np.ndarray,
-    nu: np.ndarray,
+    nu: float,
     rng: np.random.Generator,
 ) -> np.ndarray:
     """Draw the local loading precisions phi_ilj.
 
     ``lam_blocks`` is (N, L, J+1) loadings, ``omegas`` (L, J+1); the full
-    conditional is Gamma((nu_j + 1)/2, (omega_lj * lambda^2 + nu_j)/2).
+    conditional is Gamma((nu + 1)/2, (omega_lj * lambda^2 + nu)/2).
     """
-    shape = (nu + 1.0) / 2.0
-    rate = (omegas[None, :, :] * lam_blocks**2 + nu[None, None, :]) / 2.0
-    return rng.gamma(shape=np.broadcast_to(shape, rate.shape), scale=1.0 / rate)
+    rate = (omegas[None, :, :] * lam_blocks**2 + nu) / 2.0
+    return rng.gamma(shape=(nu + 1.0) / 2.0, scale=1.0 / rate)
 
 
 def delta_full_conditional(
@@ -141,8 +130,8 @@ def delta_full_conditional(
     deltas: np.ndarray,
     h: int,
     j: int,
-    a1: np.ndarray,
-    a2: np.ndarray,
+    a1: float,
+    a2: float,
 ) -> tuple[float, float]:
     """(shape, rate) of the multiplicative-shock full conditional for delta_hj.
 
@@ -156,9 +145,9 @@ def delta_full_conditional(
     sums = np.sum(phi[:, :, j] * lam_blocks[:, :, j] ** 2, axis=0)  # (L,)
     tail = float(np.sum(omega_wo[h:] * sums[h:]))
     if h == 0:
-        shape = N * L / 2.0 + a1[j]
+        shape = N * L / 2.0 + a1
     else:
-        shape = N * (L - h) / 2.0 + a2[j]
+        shape = N * (L - h) / 2.0 + a2
     return shape, 1.0 + 0.5 * tail
 
 
@@ -166,8 +155,8 @@ def _update_deltas(
     lam_blocks: np.ndarray,
     phi: np.ndarray,
     deltas: np.ndarray,
-    a1: np.ndarray,
-    a2: np.ndarray,
+    a1: float,
+    a2: float,
     rng: np.random.Generator,
 ) -> np.ndarray:
     """Cycle through delta_hj site by site, refreshing products as they change."""
@@ -358,12 +347,7 @@ class FactorForecast:
     sigma_next: np.ndarray  # (R, N) evolved scales
 
 
-def forecast_fdrqs(
-    draws: FDRQSDraws,
-    agents_next,
-    rng: np.random.Generator,
-    t_next: int | None = None,
-) -> FactorForecast:
+def forecast_fdrqs(draws: FDRQSDraws, agents_next, rng: np.random.Generator) -> FactorForecast:
     """One-step-ahead joint quantile forecast for all series.
 
     Per retained draw: advance the factors by a random-walk step with
@@ -389,12 +373,11 @@ def forecast_fdrqs(
     sigma_T = draws.sigma[:, -1, :]  # (R, N)
     sigma_next = np.empty_like(sigma_T)
     for i in range(N):
-        sigma_next[:, i] = _evolve_scale(sigma_T[:, i], draws.n_T[:, i], cfg.beta[i], rng)
+        sigma_next[:, i] = _evolve_scale(sigma_T[:, i], draws.n_T[:, i], cfg.beta, rng)
 
     f_next = a_next[None, :, :] + np.sqrt(A_next)[None, :, :] * rng.standard_normal((R, N, J))
     mult = np.concatenate([np.ones((R, N, 1)), f_next], axis=2)  # (R, N, J+1)
     design = np.repeat(mult, L, axis=2) * draws.lam  # (R, N, K)
     q = np.einsum("rnk,rk->rn", design, u_next)
-    t = draws.T if t_next is None else int(t_next)
-    forecasts = [QuantileForecast.from_draws(t, cfg.tau, q[:, i]) for i in range(N)]
+    forecasts = [QuantileForecast.from_draws(cfg.tau, q[:, i]) for i in range(N)]
     return FactorForecast(forecasts=forecasts, joint=q, sigma_next=sigma_next)

@@ -508,7 +508,7 @@ def _run_agent_window(payload: dict) -> list:
             fit = fit_dqlm(
                 job["y"], job["X"], payload["specs"][agent.name], mcmc=(agent.draws, agent.burn), rng=rng
             )
-            fc = forecast_dqlm(fit, job["x_next"], rng, t_next=target)
+            fc = forecast_dqlm(fit, job["x_next"], rng)
         except Exception as exc:
             exc.quantsynth_fit = (job["series"], agent.name)  # travels with the exception out of a worker
             raise
@@ -533,7 +533,7 @@ def _run_synth_window(payload: dict) -> tuple[list, list]:
                 rng=rng,
                 agent_names=names,
             )
-            fc = forecast_drqs(draws, (payload["a_next"][i], payload["A_next"][i]), rng, t_next=target)
+            fc = forecast_drqs(draws, (payload["a_next"][i], payload["A_next"][i]), rng)
         except Exception as exc:
             exc.quantsynth_fit = (sid, None)
             raise
@@ -554,7 +554,7 @@ def _run_factor_window(payload: dict) -> tuple[list, list]:
         rng=rng,
         series_ids=series_ids,
     )
-    ff = forecast_fdrqs(draws, (payload["a_next"], payload["A_next"]), rng, t_next=target)
+    ff = forecast_fdrqs(draws, (payload["a_next"], payload["A_next"]), rng)
     rows = []
     for i, sid in enumerate(series_ids):
         fc = ff.forecasts[i]
@@ -893,7 +893,10 @@ def write_forecasts(rows, path, quarterly: bool) -> None:
 
 
 def read_forecasts(path) -> list:
-    """Inverse of :func:`write_forecasts`; returns tuples with integer times."""
+    """Inverse of :func:`write_forecasts`; returns tuples with integer times.
+
+    A row whose point or interval end is not finite is refused, naming the row.
+    """
     rows = []
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.DictReader(fh)
@@ -904,17 +907,18 @@ def read_forecasts(path) -> list:
             )
         for i, row in enumerate(reader, start=2):
             try:
-                rows.append(
-                    (
-                        row["series"],
-                        parse_time(row["time"]),
-                        float(row["tau"]),
-                        float(row["point"]),
-                        float(row["lo95"]),
-                        float(row["hi95"]),
-                        int(row["n_draws"]),
-                    )
+                rec = (
+                    row["series"],
+                    parse_time(row["time"]),
+                    float(row["tau"]),
+                    float(row["point"]),
+                    float(row["lo95"]),
+                    float(row["hi95"]),
+                    int(row["n_draws"]),
                 )
+                if not np.all(np.isfinite(rec[3:6])):
+                    raise ValueError(f"point, lo95 and hi95 must be finite, got {rec[3:6]}")
+                rows.append(rec)
             except (TypeError, ValueError, KeyError) as exc:
                 raise ValueError(f"{path}, row {i}: {exc}") from None
     return rows
@@ -1229,7 +1233,10 @@ def run_stages(cfg: RunConfig, names) -> RunManifest:
             for name, value in zip(stage.writes, values):
                 artifacts[name] = value
                 if name == "joint_draws.csv" and not value:
-                    continue  # only a factor run with write_joint_draws keeps draws
+                    # Only a factor run with write_joint_draws keeps draws; an
+                    # earlier run's file must not feed this run's plots.
+                    (out / name).unlink(missing_ok=True)
+                    continue
                 _WRITERS[name](value, out / name, plan.quarterly)
                 manifest.outputs.append(name)
             if "scores.csv" in stage.writes:

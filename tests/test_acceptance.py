@@ -106,10 +106,11 @@ class TestAcceptance:
         n0, s0 = 2.5, 1.4
         F = np.array([1.0, 0.7])
         v, y_obs = 0.9, 1.1
+        rng = np.random.default_rng(0)
+        z = rng.standard_normal((1, 2))
         res = ffbs_conjugate(
             np.array([y_obs]), F[None, :], np.array([v]), consts,
-            NormalGammaPrior(m0, C0, n0, s0), DiscountConfig(1.0, 1.0),
-            np.random.default_rng(0),
+            NormalGammaPrior(m0, C0, n0, s0), DiscountConfig(1.0, 1.0), rng, z_state=z,
         )
         e = y_obs - F @ m0 - k1 * v
         Qstar = F @ C0 @ F / s0 + k2 * v
@@ -256,7 +257,7 @@ class TestAcceptance:
         lam_val, omega_val, nu_val = 0.7, 2.0, 3.0
         lam_blocks = np.full((n, 1, 1), lam_val)
         phi_draws = sample_local_precisions(
-            lam_blocks, np.array([[omega_val]]), np.array([nu_val]), rng
+            lam_blocks, np.array([[omega_val]]), nu_val, rng
         )[:, 0, 0]
         c_phi = (omega_val * lam_val**2 + nu_val) / 2.0
         p_phi = density_chisquare_pvalue(
@@ -269,7 +270,7 @@ class TestAcceptance:
         lam_b = np.array([[[0.9], [0.4]], [[-0.6], [1.1]]])  # (N, L, 1)
         phi_b = np.array([[[1.3], [0.8]], [[0.5], [2.0]]])
         deltas0 = np.array([[1.7], [0.6]])
-        a1v, a2v = np.array([2.5]), np.array([3.5])
+        a1v, a2v = 2.5, 3.5
         c_quad = 0.0
         for ell in range(L):
             partial = 1.0
@@ -278,7 +279,7 @@ class TestAcceptance:
             c_quad += partial * sum(
                 phi_b[i, ell, 0] * lam_b[i, ell, 0] ** 2 for i in range(N)
             )
-        shape_exp = a1v[0] + N * L / 2.0
+        shape_exp = a1v + N * L / 2.0
         rate_exp = 1.0 + 0.5 * c_quad
         m = 100_000
         delta_draws = np.empty(m)

@@ -95,8 +95,7 @@ class TestForecastDQLM:
         fit = self._small_fit()
         x_next = np.array([1.0, 0.3])
         cloud = predictive_cloud(fit, x_next, np.random.default_rng(5))
-        fc = forecast_dqlm(fit, x_next, np.random.default_rng(5), t_next=42)
-        assert fc.t == 42
+        fc = forecast_dqlm(fit, x_next, np.random.default_rng(5))
         assert abs(fc.a - cloud.mean()) < 1e-12
         assert abs(fc.A - cloud.var()) < 1e-12
 
@@ -220,7 +219,7 @@ class TestAgentForecastSet:
         assert back.quarterly == quarterly and len(back) == len(rows)
         for s, t, agent, tau, a, A in rows:
             got = back.get(s, t, agent, tau)
-            assert (got.t, got.tau, got.a, got.A) == (t, tau, a, A)
+            assert (got.tau, got.a, got.A) == (tau, a, A)
 
     def test_csv_error_names_row(self, tmp_path):
         path = tmp_path / "bad.csv"

@@ -36,7 +36,10 @@ class TestConjugateFFBS:
         prior = NormalGammaPrior(m0=np.zeros(1), C0=np.eye(1), n0=1.0, s0=1.0)
         disc = DiscountConfig(delta=1.0, beta=1.0)
         rng = np.random.default_rng(7)
-        res = ffbs_conjugate(np.array([y]), np.ones((1, 1)), np.ones(1), consts, prior, disc, rng)
+        z = rng.standard_normal((1, 1))
+        res = ffbs_conjugate(
+            np.array([y]), np.ones((1, 1)), np.ones(1), consts, prior, disc, rng, z_state=z
+        )
         # With kappa2*v = 8: Q = C0 + 8 = 9, gain = 1/9
         assert res.m[0, 0] == pytest.approx(y / 9.0, abs=1e-12)
         assert res.C[0, 0, 0] / res.s[0] == pytest.approx(8.0 / 9.0, abs=1e-12)
@@ -55,8 +58,9 @@ class TestConjugateFFBS:
         phis = np.empty(R)
         thetas = np.empty(R)
         for r in range(R):
+            z = rng.standard_normal((1, 1))
             d = ffbs_conjugate(
-                np.array([y]), np.ones((1, 1)), np.ones(1), consts, prior, disc, rng
+                np.array([y]), np.ones((1, 1)), np.ones(1), consts, prior, disc, rng, z_state=z
             )
             phis[r] = d.phi[0]
             thetas[r] = d.theta[0, 0]
@@ -77,7 +81,8 @@ class TestConjugateFFBS:
         F = rng.normal(size=(T, p))
         v = rng.uniform(0.5, 1.5, size=T)
         y = F @ prior.m0 + consts.kappa1 * v
-        res = ffbs_conjugate(y, F, v, consts, prior, DiscountConfig(0.9, 0.9), rng)
+        z = rng.standard_normal((T, p))
+        res = ffbs_conjugate(y, F, v, consts, prior, DiscountConfig(0.9, 0.9), rng, z_state=z)
         assert np.abs(res.m - prior.m0).max() < 1e-12
 
     def test_static_regression_matches_closed_form(self):
@@ -92,7 +97,8 @@ class TestConjugateFFBS:
         prior = NormalGammaPrior(
             m0=np.array([0.1, -0.2]), C0=np.diag([2.0, 5.0]), n0=2.0, s0=0.7
         )
-        res = ffbs_conjugate(y, F, v, consts, prior, DiscountConfig(1.0, 1.0), rng)
+        z = rng.standard_normal((T, p))
+        res = ffbs_conjugate(y, F, v, consts, prior, DiscountConfig(1.0, 1.0), rng, z_state=z)
         H = prior.s0 * np.linalg.inv(prior.C0) + (F.T / (consts.kappa2 * v)) @ F
         b = prior.s0 * np.linalg.inv(prior.C0) @ prior.m0
         b = b + (F.T / (consts.kappa2 * v)) @ (y - consts.kappa1 * v)
@@ -112,7 +118,8 @@ class TestConjugateFFBS:
         R = 5000
         paths = np.empty((R, T))
         for r in range(R):
-            d = ffbs_conjugate(y, F, v, consts, prior, DiscountConfig(0.9, 1.0), rng)
+            z = rng.standard_normal((T, 1))
+            d = ffbs_conjugate(y, F, v, consts, prior, DiscountConfig(0.9, 1.0), rng, z_state=z)
             paths[r] = d.phi
             assert np.abs(np.diff(d.phi)).max() == 0.0
         # constant paths make the per-t means equal by construction; the MC
@@ -127,7 +134,7 @@ class TestConjugateFFBS:
         with pytest.raises(ValueError):
             ffbs_conjugate(
                 np.zeros(2), np.ones((2, 1)), np.array([1.0, 0.0]), consts,
-                prior, DiscountConfig(), np.random.default_rng(0),
+                prior, DiscountConfig(), np.random.default_rng(0), z_state=np.zeros((2, 1)),
             )
 
 
@@ -322,7 +329,8 @@ class TestScalarFilterMatchesOracle:
         if learned:
             prior = NormalGammaPrior(m0=rng.normal(size=p), C0=C0, n0=2.0, s0=0.5)
             disc = DiscountConfig(delta=delta, beta=float(rng.uniform(0.5, 1.0)))
-            C = ffbs_conjugate(y, F, v, consts, prior, disc, rng).C
+            z = rng.standard_normal((T, p))
+            C = ffbs_conjugate(y, F, v, consts, prior, disc, rng, z_state=z).C
         else:
             C = ffbs_known_variance(
                 y[:, None], F[:, None, :], (consts.kappa1 * v)[:, None],
@@ -341,7 +349,7 @@ class TestScalarFilterMatchesOracle:
         with pytest.raises(FloatingPointError, match="predictive variance Q at t=0"):
             ffbs_conjugate(
                 np.zeros(2), np.full((2, 1), np.nan), np.ones(2), mixture_constants(0.5),
-                prior, DiscountConfig(), np.random.default_rng(0),
+                prior, DiscountConfig(), np.random.default_rng(0), z_state=np.zeros((2, 1)),
             )
 
 
@@ -399,24 +407,24 @@ class TestGBRW:
 
     def test_one_step_filter_and_gamma_moment(self):
         rng = np.random.default_rng(11)
-        g1 = gbrw_filter_sample(np.array([2.0]), np.array([0.5]), 8.0, 1.0, 2.0, 0.9, rng)
-        assert g1.n[0] == pytest.approx(0.9 * 1.0 + 3.0, abs=1e-14)
-        assert g1.d[0] == pytest.approx(0.9 * 2.0 + 2.0 / (8.0 * 0.5) + 1.0, abs=1e-14)
+        g1 = gbrw_filter_sample(np.array([[2.0]]), np.array([[0.5]]), 8.0, 1.0, 2.0, 0.9, rng)
+        assert g1.n[0, 0] == pytest.approx(0.9 * 1.0 + 3.0, abs=1e-14)
+        assert g1.d[0, 0] == pytest.approx(0.9 * 2.0 + 2.0 / (8.0 * 0.5) + 1.0, abs=1e-14)
         R = 60000
         g = gbrw_filter_sample(np.full((1, R), 2.0), np.full((1, R), 0.5), 8.0, 1.0, 2.0, 0.9, rng)
         se = g.phi[0].std() / np.sqrt(R)
-        assert g.phi[0].mean() == pytest.approx(g1.n[0] / g1.d[0], abs=3 * se)
+        assert g.phi[0].mean() == pytest.approx(g1.n[0, 0] / g1.d[0, 0], abs=3 * se)
 
     def test_zero_residual_geometric_recursion(self):
         # resid 0, v = 1, kappa2 = 8 adds exactly 2 per step:
         # d_t = beta^t d0 + 2 (1 - beta^t) / (1 - beta)
         beta, d0, T = 0.7, 1.5, 6
         g = gbrw_filter_sample(
-            np.zeros(T), np.ones(T), 8.0, 1.0, d0, beta, np.random.default_rng(0)
+            np.zeros((T, 1)), np.ones((T, 1)), 8.0, 1.0, d0, beta, np.random.default_rng(0)
         )
         steps = np.arange(1, T + 1)
         expected = beta**steps * d0 + 2.0 * (1.0 - beta**steps) / (1.0 - beta)
-        np.testing.assert_allclose(g.d, expected, atol=1e-12)
+        np.testing.assert_allclose(g.d[:, 0], expected, atol=1e-12)
 
     def test_filtered_mean_at_every_prefix(self):
         # E[phi_t | data through t] = n_t / d_t: check by running the sampler
@@ -436,7 +444,7 @@ class TestGBRW:
     def test_rejects_nonpositive_mixing(self):
         with pytest.raises(ValueError):
             gbrw_filter_sample(
-                np.ones(2), np.array([1.0, 0.0]), 8.0, 1.0, 1.0, 0.9,
+                np.ones((2, 1)), np.array([[1.0], [0.0]]), 8.0, 1.0, 1.0, 0.9,
                 np.random.default_rng(0),
             )
 

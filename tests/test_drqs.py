@@ -222,7 +222,7 @@ class TestForecastDRQS:
                            np.random.default_rng(1))
         assert abs(fc.point - 2.5) < 1e-3
         assert fc.interval[0] <= fc.point <= fc.interval[1]
-        assert fc.t == 3 and fc.tau == 0.5
+        assert fc.tau == 0.5
 
     def test_equal_weight_prior_averages_agent_means(self):
         # theta pinned at the default prior mean (weight 1/J each): the

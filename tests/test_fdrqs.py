@@ -40,10 +40,9 @@ class TestShrinkagePrior:
         lam_blocks = np.zeros((N, L, J + 1))
         phi = rng.gamma(2.0, size=(N, L, J + 1))
         deltas = rng.gamma(2.0, size=(L, J + 1))
-        a1 = np.array([2.5, 2.5])
-        a2 = np.array([3.5, 3.5])
+        a1, a2 = 2.5, 3.5
         shape, rate = delta_full_conditional(lam_blocks, phi, deltas, 0, 0, a1, a2)
-        assert shape == N * L / 2.0 + a1[0]
+        assert shape == N * L / 2.0 + a1
         assert rate == 1.0
 
     def test_delta_conditional_matches_hand_computation(self):
@@ -52,7 +51,7 @@ class TestShrinkagePrior:
         lam_blocks = np.array([[[1.0], [2.0]]])  # (1, 2, 1)
         phi = np.array([[[3.0], [0.5]]])
         deltas = np.array([[4.0], [5.0]])
-        a1, a2 = np.array([2.5]), np.array([3.5])
+        a1, a2 = 2.5, 3.5
 
         # h=0: omega_wo = (1, 5); tail = 1*3 + 5*2 = 13
         shape0, rate0 = delta_full_conditional(lam_blocks, phi, deltas, 0, 0, a1, a2)
@@ -69,12 +68,12 @@ class TestShrinkagePrior:
         rng = np.random.default_rng(14)
         lam_b = np.full((1, 1, 1), 0.7)
         omega = np.full((1, 1), 2.0)
-        nu = np.array([3.0])
+        nu = 3.0
         draws = np.array(
             [sample_local_precisions(lam_b, omega, nu, rng)[0, 0, 0] for _ in range(20_000)]
         )
-        c = (omega[0, 0] * lam_b[0, 0, 0] ** 2 + nu[0]) / 2.0
-        p = density_chisquare_pvalue(draws, lambda x: x ** ((nu[0] + 1) / 2 - 1) * np.exp(-x * c))
+        c = (omega[0, 0] * lam_b[0, 0, 0] ** 2 + nu) / 2.0
+        p = density_chisquare_pvalue(draws, lambda x: x ** ((nu + 1) / 2 - 1) * np.exp(-x * c))
         assert p > 0.01
 
 
@@ -171,7 +170,7 @@ class TestGibbsFDRQS:
             FDRQSConfig(tau=0.5, N=3, J=1, L=1, beta=1.5)
         cfg = FDRQSConfig(tau=0.5, N=3, J=2, L=1, n0=2.0)
         assert cfg.K == 3
-        np.testing.assert_array_equal(cfg.n0, np.full(3, 2.0))
+        assert cfg.n0 == 2.0
         np.testing.assert_allclose(cfg.m0, [0.0, 0.5, 0.5])
 
 

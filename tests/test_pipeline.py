@@ -478,7 +478,7 @@ class TestPlan:
         assert job["X"].shape == (3, 3)
         rng = np.random.default_rng(5)
         fit = fit_dqlm(job["y"], job["X"], plan.agent_specs[0.25]["zlag"], mcmc=(50, 10), rng=rng)
-        fc = forecast_dqlm(fit, job["x_next"], rng, t_next=target)
+        fc = forecast_dqlm(fit, job["x_next"], rng)
         assert np.all(np.isfinite(fit.beta)) and np.isfinite(fc.a) and np.isfinite(fc.A)
 
     def test_missing_pieces_reported_together(self, panel):
@@ -835,6 +835,41 @@ class TestBacktest:
         with open(staged / "plots" / "correlation.csv", newline="", encoding="utf-8") as fh:
             assert len(list(csv.DictReader(fh))) == 4 * 4 * 3 * 3  # times x taus x series^2
 
+    def test_synthesis_without_joint_draws_removes_a_stale_file(self, mini_run, tmp_path):
+        # A factor run's joint draws left in out_dir must not feed a later
+        # univariate run's correlation plot.
+        cfg, root, _ = mini_run
+        shutil.copy(root / "out" / "agent_forecasts.csv", tmp_path / "agent_forecasts.csv")
+        stale = [("1997Q1", "0.1", r, sid, float(r + k)) for r in range(3)
+                 for k, sid in enumerate(("alpha", "beta"))]
+        (tmp_path / "joint_draws.csv").write_text(
+            "\n".join([",".join(pipeline.JOINT_COLUMNS)] + [",".join(map(str, row)) for row in stale])
+            + "\n"
+        )
+        manifest = run_stages(dataclasses.replace(cfg, out_dir=str(tmp_path)), ["synthesis", "evaluate"])
+        assert manifest.complete
+        assert not (tmp_path / "joint_draws.csv").exists()
+        assert "joint_draws.csv" not in manifest.outputs
+        assert (tmp_path / "plots" / "correlation.csv").read_text().splitlines() == [
+            "time,tau,series_row,series_col,corr"
+        ]
+
+    def test_nonfinite_forecast_refused_naming_its_row(self, mini_run, tmp_path, capsys):
+        cfg, root, _ = mini_run
+        shutil.copy(root / "out" / "agent_forecasts.csv", tmp_path / "agent_forecasts.csv")
+        lines = (root / "out" / "forecasts.csv").read_text().splitlines()
+        cells = lines[2].split(",")
+        cells[pipeline.FORECAST_COLUMNS.index("point")] = "nan"
+        lines[2] = ",".join(cells)
+        (tmp_path / "forecasts.csv").write_text("\n".join(lines) + "\n")
+        cfg_path = tmp_path / "run.yaml"
+        dump_config(cfg, cfg_path)
+        for command, output in (("evaluate", "scores.csv"), ("reconstruct", "reconstructed_draws.csv")):
+            assert cli.main([command, "--config", str(cfg_path), "--out-dir", str(tmp_path)]) == 1
+            err = capsys.readouterr().err
+            assert err.startswith("error: ") and "forecasts.csv, row 3: point, lo95 and hi95" in err
+            assert not (tmp_path / output).exists()
+
     def test_audit_finds_no_lookahead(self, mini_run):
         cfg, root, _ = mini_run
         rows = audit_lookahead(cfg)
@@ -1059,6 +1094,14 @@ class TestArtifactIO:
         )
         with pytest.raises(ValueError, match="row 3"):
             read_forecasts(path)
+        for bad in ("nan,0.5,1.5", "1.0,-inf,1.5", "1.0,0.5,inf"):
+            path.write_text(
+                "series,time,tau,point,lo95,hi95,n_draws\n"
+                "a,1990Q1,0.5,1.0,0.5,1.5,100\n"
+                f"a,1990Q2,0.5,{bad},100\n"
+            )
+            with pytest.raises(ValueError, match="row 3: point, lo95 and hi95 must be finite"):
+                read_forecasts(path)
 
     def test_empty_scores_yield_header_only_plots(self, tmp_path):
         out = tmp_path / "run"
