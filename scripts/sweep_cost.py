@@ -1,14 +1,14 @@
 """Microseconds per Gibbs sweep of the three samplers, one source tree against another.
 
 Prints µs per sweep for ``fit_dqlm``, ``gibbs_drqs`` and ``gibbs_fdrqs`` at
-window lengths T = 15, 60 and 120: the median of ``REPS`` timed calls of
-``SWEEPS`` sweeps (``FACTOR_SWEEPS`` for FDRQS).  With ``--base DIR`` it
-also loads the package from ``DIR/src/quantsynth`` under a second name in
-the same process, and times the two trees in alternating order, rep by
-rep: on a shared host the speed of one process drifts too much between
-processes for two separate runs to compare.  Each row then adds the base
-tree's median, the median of the per-rep ratios base/this, and whether
-both trees returned the same draws bit for bit.
+window lengths T = 15, 60, 120 and 250 (the paper's length): the median of
+``REPS`` timed calls of ``SWEEPS`` sweeps (``FACTOR_SWEEPS`` for FDRQS).
+With ``--base DIR`` it also loads the package from ``DIR/src/quantsynth``
+under a second name in the same process, and times the two trees in
+alternating order, rep by rep: on a shared host the speed of one process
+drifts too much between processes for two separate runs to compare.  Each
+row then adds the base tree's median, the median of the per-rep ratios
+base/this, and whether both trees returned the same draws bit for bit.
 
     python scripts/sweep_cost.py
     python scripts/sweep_cost.py --base ../parent-checkout
@@ -31,7 +31,7 @@ from pathlib import Path
 import numpy as np
 
 HERE = Path(__file__).resolve().parents[1]
-T_VALUES = (15, 60, 120)
+T_VALUES = (15, 60, 120, 250)
 REPS = 9  # timed calls per sampler, T and tree
 SWEEPS = 40  # sweeps per agent or DRQS call
 FACTOR_SWEEPS = 8  # sweeps per FDRQS call

@@ -315,20 +315,20 @@ def ffbs_known_variance(
     """FFBS for ``y_t = offsets_t + F_t state_t + N(0, diag(obs_var_t))``.
 
     The state follows a random walk with discount-implied evolution
-    covariance ``R_t = C_{t-1}/delta``.  ``y`` is ``(T, N)`` (``N`` may be 1),
-    ``F`` is ``(T, N, p)``.  Returns the sampled path along with the filtered
-    moments.
+    covariance ``R_t = C_{t-1}/delta``.  ``y``, ``offsets`` and ``obs_var``
+    are ``(T, N)`` (``N`` may be 1), ``F`` is ``(T, N, p)``.  Returns the
+    sampled path along with the filtered moments.
     """
     y = np.asarray(y, dtype=float)
-    if y.ndim == 1:
-        y = y[:, None]
+    offsets = np.asarray(offsets, dtype=float)
+    obs_var = np.asarray(obs_var, dtype=float)
+    if y.ndim != 2 or offsets.shape != y.shape or obs_var.shape != y.shape:
+        raise ValueError("y, offsets and obs_var must share one (T, N) shape")
     T, N = y.shape
     F = np.asarray(F, dtype=float)
     if F.shape[:2] != (T, N):
         raise ValueError(f"F must have shape ({T}, {N}, p), got {F.shape}")
     p = F.shape[2]
-    offsets = np.broadcast_to(np.asarray(offsets, dtype=float), (T, N))
-    obs_var = np.broadcast_to(np.asarray(obs_var, dtype=float), (T, N))
     if (obs_var <= 0.0).any():
         raise ValueError("observation variances must be positive")
     _check_discount("delta", delta)

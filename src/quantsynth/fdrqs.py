@@ -124,6 +124,27 @@ def sample_local_precisions(
     return rng.gamma(shape=(nu + 1.0) / 2.0, scale=1.0 / rate)
 
 
+def _block_sums(lam_blocks: np.ndarray, phi: np.ndarray, j: int) -> np.ndarray:
+    """``sum_i phi_ilj * lambda_ilj^2`` for every factor l of block j, shape (L,)."""
+    return np.sum(phi[:, :, j] * lam_blocks[:, :, j] ** 2, axis=0)
+
+
+def _delta_site(
+    sums: np.ndarray, dj: np.ndarray, h: int, N: int, a1: float, a2: float
+) -> tuple[float, float]:
+    """(shape, rate) of delta_hj from its block's sums and current deltas ``dj`` (L,)."""
+    L = len(dj)
+    dj = dj.copy()
+    dj[h] = 1.0
+    omega_wo = np.cumprod(dj)
+    tail = float(np.sum(omega_wo[h:] * sums[h:]))
+    if h == 0:
+        shape = N * L / 2.0 + a1
+    else:
+        shape = N * (L - h) / 2.0 + a2
+    return shape, 1.0 + 0.5 * tail
+
+
 def delta_full_conditional(
     lam_blocks: np.ndarray,
     phi: np.ndarray,
@@ -138,17 +159,7 @@ def delta_full_conditional(
     ``h`` and ``j`` are zero-based; the leave-one-out products
     ``omega^(h)_lj = prod_{s<=l, s!=h} delta_sj`` use the current deltas.
     """
-    N, L, _ = lam_blocks.shape
-    dj = deltas[:, j].copy()
-    dj[h] = 1.0
-    omega_wo = np.cumprod(dj)
-    sums = np.sum(phi[:, :, j] * lam_blocks[:, :, j] ** 2, axis=0)  # (L,)
-    tail = float(np.sum(omega_wo[h:] * sums[h:]))
-    if h == 0:
-        shape = N * L / 2.0 + a1
-    else:
-        shape = N * (L - h) / 2.0 + a2
-    return shape, 1.0 + 0.5 * tail
+    return _delta_site(_block_sums(lam_blocks, phi, j), deltas[:, j], h, len(lam_blocks), a1, a2)
 
 
 def _update_deltas(
@@ -159,14 +170,36 @@ def _update_deltas(
     a2: float,
     rng: np.random.Generator,
 ) -> np.ndarray:
-    """Cycle through delta_hj site by site, refreshing products as they change."""
+    """Cycle through delta_hj site by site, refreshing products as they change.
+
+    A block's sums do not depend on the deltas, so each is taken once.  They
+    are summed block by block, not as one ``(L, J+1)`` sum: at ``L = 1`` the
+    two reduce the series in different orders.
+    """
+    N = len(lam_blocks)
     L, Jp1 = deltas.shape
     out = deltas.copy()
     for j in range(Jp1):
+        sums = _block_sums(lam_blocks, phi, j)
         for h in range(L):
-            shape, rate = delta_full_conditional(lam_blocks, phi, out, h, j, a1, a2)
+            shape, rate = _delta_site(sums, out[:, j], h, N, a1, a2)
             out[h, j] = rng.gamma(shape=shape, scale=1.0 / rate)
     return out
+
+
+def _loading_factors(prec: np.ndarray, sids: list[str]) -> np.ndarray:
+    """Cholesky factors of the (N, K, K) loading precisions; a failure names its series."""
+    try:
+        return np.linalg.cholesky(prec)
+    except np.linalg.LinAlgError:
+        for sid, p in zip(sids, prec):
+            try:
+                np.linalg.cholesky(p)
+            except np.linalg.LinAlgError:
+                raise np.linalg.LinAlgError(
+                    f"loading precision factorization failed for series {sid}"
+                ) from None
+        raise
 
 
 @dataclass
@@ -214,10 +247,13 @@ def gibbs_fdrqs(
 ) -> FDRQSDraws:
     """Gibbs sampler for the factor synthesis model.
 
-    Sweep: per-series mixing variables and latent predictors (as in the
-    univariate sampler), loadings row by row, local precisions, shrinkage
-    shocks, the factor path in one FFBS block, and per-series precision
-    paths.
+    Sweep: mixing variables and latent predictors (as in the univariate
+    sampler), loadings, local precisions, shrinkage shocks, the factor path
+    in one FFBS block, and per-series precision paths.  The latent
+    predictors of all N series come from one stacked call over the N*T rows,
+    and the N loading rows from one stacked factorization and solve; both
+    draw their normals series by series in the order a per-series loop
+    would, and give its bits.
 
     ``Y`` is (T, N); ``agents`` a pair of (T, N, J) arrays (means,
     variances).  ``mcmc`` (retained draws, burn-in) and the generator
@@ -251,7 +287,11 @@ def gibbs_fdrqs(
     u = np.broadcast_to(cfg.m0, (T, K)).copy()
     sigma = np.ones((T, N))
     v = np.ones((T, N))
-    f = a_mean.copy()
+    f = a_mean
+    # series-major rows for the stacked latent-predictor step
+    Y_rows = Y.T.reshape(-1)
+    a_rows = a_mean.transpose(1, 0, 2).reshape(N * T, J)
+    A_rows = A_var.transpose(1, 0, 2).reshape(N * T, J)
     phi_load = np.ones((N, L, J + 1))
     deltas = np.ones((L, J + 1))
 
@@ -271,39 +311,41 @@ def gibbs_fdrqs(
             u_blocks = u.reshape(T, J + 1, L)
             theta = np.einsum("nlj,tjl->tnj", lam_blocks, u_blocks)  # (T, N, J+1)
 
-            # (1) mixing variables and latent predictors, series by series
+            # (1) mixing variables, then the latent predictors of all series in
+            # one call over the N*T rows in series-major order
             mult = np.concatenate([np.ones((T, N, 1)), f], axis=2)
             resid = Y - np.einsum("tnj,tnj->tn", theta, mult)
             chi, psi = _gig_params(resid, sigma, consts)
             v = np.maximum(sample_gig_half(chi, psi, rng), CHI_FLOOR)
-            for i in range(N):
-                f_hat, _, root = latent_predictor_moments(
-                    Y[:, i], theta[:, i, :], sigma[:, i], v[:, i],
-                    a_mean[:, i, :], A_var[:, i, :], consts,
-                )
-                f[:, i, :] = f_hat + np.einsum("tjk,tk->tj", root, rng.standard_normal((T, J)))
+            f_hat, _, root = latent_predictor_moments(
+                Y_rows, theta.transpose(1, 0, 2).reshape(N * T, J + 1), sigma.T.reshape(-1),
+                v.T.reshape(-1), a_rows, A_rows, consts,
+            )
+            f_rows = f_hat + np.einsum("tjk,tk->tj", root, rng.standard_normal((N * T, J)))
+            f = f_rows.reshape(N, T, J).transpose(1, 0, 2)
             mult = np.concatenate([np.ones((T, N, 1)), f], axis=2)
 
-            # (2)-(4) loadings and shrinkage prior
+            # (2)-(4) loadings of all series in one stacked pass, then the
+            # shrinkage prior
             if free_lam:
                 omegas = omegas_from_deltas(deltas)
                 if np.any(omegas < OMEGA_UNDERFLOW):
                     raise FloatingPointError(f"shrinkage weight underflow at sweep {it}")
                 prior_prec = (phi_load * omegas[None, :, :]).transpose(0, 2, 1).reshape(N, K)
                 w_obs = 1.0 / (k2 * sigma * v)  # (T, N)
-                for i in range(N):
-                    util = np.repeat(mult[:, i, :], L, axis=1) * u  # (T, K)
-                    prec = util.T @ (util * w_obs[:, i, None])
-                    prec[np.arange(K), np.arange(K)] += prior_prec[i]
-                    rhs = util.T @ ((Y[:, i] - k1 * v[:, i]) * w_obs[:, i])
-                    try:
-                        cf = np.linalg.cholesky(prec)
-                    except np.linalg.LinAlgError:
-                        raise np.linalg.LinAlgError(
-                            f"loading precision factorization failed for series {sids[i]}"
-                        ) from None
-                    h_hat = np.linalg.solve(cf.T, np.linalg.solve(cf, rhs))
-                    lam[i] = h_hat + np.linalg.solve(cf.T, rng.standard_normal(K))
+                util = np.repeat(mult.transpose(1, 0, 2), L, axis=2) * u  # (N, T, K)
+                util_t = util.transpose(0, 2, 1)
+                prec = util_t @ (util * w_obs.T[:, :, None])
+                prec[:, np.arange(K), np.arange(K)] += prior_prec
+                # Each series' (T,) weight vector must be contiguous, as it was
+                # per series: a strided one takes matmul's non-BLAS loop, whose
+                # sums round differently.
+                rhs = util_t @ np.ascontiguousarray(((Y - k1 * v) * w_obs).T)[:, :, None]
+                cf = _loading_factors(prec, sids)
+                cf_t = cf.transpose(0, 2, 1)
+                h_hat = np.linalg.solve(cf_t, np.linalg.solve(cf, rhs))
+                noise = np.linalg.solve(cf_t, rng.standard_normal((N, K))[:, :, None])
+                lam = (h_hat + noise)[:, :, 0]
                 lam_blocks = lam.reshape(N, J + 1, L).transpose(0, 2, 1)
                 phi_load = sample_local_precisions(lam_blocks, omegas, cfg.nu, rng)
                 deltas = _update_deltas(lam_blocks, phi_load, deltas, cfg.a1, cfg.a2, rng)

@@ -11,16 +11,22 @@ the one-series case of ``ffbs_known_variance`` ran before they shared one
 filter, and ``sample_gig_half``, ``psd_sqrt`` and ``sample_states`` are the
 GIG draw, symmetric root and backward state sampler as they were before
 their per-call overhead was cut.  ``sample_precisions`` is the backward
-gamma-beta precision draw.  The package must reproduce all of them bit for
-bit, drawing the same random numbers in the same order.
+gamma-beta precision draw.  ``gibbs_fdrqs_per_series`` is the factor
+sampler as it ran before its per-series work was stacked into one call per
+sweep.  The package must reproduce all of them bit for bit, drawing the
+same random numbers in the same order.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from quantsynth.distributions import _validate_tau, mixture_constants
-from quantsynth.dlm import PSD_CLIP_RATIO, PSD_FAIL_RATIO
+from quantsynth.distributions import (
+    CHI_FLOOR, _gig_params, _validate_tau, mixture_constants, sample_gig_half,
+)
+from quantsynth.dlm import PSD_CLIP_RATIO, PSD_FAIL_RATIO, ffbs_known_variance, gbrw_filter_sample
+from quantsynth.drqs import latent_predictor_moments
+from quantsynth.fdrqs import omegas_from_deltas, sample_local_precisions
 
 
 def _validate_sigma(sigma: float) -> float:
@@ -262,3 +268,81 @@ def sample_precisions(n, d, beta, rng: np.random.Generator) -> np.ndarray:
         for t in range(T - 2, -1, -1):
             phi[t] = beta * phi[t + 1] + eta[t]
     return phi
+
+
+def gibbs_fdrqs_per_series(Y, agents, cfg, mcmc, rng: np.random.Generator):
+    """The factor sampler's sweeps with the series loops it ran before they were stacked.
+
+    Each sweep draws the latent predictors and the loadings one series at a
+    time (one ``latent_predictor_moments`` call, one cholesky, three solves
+    and one normal draw per series), and every shrinkage site sums its
+    block's ``phi * lambda^2`` afresh.  Inputs must be valid; returns
+    ``(u, lam, sigma, deltas, u_C_T, n_T)`` stacked over retained draws, as
+    ``gibbs_fdrqs`` stores them.
+    """
+    n_keep, n_burn = mcmc
+    a_mean, A_var = agents
+    T, N = Y.shape
+    J, L, K = cfg.J, cfg.L, cfg.K
+    consts = mixture_constants(cfg.tau)
+    k1, k2 = consts
+    free_lam = cfg.fixed_loadings is None
+    if free_lam:
+        lam = np.zeros((N, K))
+        lam[:, ::L] = 1.0
+    else:
+        lam = cfg.fixed_loadings.copy()
+    u = np.broadcast_to(cfg.m0, (T, K)).copy()
+    sigma = np.ones((T, N))
+    f = a_mean.copy()
+    phi_load = np.ones((N, L, J + 1))
+    deltas = np.ones((L, J + 1))
+    keep = [[] for _ in range(6)]
+    for it in range(n_burn + n_keep):
+        lam_blocks = lam.reshape(N, J + 1, L).transpose(0, 2, 1)
+        theta = np.einsum("nlj,tjl->tnj", lam_blocks, u.reshape(T, J + 1, L))
+        mult = np.concatenate([np.ones((T, N, 1)), f], axis=2)
+        resid = Y - np.einsum("tnj,tnj->tn", theta, mult)
+        chi, psi = _gig_params(resid, sigma, consts)
+        v = np.maximum(sample_gig_half(chi, psi, rng), CHI_FLOOR)
+        for i in range(N):
+            f_hat, _, root = latent_predictor_moments(
+                Y[:, i], theta[:, i, :], sigma[:, i], v[:, i],
+                a_mean[:, i, :], A_var[:, i, :], consts,
+            )
+            f[:, i, :] = f_hat + np.einsum("tjk,tk->tj", root, rng.standard_normal((T, J)))
+        mult = np.concatenate([np.ones((T, N, 1)), f], axis=2)
+        if free_lam:
+            omegas = omegas_from_deltas(deltas)
+            prior_prec = (phi_load * omegas[None, :, :]).transpose(0, 2, 1).reshape(N, K)
+            w_obs = 1.0 / (k2 * sigma * v)
+            for i in range(N):
+                util = np.repeat(mult[:, i, :], L, axis=1) * u
+                prec = util.T @ (util * w_obs[:, i, None])
+                prec[np.arange(K), np.arange(K)] += prior_prec[i]
+                rhs = util.T @ ((Y[:, i] - k1 * v[:, i]) * w_obs[:, i])
+                cf = np.linalg.cholesky(prec)
+                h_hat = np.linalg.solve(cf.T, np.linalg.solve(cf, rhs))
+                lam[i] = h_hat + np.linalg.solve(cf.T, rng.standard_normal(K))
+            lam_blocks = lam.reshape(N, J + 1, L).transpose(0, 2, 1)
+            phi_load = sample_local_precisions(lam_blocks, omegas, cfg.nu, rng)
+            deltas = deltas.copy()
+            for j in range(J + 1):
+                for h in range(L):
+                    dj = deltas[:, j].copy()
+                    dj[h] = 1.0
+                    omega_wo = np.cumprod(dj)
+                    sums = np.sum(phi_load[:, :, j] * lam_blocks[:, :, j] ** 2, axis=0)
+                    tail = float(np.sum(omega_wo[h:] * sums[h:]))
+                    shape = N * L / 2.0 + cfg.a1 if h == 0 else N * (L - h) / 2.0 + cfg.a2
+                    deltas[h, j] = rng.gamma(shape=shape, scale=1.0 / (1.0 + 0.5 * tail))
+        Ftil = np.repeat(mult, L, axis=2) * lam[None, :, :]
+        ffbs = ffbs_known_variance(Y, Ftil, k1 * v, k2 * sigma * v, cfg.m0, cfg.C0, cfg.delta, rng)
+        u = ffbs.state
+        sq = (Y - np.einsum("tnk,tk->tn", Ftil, u) - k1 * v) ** 2
+        g = gbrw_filter_sample(sq, v, k2, cfg.n0, cfg.n0 * cfg.s0, cfg.beta, rng)
+        sigma = 1.0 / g.phi
+        if it >= n_burn:
+            for store, x in zip(keep, (u, lam, sigma, deltas, ffbs.C[-1], g.n[-1])):
+                store.append(np.array(x))
+    return tuple(np.stack(store) for store in keep)

@@ -142,15 +142,15 @@ class TestKnownVarianceFFBS:
     def test_two_step_hand_kalman(self):
         # delta=1, scalar state, unit design and variance: textbook updates
         # m1 = y1/2, C1 = 1/2, then Q2 = 3/2, m2 = m1 + (y2-m1)/3, C2 = 1/3.
-        y = np.array([1.0, -0.5])
+        y = np.array([[1.0], [-0.5]])
         res = ffbs_known_variance(
             y, np.ones((2, 1, 1)), np.zeros((2, 1)), np.ones((2, 1)),
             np.zeros(1), np.eye(1), 1.0, np.random.default_rng(0),
         )
-        m1 = y[0] / 2.0
+        m1 = y[0, 0] / 2.0
         assert res.m[0, 0] == pytest.approx(m1, abs=1e-14)
         assert res.C[0, 0, 0] == pytest.approx(0.5, abs=1e-14)
-        assert res.m[1, 0] == pytest.approx(m1 + (y[1] - m1) / 3.0, abs=1e-14)
+        assert res.m[1, 0] == pytest.approx(m1 + (y[1, 0] - m1) / 3.0, abs=1e-14)
         assert res.C[1, 0, 0] == pytest.approx(1.0 / 3.0, abs=1e-14)
 
     def test_zero_design_returns_inflated_prior(self):
@@ -205,6 +205,14 @@ class TestKnownVarianceFFBS:
                 np.array([[1.0], [0.0]]), np.zeros(1), np.eye(1), 1.0,
                 np.random.default_rng(0),
             )
+
+    def test_requires_one_panel_shape(self):
+        # y, offsets and obs_var are (T, N) arrays; no 1-D or scalar form.
+        y, F, ones = np.zeros((2, 1)), np.ones((2, 1, 1)), np.ones((2, 1))
+        for yy, offsets, obs_var in ((y[:, 0], ones, ones), (y, 0.0, ones), (y, ones, np.ones(2))):
+            with pytest.raises(ValueError, match="must share one \\(T, N\\) shape"):
+                ffbs_known_variance(yy, F, offsets, obs_var, np.zeros(1), np.eye(1), 1.0,
+                                    np.random.default_rng(0))
 
 
 def _scalar_cases(seed: int, count: int):
@@ -342,8 +350,8 @@ class TestScalarFilterMatchesOracle:
         # A negative prior scale (known scale) or a NaN design (learned scale) spoils Q.
         with pytest.raises(FloatingPointError, match="predictive variance Q at t=0"):
             ffbs_known_variance(
-                np.zeros((2, 1)), np.ones((2, 1, 1)), 0.0, 1.0, np.zeros(1), -10.0 * np.eye(1),
-                1.0, np.random.default_rng(0),
+                np.zeros((2, 1)), np.ones((2, 1, 1)), np.zeros((2, 1)), np.ones((2, 1)),
+                np.zeros(1), -10.0 * np.eye(1), 1.0, np.random.default_rng(0),
             )
         prior = NormalGammaPrior(m0=np.zeros(1), C0=np.eye(1), n0=1.0, s0=1.0)
         with pytest.raises(FloatingPointError, match="predictive variance Q at t=0"):

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from conftest import density_chisquare_pvalue
-from oracles import mgp_prior_omegas
+from oracles import gibbs_fdrqs_per_series, mgp_prior_omegas
+from quantsynth import fdrqs
 from quantsynth.distributions import mixture_constants
 from quantsynth.fdrqs import (
     FDRQSConfig,
@@ -157,6 +158,34 @@ class TestGibbsFDRQS:
         with pytest.raises(ValueError, match="burn-in must be nonnegative, got -3"):
             gibbs_fdrqs(y, (a, A), cfg, mcmc=(5, -3), rng=rng)
 
+    def test_loading_failure_names_its_series(self, monkeypatch):
+        # Fault injection: from its second call (sweep 1) the local precision
+        # draw gives series k a negative precision, so the stacked loading
+        # factorization of sweep 2 fails, and the error must name series k.
+        # The shrinkage shocks are held at their start, since a negative
+        # precision would first give their gamma draw a negative rate.
+        T, N, J, L, k = 12, 4, 1, 1, 2
+        rng = np.random.default_rng(3)
+        Y = rng.normal(size=(T, N))
+        a = Y[:, :, None] + rng.normal(0.0, 0.5, (T, N, J))
+        real, calls = fdrqs.sample_local_precisions, []
+
+        def negative_for_k(*args, **kwargs):
+            phi = real(*args, **kwargs)
+            calls.append(None)
+            if len(calls) >= 2:
+                phi[k] = -1e8
+            return phi
+
+        monkeypatch.setattr(fdrqs, "sample_local_precisions", negative_for_k)
+        monkeypatch.setattr(fdrqs, "_update_deltas", lambda lam_b, phi, deltas, *rest: deltas)
+        cfg = FDRQSConfig(tau=0.5, N=N, J=J, L=L)
+        sids = [f"s{i}" for i in range(N)]
+        with pytest.raises(np.linalg.LinAlgError, match="failed for series s2$") as info:
+            gibbs_fdrqs(Y, (a, np.full((T, N, J), 0.3)), cfg, mcmc=(5, 5), rng=rng,
+                        series_ids=sids)
+        assert info.value.quantsynth_sweep == 2
+
     def test_config_validation(self):
         with pytest.raises(ValueError, match="L < N"):
             FDRQSConfig(tau=0.5, N=2, J=1, L=3)
@@ -172,6 +201,40 @@ class TestGibbsFDRQS:
         assert cfg.K == 3
         assert cfg.n0 == 2.0
         np.testing.assert_allclose(cfg.m0, [0.0, 0.5, 0.5])
+
+
+# (T, N, J, L, loadings): K = 6 at N = 2 (fixed) and N = 3; the factor
+# benchmark's shape; N >= 8, once at L = 1, where each block sums one factor.
+ORACLE_SHAPES = [
+    (10, 2, 2, 2, "fixed"), (10, 3, 2, 2, "free"), (16, 6, 3, 5, "free"),
+    (12, 9, 2, 1, "free"), (20, 10, 2, 3, "free"),
+]
+
+
+class TestGibbsFDRQSMatchesOracle:
+    """The stacked sweep against the per-series loops of ``tests/oracles.py``.
+
+    Every retained draw array and the generator state must match bit for
+    bit: stacking the latent-predictor and loading steps must reproduce
+    each series' products, factorizations and normal draws exactly.
+    """
+
+    @pytest.mark.parametrize("tau", [0.1, 0.5, 0.9])
+    @pytest.mark.parametrize("T, N, J, L, loadings", ORACLE_SHAPES)
+    def test_draws_match_per_series_loops(self, T, N, J, L, loadings, tau):
+        rng = np.random.default_rng(1000 * N + T)
+        Y = rng.normal(size=(T, N))
+        a = Y[:, :, None] + rng.normal(0.0, 0.5, (T, N, J))
+        A = rng.uniform(0.1, 0.6, (T, N, J))
+        fixed = rng.normal(size=(N, L * (J + 1))) if loadings == "fixed" else None
+        cfg = FDRQSConfig(tau=tau, N=N, J=J, L=L, fixed_loadings=fixed)
+        seed = int(rng.integers(2**32))
+        gen, want_gen = np.random.default_rng(seed), np.random.default_rng(seed)
+        got = gibbs_fdrqs(Y, (a, A), cfg, mcmc=(20, 10), rng=gen)
+        want = gibbs_fdrqs_per_series(Y, (a, A), cfg, (20, 10), want_gen)
+        for name, w in zip(("u", "lam", "sigma", "deltas", "u_C_T", "n_T"), want):
+            assert np.array_equal(getattr(got, name), w), name
+        assert gen.bit_generator.state == want_gen.bit_generator.state
 
 
 class TestForecastFDRQS:
