@@ -181,7 +181,7 @@ class TestGibbsFDRQS:
         monkeypatch.setattr(fdrqs, "_update_deltas", lambda lam_b, phi, deltas, *rest: deltas)
         cfg = FDRQSConfig(tau=0.5, N=N, J=J, L=L)
         sids = [f"s{i}" for i in range(N)]
-        with pytest.raises(np.linalg.LinAlgError, match="failed for series s2$") as info:
+        with pytest.raises(np.linalg.LinAlgError, match=f"failed for series s{k}$") as info:
             gibbs_fdrqs(Y, (a, np.full((T, N, J), 0.3)), cfg, mcmc=(5, 5), rng=rng,
                         series_ids=sids)
         assert info.value.quantsynth_sweep == 2
