@@ -8,7 +8,8 @@ under a second name in the same process, and times the two trees in
 alternating order, rep by rep: on a shared host the speed of one process
 drifts too much between processes for two separate runs to compare.  Each
 row then adds the base tree's median, the median of the per-rep ratios
-base/this, and whether both trees returned the same draws bit for bit.
+base/this, and whether both trees returned the same draws bit for bit:
+every array field of the draws object, in every rep.
 
     python scripts/sweep_cost.py
     python scripts/sweep_cost.py --base ../parent-checkout
@@ -62,7 +63,7 @@ def _inputs(T: int, seed: int) -> dict:
 
 
 def _runners(pkg, inp: dict) -> dict:
-    """Per sampler: a function of (sweeps, seed) returning its draws as one tuple of arrays."""
+    """Per sampler: a function of (sweeps, seed) returning its draws object."""
     agents = importlib.import_module(f"{pkg.__name__}.agents")
     drqs = importlib.import_module(f"{pkg.__name__}.drqs")
     fdrqs = importlib.import_module(f"{pkg.__name__}.fdrqs")
@@ -71,20 +72,26 @@ def _runners(pkg, inp: dict) -> dict:
     fcfg = fdrqs.FDRQSConfig(tau=0.25, N=6, J=3, L=5)
 
     def fit(sweeps, seed):
-        d = agents.fit_dqlm(inp["y"], inp["X"], spec, (sweeps, 0), np.random.default_rng(seed))
-        return d.beta, d.sigma, d.C_T
+        return agents.fit_dqlm(inp["y"], inp["X"], spec, (sweeps, 0), np.random.default_rng(seed))
 
     def synth(sweeps, seed):
-        d = drqs.gibbs_drqs(inp["y"], (inp["a"], inp["A"]), cfg, (sweeps, 0),
-                            np.random.default_rng(seed))
-        return d.theta, d.sigma, d.C_T
+        return drqs.gibbs_drqs(inp["y"], (inp["a"], inp["A"]), cfg, (sweeps, 0),
+                               np.random.default_rng(seed))
 
     def factor(sweeps, seed):
-        d = fdrqs.gibbs_fdrqs(inp["Y"], (inp["aa"], inp["AA"]), fcfg, (sweeps, 0),
-                              np.random.default_rng(seed))
-        return d.u, d.lam, d.sigma, d.u_C_T
+        return fdrqs.gibbs_fdrqs(inp["Y"], (inp["aa"], inp["AA"]), fcfg, (sweeps, 0),
+                                 np.random.default_rng(seed))
 
     return {"fit_dqlm": fit, "gibbs_drqs": synth, "gibbs_fdrqs": factor}
+
+
+def _same_draws(a, b) -> bool:
+    """Whether two draws objects hold the same array fields, bit for bit."""
+    arrays_a, arrays_b = ({k: x for k, x in vars(d).items() if isinstance(x, np.ndarray)}
+                          for d in (a, b))
+    return arrays_a.keys() == arrays_b.keys() and all(
+        np.array_equal(x, arrays_b[k]) for k, x in arrays_a.items()
+    )
 
 
 def _time(run, sweeps: int, seed: int):
@@ -119,7 +126,7 @@ def main(argv=None) -> None:
                     us, outs[side] = _time(runners[side][sampler], sweeps, seed=rep)
                     times[side].append(us)
                 if "base" in outs:
-                    same &= all(np.array_equal(a, b) for a, b in zip(outs["this"], outs["base"]))
+                    same &= _same_draws(outs["this"], outs["base"])
             row = f"{sampler:<12} {T:>4} {statistics.median(times['this']):>10.1f}"
             if "base" in trees:
                 ratio = statistics.median(b / t for b, t in zip(times["base"], times["this"]))

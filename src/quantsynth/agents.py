@@ -24,7 +24,7 @@ from .config import MIN_AGENT_DRAWS, tau_key
 from .distributions import (
     CHI_FLOOR, _chain_lengths, _gig_params, _validate_tau, mixture_constants, sample_gig_half,
 )
-from .dlm import _check_discount, ffbs_known_variance, psd_sqrt
+from .dlm import _check_discount, _check_hyperparameter, ffbs_known_variance, psd_sqrt
 from .quarters import format_time, is_quarter_label, parse_time
 
 __all__ = [
@@ -53,8 +53,8 @@ class DQLMSpec:
     def __post_init__(self):
         _validate_tau(self.tau)
         _check_discount("delta", self.delta)
-        if self.prior_scale <= 0 or self.sigma_shape <= 0 or self.sigma_rate <= 0:
-            raise ValueError("prior hyperparameters must be positive")
+        for name in ("prior_scale", "sigma_shape", "sigma_rate"):
+            _check_hyperparameter(name, getattr(self, name))
 
 
 @dataclass

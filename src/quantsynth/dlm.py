@@ -18,15 +18,28 @@ and the scalar case of :func:`ffbs_known_variance`, and the vector filter of
 :func:`ffbs_known_variance`.  The scalar filter writes each step's moments in
 place and symmetrizes only the first filtered scale matrix.  Both FFBS
 samplers share one backward state sampler (:func:`_sample_states`), which
-takes the noise of all ``T`` steps from one stacked product and runs the
-recursion on Python floats; :func:`ffbs_conjugate` and
-:func:`gbrw_filter_sample` share one backward precision sampler
-(:func:`_sample_precisions`).
+takes the noise of all ``T`` steps from one stacked product;
+:func:`ffbs_conjugate` and :func:`gbrw_filter_sample` share one backward
+precision sampler (:func:`_sample_precisions`).
 
-The state dimension is small (2 to 6 in the agent model), so the cost of a
-sweep is mostly NumPy's per-call overhead, not arithmetic: the kernels keep
-NumPy calls per time step few.  They must also keep every output bit, which
-the reference loops in ``tests/oracles.py`` pin.
+The state dimension is small (2 to 6 in the agent model) and the panels
+are short (N = 1 to 10 series), so the cost of a sweep is mostly NumPy's
+per-call overhead on rows of a few elements, not arithmetic: the kernels
+keep NumPy calls per time step few.  Where a step is scalar arithmetic
+it runs on Python floats, with no NumPy call per step:
+
+* the per-step scalars of :func:`_filter_scalar` (``f_t``, ``Q_t``,
+  ``e_t``, and the learned scale's ``n_t`` and ``s_t``);
+* the backward state recursion of :func:`_sample_states`;
+* the backward precision recursion ``phi_t = beta*phi_{t+1} + eta_t`` of
+  :func:`_sample_precisions`, one series at a time;
+* the forward gamma filter of :func:`gbrw_filter_sample`: ``n_t`` once for
+  all series, ``d_t`` one series at a time.
+
+A Python float operation is the same IEEE double operation as NumPy's
+elementwise one, so written in the same association these give the same
+bits.  Every output bit is kept, and the reference loops in
+``tests/oracles.py`` pin them.
 
 All evolution noise is discount-implied: the time-``t`` prior scale matrix is
 ``R_t = C_{t-1} / delta``.  Gamma laws are (shape, rate) throughout.
@@ -66,6 +79,12 @@ def _check_discount(name: str, value) -> None:
         raise ValueError(f"{name} must lie in (0, 1], got {value}")
 
 
+def _check_hyperparameter(name: str, value) -> None:
+    """The one rule for a prior hyperparameter: finite and positive, so ``inf`` and ``nan`` fail."""
+    if not (math.isfinite(value) and value > 0.0):
+        raise ValueError(f"{name} must be finite and positive, got {value}")
+
+
 @dataclass(frozen=True)
 class DiscountConfig:
     """Discount factors: ``delta`` for the state scale, ``beta`` for the precision walk."""
@@ -98,8 +117,8 @@ class NormalGammaPrior:
             raise ValueError("C0 must be symmetric")
         if np.linalg.eigvalsh(C0).min() < -PSD_FAIL_RATIO * max(np.trace(C0), 1.0):
             raise ValueError("C0 must be positive semidefinite")
-        if not (self.n0 > 0 and self.s0 > 0):
-            raise ValueError("n0 and s0 must be positive")
+        _check_hyperparameter("n0", self.n0)
+        _check_hyperparameter("s0", self.s0)
 
 
 def psd_sqrt(C: np.ndarray) -> np.ndarray:
@@ -158,7 +177,8 @@ def _sample_precisions(n, d, beta, rng: np.random.Generator) -> np.ndarray:
     ``phi_T ~ Gamma(n_T/2, d_T/2)``, then
     ``phi_t = beta*phi_{t+1} + Gamma((1-beta)*n_t/2, d_t/2)``; a zero shape
     adds nothing.  ``n`` and ``d`` are ``(T,)`` or ``(T, N)``, and ``beta`` is
-    a scalar.  Draws the terminal gamma, then the others.
+    a scalar.  Draws the terminal gamma, then the others, each in one call;
+    the recursion runs on Python floats, one series (column) at a time.
     """
     T = n.shape[0]
     phi = np.empty_like(n)
@@ -169,8 +189,18 @@ def _sample_precisions(n, d, beta, rng: np.random.Generator) -> np.ndarray:
         pos = shape > 0.0
         if np.any(pos):
             eta[pos] = rng.gamma(shape=shape[pos], scale=2.0 / d[: T - 1][pos])
-        for t in range(T - 2, -1, -1):
-            phi[t] = beta * phi[t + 1] + eta[t]
+        beta = float(beta)
+        # One column of floats per series; a (T,) path is one column.
+        two_d = eta.ndim == 2
+        cols = eta.T.tolist() if two_d else [eta.tolist()]
+        for i, (p, eta_col) in enumerate(zip(phi[T - 1].reshape(-1).tolist(), cols)):
+            col = []
+            for e in reversed(eta_col):
+                p = beta * p + e
+                col.append(p)
+            col.reverse()
+            cols[i] = col
+        phi[: T - 1] = np.array(cols).T if two_d else cols[0]
     return phi
 
 
@@ -392,12 +422,14 @@ def gbrw_filter_sample(
     """Forward gamma filter and backward draw of precision paths.
 
     Forward recursion per series: ``n_t = beta*n_{t-1} + 3`` and
-    ``d_t = beta*d_{t-1} + sq_resid_t/(kappa2*v_t) + 2*v_t``.  Backward:
-    ``phi_T ~ Gamma(n_T/2, d_T/2)`` then
+    ``d_t = beta*d_{t-1} + sq_resid_t/(kappa2*v_t) + 2*v_t``, added left to
+    right.  Backward: ``phi_T ~ Gamma(n_T/2, d_T/2)`` then
     ``phi_t = beta*phi_{t+1} + Gamma((1-beta)*n_t/2, d_t/2)``.
 
     ``sq_resid`` and ``v`` are ``(T, N)``; ``n0``, ``d0`` and ``beta`` are
-    scalars shared by every series.
+    scalars shared by every series, so the ``n`` path is one scalar
+    recursion, broadcast to ``(T, N)``.  The two ``d`` increments are
+    whole-array operations; the recursions run on Python floats.
     """
     sq_resid = np.asarray(sq_resid, dtype=float)
     v = np.asarray(v, dtype=float)
@@ -412,12 +444,19 @@ def gbrw_filter_sample(
     _check_discount("beta", beta)
 
     T, N = sq_resid.shape
-    n = np.empty((T, N))
-    d = np.empty((T, N))
-    n_prev, d_prev = n0, d0
-    for t in range(T):
-        n[t] = beta * n_prev + 3.0
-        d[t] = beta * d_prev + sq_resid[t] / (kappa2 * v[t]) + 2.0 * v[t]
-        n_prev, d_prev = n[t], d[t]
+    beta = float(beta)
+    n_path, n_prev = [], float(n0)
+    for _ in range(T):
+        n_prev = beta * n_prev + 3.0
+        n_path.append(n_prev)
+    n = np.repeat(np.array(n_path)[:, None], N, axis=1)
+    cols = []
+    for a_col, b_col in zip((sq_resid / (kappa2 * v)).T.tolist(), (2.0 * v).T.tolist()):
+        col, d_prev = [], float(d0)
+        for a_t, b_t in zip(a_col, b_col):
+            d_prev = beta * d_prev + a_t + b_t
+            col.append(d_prev)
+        cols.append(col)
+    d = np.array(cols).T
 
     return GBRWSample(phi=_sample_precisions(n, d, beta, rng), n=n, d=d)

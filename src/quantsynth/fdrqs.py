@@ -21,7 +21,9 @@ import numpy as np
 from .distributions import (
     CHI_FLOOR, _chain_lengths, _gig_params, _validate_tau, mixture_constants, sample_gig_half,
 )
-from .dlm import _check_discount, ffbs_known_variance, gbrw_filter_sample, psd_sqrt
+from .dlm import (
+    _check_discount, _check_hyperparameter, ffbs_known_variance, gbrw_filter_sample, psd_sqrt,
+)
 from .drqs import QuantileForecast, _agent_reports, _evolve_scale, latent_predictor_moments
 
 __all__ = [
@@ -94,8 +96,7 @@ class FDRQSConfig:
             raise ValueError(f"C0 must have shape ({K}, {K})")
         object.__setattr__(self, "C0", C0)
         for name in ("n0", "s0", "nu", "a1", "a2"):
-            if not getattr(self, name) > 0.0:
-                raise ValueError(f"{name} entries must be positive")
+            _check_hyperparameter(name, getattr(self, name))
         _check_discount("delta", self.delta)
         _check_discount("beta", self.beta)
 
@@ -130,14 +131,25 @@ def _block_sums(lam_blocks: np.ndarray, phi: np.ndarray, j: int) -> np.ndarray:
 
 
 def _delta_site(
-    sums: np.ndarray, dj: np.ndarray, h: int, N: int, a1: float, a2: float
+    sums: list[float], dj: list[float], h: int, N: int, a1: float, a2: float
 ) -> tuple[float, float]:
-    """(shape, rate) of delta_hj from its block's sums and current deltas ``dj`` (L,)."""
+    """(shape, rate) of delta_hj from its block's sums and current deltas ``dj``, both (L,) lists.
+
+    Runs on Python floats: the leave-one-out products are the running
+    products of ``dj`` with ``delta_hj`` set to 1, and the tail
+    ``sum_{l>=h} omega^(h)_l * sums_l`` is taken with ``np.add.reduce`` over
+    the list.  That keeps NumPy's pairwise summation order, which from 8
+    terms on no longer adds left to right as a plain ``sum`` would.
+    """
     L = len(dj)
-    dj = dj.copy()
-    dj[h] = 1.0
-    omega_wo = np.cumprod(dj)
-    tail = float(np.sum(omega_wo[h:] * sums[h:]))
+    omega = 1.0
+    for d in dj[:h]:
+        omega *= d
+    terms = [omega * sums[h]]
+    for d, s in zip(dj[h + 1:], sums[h + 1:]):
+        omega *= d
+        terms.append(omega * s)
+    tail = float(np.add.reduce(terms))
     if h == 0:
         shape = N * L / 2.0 + a1
     else:
@@ -159,7 +171,8 @@ def delta_full_conditional(
     ``h`` and ``j`` are zero-based; the leave-one-out products
     ``omega^(h)_lj = prod_{s<=l, s!=h} delta_sj`` use the current deltas.
     """
-    return _delta_site(_block_sums(lam_blocks, phi, j), deltas[:, j], h, len(lam_blocks), a1, a2)
+    sums = _block_sums(lam_blocks, phi, j).tolist()
+    return _delta_site(sums, deltas[:, j].tolist(), h, len(lam_blocks), a1, a2)
 
 
 def _update_deltas(
@@ -174,16 +187,20 @@ def _update_deltas(
 
     A block's sums do not depend on the deltas, so each is taken once.  They
     are summed block by block, not as one ``(L, J+1)`` sum: at ``L = 1`` the
-    two reduce the series in different orders.
+    two reduce the series in different orders.  Each site then runs on
+    Python floats (:func:`_delta_site`), with its tail summed by
+    ``np.add.reduce`` in NumPy's pairwise order, at every ``L``.
     """
     N = len(lam_blocks)
     L, Jp1 = deltas.shape
     out = deltas.copy()
     for j in range(Jp1):
-        sums = _block_sums(lam_blocks, phi, j)
+        sums = _block_sums(lam_blocks, phi, j).tolist()
+        dj = out[:, j].tolist()
         for h in range(L):
-            shape, rate = _delta_site(sums, out[:, j], h, N, a1, a2)
-            out[h, j] = rng.gamma(shape=shape, scale=1.0 / rate)
+            shape, rate = _delta_site(sums, dj, h, N, a1, a2)
+            dj[h] = rng.gamma(shape=shape, scale=1.0 / rate)
+        out[:, j] = dj
     return out
 
 
@@ -287,7 +304,8 @@ def gibbs_fdrqs(
     u = np.broadcast_to(cfg.m0, (T, K)).copy()
     sigma = np.ones((T, N))
     v = np.ones((T, N))
-    f = a_mean
+    mult = np.ones((T, N, J + 1))  # the intercept's column of ones, then the latent predictors
+    mult[:, :, 1:] = a_mean
     # series-major rows for the stacked latent-predictor step
     Y_rows = Y.T.reshape(-1)
     a_rows = a_mean.transpose(1, 0, 2).reshape(N * T, J)
@@ -313,7 +331,6 @@ def gibbs_fdrqs(
 
             # (1) mixing variables, then the latent predictors of all series in
             # one call over the N*T rows in series-major order
-            mult = np.concatenate([np.ones((T, N, 1)), f], axis=2)
             resid = Y - np.einsum("tnj,tnj->tn", theta, mult)
             chi, psi = _gig_params(resid, sigma, consts)
             v = np.maximum(sample_gig_half(chi, psi, rng), CHI_FLOOR)
@@ -322,8 +339,7 @@ def gibbs_fdrqs(
                 v.T.reshape(-1), a_rows, A_rows, consts,
             )
             f_rows = f_hat + np.einsum("tjk,tk->tj", root, rng.standard_normal((N * T, J)))
-            f = f_rows.reshape(N, T, J).transpose(1, 0, 2)
-            mult = np.concatenate([np.ones((T, N, 1)), f], axis=2)
+            mult[:, :, 1:] = f_rows.reshape(N, T, J).transpose(1, 0, 2)
 
             # (2)-(4) loadings of all series in one stacked pass, then the
             # shrinkage prior

@@ -10,11 +10,15 @@ The two scalar forward filters below are the loops ``ffbs_conjugate`` and
 the one-series case of ``ffbs_known_variance`` ran before they shared one
 filter, and ``sample_gig_half``, ``psd_sqrt`` and ``sample_states`` are the
 GIG draw, symmetric root and backward state sampler as they were before
-their per-call overhead was cut.  ``sample_precisions`` is the backward
-gamma-beta precision draw.  ``gibbs_fdrqs_per_series`` is the factor
-sampler as it ran before its per-series work was stacked into one call per
-sweep.  The package must reproduce all of them bit for bit, drawing the
-same random numbers in the same order.
+their per-call overhead was cut.  ``sample_precisions``,
+``gbrw_filter_sample`` and ``update_deltas`` are the backward gamma-beta
+precision draw, the forward gamma filter and the shrinkage-shock cycle as
+they ran on NumPy rows, before their recursions moved to Python floats.
+``gibbs_fdrqs_per_series`` is the factor sampler as it ran before its
+per-series work was stacked into one call per sweep; it calls those two
+oracles for its precision paths and shrinkage shocks.  The package must
+reproduce all of them bit for bit, drawing the same random numbers in the
+same order.
 """
 
 from __future__ import annotations
@@ -24,7 +28,7 @@ import numpy as np
 from quantsynth.distributions import (
     CHI_FLOOR, _gig_params, _validate_tau, mixture_constants, sample_gig_half,
 )
-from quantsynth.dlm import PSD_CLIP_RATIO, PSD_FAIL_RATIO, ffbs_known_variance, gbrw_filter_sample
+from quantsynth.dlm import PSD_CLIP_RATIO, PSD_FAIL_RATIO, GBRWSample, ffbs_known_variance
 from quantsynth.drqs import latent_predictor_moments
 from quantsynth.fdrqs import omegas_from_deltas, sample_local_precisions
 
@@ -270,6 +274,36 @@ def sample_precisions(n, d, beta, rng: np.random.Generator) -> np.ndarray:
     return phi
 
 
+def gbrw_filter_sample(sq_resid, v, kappa2, n0, d0, beta, rng: np.random.Generator):
+    """Forward gamma filter on ``(T, N)`` rows, then :func:`sample_precisions`; inputs are valid."""
+    T, N = sq_resid.shape
+    n = np.empty((T, N))
+    d = np.empty((T, N))
+    n_prev, d_prev = n0, d0
+    for t in range(T):
+        n[t] = beta * n_prev + 3.0
+        d[t] = beta * d_prev + sq_resid[t] / (kappa2 * v[t]) + 2.0 * v[t]
+        n_prev, d_prev = n[t], d[t]
+    return GBRWSample(phi=sample_precisions(n, d, beta, rng), n=n, d=d)
+
+
+def update_deltas(lam_blocks, phi, deltas, a1, a2, rng: np.random.Generator) -> np.ndarray:
+    """Shrinkage shocks site by site, each site summing its block afresh with ``np.sum``."""
+    N = len(lam_blocks)
+    L, Jp1 = deltas.shape
+    out = deltas.copy()
+    for j in range(Jp1):
+        for h in range(L):
+            dj = out[:, j].copy()
+            dj[h] = 1.0
+            omega_wo = np.cumprod(dj)
+            sums = np.sum(phi[:, :, j] * lam_blocks[:, :, j] ** 2, axis=0)
+            tail = float(np.sum(omega_wo[h:] * sums[h:]))
+            shape = N * L / 2.0 + a1 if h == 0 else N * (L - h) / 2.0 + a2
+            out[h, j] = rng.gamma(shape=shape, scale=1.0 / (1.0 + 0.5 * tail))
+    return out
+
+
 def gibbs_fdrqs_per_series(Y, agents, cfg, mcmc, rng: np.random.Generator):
     """The factor sampler's sweeps with the series loops it ran before they were stacked.
 
@@ -326,16 +360,7 @@ def gibbs_fdrqs_per_series(Y, agents, cfg, mcmc, rng: np.random.Generator):
                 lam[i] = h_hat + np.linalg.solve(cf.T, rng.standard_normal(K))
             lam_blocks = lam.reshape(N, J + 1, L).transpose(0, 2, 1)
             phi_load = sample_local_precisions(lam_blocks, omegas, cfg.nu, rng)
-            deltas = deltas.copy()
-            for j in range(J + 1):
-                for h in range(L):
-                    dj = deltas[:, j].copy()
-                    dj[h] = 1.0
-                    omega_wo = np.cumprod(dj)
-                    sums = np.sum(phi_load[:, :, j] * lam_blocks[:, :, j] ** 2, axis=0)
-                    tail = float(np.sum(omega_wo[h:] * sums[h:]))
-                    shape = N * L / 2.0 + cfg.a1 if h == 0 else N * (L - h) / 2.0 + cfg.a2
-                    deltas[h, j] = rng.gamma(shape=shape, scale=1.0 / (1.0 + 0.5 * tail))
+            deltas = update_deltas(lam_blocks, phi_load, deltas, cfg.a1, cfg.a2, rng)
         Ftil = np.repeat(mult, L, axis=2) * lam[None, :, :]
         ffbs = ffbs_known_variance(Y, Ftil, k1 * v, k2 * sigma * v, cfg.m0, cfg.C0, cfg.delta, rng)
         u = ffbs.state

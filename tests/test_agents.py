@@ -74,6 +74,12 @@ class TestFitDQLM:
                 mcmc=(0, 10), rng=np.random.default_rng(0),
             )
 
+    @pytest.mark.parametrize("value", [np.inf, np.nan, 0.0])
+    @pytest.mark.parametrize("name", ["prior_scale", "sigma_shape", "sigma_rate"])
+    def test_spec_refuses_bad_hyperparameter(self, name, value):
+        with pytest.raises(ValueError, match=f"{name} must be finite and positive, got {value}"):
+            DQLMSpec(tau=0.5, **{name: value})
+
     def test_rejects_nonfinite_design(self):
         X = np.ones((10, 1))
         X[3] = np.nan

@@ -19,12 +19,21 @@ from quantsynth.distributions import CHI_FLOOR, mixture_constants
 from quantsynth.dlm import (
     DiscountConfig,
     NormalGammaPrior,
+    _sample_precisions,
     _sample_states,
     ffbs_conjugate,
     ffbs_known_variance,
     gbrw_filter_sample,
     psd_sqrt,
 )
+
+
+@pytest.mark.parametrize("value", [np.inf, np.nan, 0.0])
+@pytest.mark.parametrize("name", ["n0", "s0"])
+def test_prior_refuses_bad_hyperparameter(name, value):
+    kwargs = {"m0": np.zeros(1), "C0": np.eye(1), "n0": 1.0, "s0": 1.0, name: value}
+    with pytest.raises(ValueError, match=f"{name} must be finite and positive, got {value}"):
+        NormalGammaPrior(**kwargs)
 
 
 class TestConjugateFFBS:
@@ -403,6 +412,44 @@ class TestKernelsMatchOracle:
             s = {"ones": np.ones(T), "random": rng.uniform(0.01, 30.0, size=T)}[scale]
             want = sample_states(m, C, delta, z, s)
             assert np.array_equal(_sample_states(m, C, delta, z, s), want), i
+
+
+class TestPrecisionRecursionsMatchOracle:
+    """The gamma-beta recursions on Python floats against their NumPy-row originals, bit for bit.
+
+    ``beta = 1`` gives every backward shape zero, so no shock is drawn.
+    """
+
+    @pytest.mark.parametrize("beta", [0.5, 0.85, 1.0])
+    def test_gbrw_filter_sample(self, beta):
+        rng = np.random.default_rng(int(beta * 100))
+        for T in (1, 2, 16, 40):
+            for N in (1, 6, 9):
+                sq = rng.exponential(size=(T, N)) * 10.0 ** rng.uniform(-3.0, 3.0)
+                sq[rng.uniform(size=(T, N)) < 0.1] = 0.0
+                v = np.maximum(rng.exponential(size=(T, N)), CHI_FLOOR)
+                kappa2 = float(rng.uniform(2.0, 40.0))
+                n0, d0 = (float(x) for x in 10.0 ** rng.uniform(-3.0, 1.0, size=2))
+                seed = int(rng.integers(2**32))
+                gen, want_gen = np.random.default_rng(seed), np.random.default_rng(seed)
+                got = gbrw_filter_sample(sq, v, kappa2, n0, d0, beta, gen)
+                want = oracles.gbrw_filter_sample(sq, v, kappa2, n0, d0, beta, want_gen)
+                for name in ("phi", "n", "d"):
+                    assert np.array_equal(getattr(got, name), getattr(want, name)), (T, N, name)
+                assert gen.bit_generator.state == want_gen.bit_generator.state, (T, N)
+
+    @pytest.mark.parametrize("beta", [0.5, 0.85, 1.0])
+    def test_sample_precisions(self, beta):
+        rng = np.random.default_rng(int(beta * 100) + 1)
+        for T in (1, 2, 16, 40):
+            for shape in ((T,), (T, 1), (T, 6), (T, 9)):
+                n = 10.0 ** rng.uniform(-2.0, 2.0, size=shape)
+                d = n * 10.0 ** rng.uniform(-3.0, 3.0, size=shape)
+                seed = int(rng.integers(2**32))
+                gen, want_gen = np.random.default_rng(seed), np.random.default_rng(seed)
+                got = _sample_precisions(n, d, beta, gen)
+                assert np.array_equal(got, sample_precisions(n, d, beta, want_gen)), shape
+                assert gen.bit_generator.state == want_gen.bit_generator.state, shape
 
 
 class TestGBRW:

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from conftest import density_chisquare_pvalue
+import oracles
 from oracles import gibbs_fdrqs_per_series, mgp_prior_omegas
 from quantsynth import fdrqs
 from quantsynth.distributions import mixture_constants
@@ -62,6 +63,24 @@ class TestShrinkagePrior:
         shape1, rate1 = delta_full_conditional(lam_blocks, phi, deltas, 1, 0, a1, a2)
         assert shape1 == 1 * (2 - 1) / 2.0 + 3.5
         assert abs(rate1 - (1.0 + 0.5 * 8.0)) < 1e-12
+
+    @pytest.mark.parametrize("L", [1, 5, 9, 12])
+    def test_delta_cycle_matches_oracle(self, L):
+        # From 8 terms on, NumPy's pairwise sum no longer adds left to right,
+        # so L = 9 and 12 pin the order of the tail sums.
+        rng = np.random.default_rng(70 + L)
+        for N in (2, 6, 9):
+            for J in (1, 3):
+                scale = 10.0 ** rng.uniform(-2.0, 2.0, (1, L, 1))
+                lam_blocks = rng.normal(size=(N, L, J + 1)) * scale
+                phi = rng.gamma(2.0, size=(N, L, J + 1))
+                deltas = rng.gamma(3.0, size=(L, J + 1))
+                seed = int(rng.integers(2**32))
+                gen, want_gen = np.random.default_rng(seed), np.random.default_rng(seed)
+                got = fdrqs._update_deltas(lam_blocks, phi, deltas, 2.5, 3.5, gen)
+                want = oracles.update_deltas(lam_blocks, phi, deltas, 2.5, 3.5, want_gen)
+                assert np.array_equal(got, want), (N, J)
+                assert gen.bit_generator.state == want_gen.bit_generator.state, (N, J)
 
     def test_local_precision_site_matches_density(self):
         # Single site: full conditional is Gamma((nu+1)/2, (omega lam^2+nu)/2);
@@ -185,6 +204,12 @@ class TestGibbsFDRQS:
             gibbs_fdrqs(Y, (a, np.full((T, N, J), 0.3)), cfg, mcmc=(5, 5), rng=rng,
                         series_ids=sids)
         assert info.value.quantsynth_sweep == 2
+
+    @pytest.mark.parametrize("value", [np.inf, np.nan, 0.0])
+    @pytest.mark.parametrize("name", ["n0", "s0", "nu", "a1", "a2"])
+    def test_config_refuses_bad_hyperparameter(self, name, value):
+        with pytest.raises(ValueError, match=f"{name} must be finite and positive, got {value}"):
+            FDRQSConfig(tau=0.5, N=3, J=1, L=1, **{name: value})
 
     def test_config_validation(self):
         with pytest.raises(ValueError, match="L < N"):

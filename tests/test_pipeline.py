@@ -14,6 +14,7 @@ import shutil
 import subprocess
 import sys
 import tempfile
+import types
 from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
@@ -522,6 +523,21 @@ class TestPlan:
             make_plan(config_from_dict(d), one)
 
 
+    def test_non_finite_factor_hyperparameter_is_an_invalid_plan(self, panel, tmp_path):
+        # YAML's .inf reads as a number, so the type check passes it and
+        # make_plan, which builds every FDRQSConfig, must refuse it.
+        src, pan = panel
+        d = _config_dict(src)
+        d["plan"]["factor"] = True
+        d["factor"] = {"n0": float("inf")}
+        path = tmp_path / "run.yaml"
+        dump_config(config_from_dict(d), path)
+        assert "n0: .inf" in path.read_text()
+        with pytest.raises(ValueError) as exc:
+            make_plan(load_config(path), pan)
+        msg = str(exc.value)
+        assert msg.startswith("invalid plan:") and "factor: n0 must be finite and positive, got inf" in msg
+
     def test_sampler_settings_resolved_per_level(self, panel):
         src, pan = panel
         d = _config_dict(src)
@@ -686,7 +702,7 @@ class TestBacktest:
             (replace(cfg, synthesis=replace(cfg.synthesis, delta=1.5)),
              "synthesis: delta must lie in (0, 1], got 1.5"),
             (replace(cfg, plan=replace(cfg.plan, factor=True), factor=replace(cfg.factor, nu=0.0)),
-             "factor: nu entries must be positive"),
+             "factor: nu must be finite and positive, got 0.0"),
             (replace(cfg, agents=(replace(cfg.agents[0], delta=0.0), *cfg.agents[1:])),
              "agent base: delta must lie in (0, 1], got 0.0"),
         )
@@ -1283,3 +1299,7 @@ def test_sweep_cost_script_runs_against_a_base_checkout(monkeypatch, capsys):
     assert header.split() == ["sampler", "T", "this_us", "base_us", "base/this", "same"]
     assert [row.split()[0] for row in rows] == ["fit_dqlm", "gibbs_drqs", "gibbs_fdrqs"]
     assert all(row.split()[-1] == "True" for row in rows), rows
+    # ``same`` reads every array field, so a drift in any one of them shows.
+    a = types.SimpleNamespace(cfg=None, u=np.zeros(2), n_T=np.zeros(2))
+    b = types.SimpleNamespace(cfg=None, u=np.zeros(2), n_T=np.ones(2))
+    assert sweep_cost._same_draws(a, a) and not sweep_cost._same_draws(a, b)
