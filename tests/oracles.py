@@ -8,7 +8,9 @@ with ``rho_tau`` the check loss, so its ``tau``-quantile is exactly 0.
 
 The two scalar forward filters below are the loops ``ffbs_conjugate`` and
 the one-series case of ``ffbs_known_variance`` ran before they shared one
-filter, and ``sample_gig_half``, ``psd_sqrt`` and ``sample_states`` are the
+filter.  ``known_variance_vector_filter`` is the N >= 2 loop of
+``ffbs_known_variance`` as it ran with ``@`` for every product, before its
+per-step products moved to ``ndarray.dot``.  ``sample_gig_half``, ``psd_sqrt`` and ``sample_states`` are the
 GIG draw, symmetric root and backward state sampler as they were before
 their per-call overhead was cut.  ``sample_precisions``,
 ``gbrw_filter_sample`` and ``update_deltas`` are the backward gamma-beta
@@ -195,6 +197,46 @@ def known_variance_scalar_filter(y, F, offsets, obs_var, m0, C0, delta):
         gain = RFt / q
         m[t] = m_prev + gain * e
         C_t = R - np.outer(gain, gain) * q
+        C[t] = 0.5 * (C_t + C_t.T)
+        m_prev, C_prev = m[t], C[t]
+    return m, C
+
+
+def known_variance_vector_filter(y, F, offsets, obs_var, m0, C0, delta):
+    """Known-variance forward filter of ``ffbs_known_variance`` for N >= 2 series: ``(m, C)``.
+
+    ``y``, ``offsets`` and ``obs_var`` are ``(T, N)``, ``F`` is ``(T, N, p)``.
+    """
+    y = np.asarray(y, dtype=float)
+    offsets = np.asarray(offsets, dtype=float)
+    obs_var = np.asarray(obs_var, dtype=float)
+    F = np.asarray(F, dtype=float)
+    T = y.shape[0]
+    p = F.shape[2]
+    m0 = np.atleast_1d(np.asarray(m0, dtype=float))
+    C0 = np.atleast_2d(np.asarray(C0, dtype=float))
+
+    m = np.empty((T, p))
+    C = np.empty((T, p, p))
+    m_prev, C_prev = m0, C0
+    for t in range(T):
+        R = C_prev / delta
+        Ft = F[t]
+        f_t = offsets[t] + Ft @ m_prev
+        RFt = R @ Ft.T  # (p, N)
+        Q = Ft @ RFt + np.diag(obs_var[t])
+        Q = 0.5 * (Q + Q.T)
+        try:
+            Lq = np.linalg.cholesky(Q)
+        except np.linalg.LinAlgError:
+            w = np.linalg.eigvalsh(Q)
+            raise np.linalg.LinAlgError(
+                f"singular predictive covariance at t={t}: min eigenvalue {w[0]:.3e}"
+            ) from None
+        e = y[t] - f_t
+        gain = np.linalg.solve(Lq.T, np.linalg.solve(Lq, RFt.T)).T  # R F' Q^{-1}, (p, N)
+        m[t] = m_prev + gain @ e
+        C_t = R - gain @ Q @ gain.T
         C[t] = 0.5 * (C_t + C_t.T)
         m_prev, C_prev = m[t], C[t]
     return m, C

@@ -370,6 +370,51 @@ class TestScalarFilterMatchesOracle:
             )
 
 
+def _vector_cases(seed: int, count: int):
+    """``(T, N, p, delta, F, m0, C0, rng)`` for the N >= 2 filter: edge cases, then random ones.
+
+    First T = 1 with delta = 1; then the factor benchmark's shape (N = 6,
+    J = 3, L = 5, so K = 20) with its structured design and default prior;
+    then random cases with N in 2..8, p in 1..20 and a fifth of the
+    discounts at exactly 1.
+    """
+    rng = np.random.default_rng(seed)
+    yield 1, 2, 1, 1.0, rng.normal(size=(1, 2, 1)), np.zeros(1), np.eye(1), rng
+    yield 1, 8, 20, 1.0, rng.normal(size=(1, 8, 20)), rng.normal(size=20), _random_prior_scale(rng, 20), rng
+    T, N, J, L = 16, 6, 3, 5
+    mult = np.concatenate([np.ones((T, N, 1)), rng.normal(size=(T, N, J))], axis=2)
+    lam = np.zeros((N, (J + 1) * L))
+    lam[:, ::L] = 1.0
+    lam += 0.1 * rng.normal(size=lam.shape)
+    m0 = np.concatenate([np.zeros(L), np.full(L * J, 1.0 / J)])
+    C0 = np.diag(np.concatenate([np.full(L, 1000.0), np.ones(L * J)]))
+    yield T, N, (J + 1) * L, 0.85, np.repeat(mult, L, axis=2) * lam, m0, C0, rng
+    for _ in range(count):
+        T, N, p = int(rng.integers(1, 30)), int(rng.integers(2, 9)), int(rng.integers(1, 21))
+        delta = 1.0 if rng.uniform() < 0.2 else float(rng.uniform(0.5, 1.0))
+        F = rng.normal(size=(T, N, p)) * 10.0 ** rng.uniform(-2.0, 2.0)
+        yield T, N, p, delta, F, rng.normal(size=p), _random_prior_scale(rng, p), rng
+
+
+def test_vector_filter_matches_oracle():
+    # The N >= 2 path of ffbs_known_variance, as FDRQS calls it: offsets
+    # k1*v and variances k2*sigma*v, against the reference loop bit for bit.
+    for i, (T, N, p, delta, F, m0, C0, rng) in enumerate(_vector_cases(25, 200)):
+        k1, k2 = mixture_constants(float(rng.uniform(0.01, 0.99)))
+        v = np.maximum(rng.exponential(size=(T, N)), CHI_FLOOR)
+        sigma = rng.uniform(0.1, 5.0, size=(T, N))
+        offsets, obs_var = k1 * v, k2 * sigma * v
+        y = rng.normal(scale=2.0, size=(T, N))
+        seed = int(rng.integers(2**32))
+        gen, want_gen = np.random.default_rng(seed), np.random.default_rng(seed)
+        got = ffbs_known_variance(y, F, offsets, obs_var, m0, C0, delta, gen)
+        m, C = oracles.known_variance_vector_filter(y, F, offsets, obs_var, m0, C0, delta)
+        state = sample_states(m, C, delta, want_gen.standard_normal((T, p)), np.ones(T))
+        for name, want in (("m", m), ("C", C), ("state", state)):
+            assert np.array_equal(getattr(got, name), want), (i, T, N, p, name)
+        assert gen.bit_generator.state == want_gen.bit_generator.state, i
+
+
 def _scale_cases(seed: int, count: int):
     """``(C, rng)`` stacks of PSD scale matrices: p in 1..6 and 20, some singular or zero.
 
