@@ -1,7 +1,7 @@
 """Microseconds per Gibbs sweep of the three samplers, one source tree against another.
 
-Prints µs per sweep for ``fit_dqlm``, ``gibbs_drqs`` and ``gibbs_fdrqs`` at
-window lengths T = 15, 60, 120 and 250 (the paper's length): the median of
+Prints µs per sweep for ``fit_dqlm`` (at p = 2 and p = 3), ``gibbs_drqs``
+and ``gibbs_fdrqs`` at window lengths T = 15, 60, 120 and 250 (the paper's length): the median of
 ``REPS`` timed calls of ``SWEEPS`` sweeps (``FACTOR_SWEEPS`` for FDRQS).
 With ``--base DIR`` it also loads the package from ``DIR/src/quantsynth``
 under a second name in the same process, and times the two trees in
@@ -14,8 +14,9 @@ every array field of the draws object, in every rep.
     python scripts/sweep_cost.py
     python scripts/sweep_cost.py --base ../parent-checkout
 
-Shapes: the agent model has an intercept and two predictors (p = 3, the
-grid19 ``zlag`` agent); DRQS synthesizes J = 3 agents; FDRQS has N = 6
+Shapes: the agent model has an intercept and one predictor (p = 2, the
+grid19 ``base`` and ``zonly`` agents) or two (p = 3, the grid19 ``zlag``
+agent); DRQS synthesizes J = 3 agents; FDRQS has N = 6
 series, J = 3 agents and L = 5 factors per block (K = 20, the factor
 benchmark's shape).
 """
@@ -71,8 +72,10 @@ def _runners(pkg, inp: dict) -> dict:
     cfg = drqs.DRQSConfig(tau=0.25, J=3)
     fcfg = fdrqs.FDRQSConfig(tau=0.25, N=6, J=3, L=5)
 
-    def fit(sweeps, seed):
-        return agents.fit_dqlm(inp["y"], inp["X"], spec, (sweeps, 0), np.random.default_rng(seed))
+    def fit(X):
+        return lambda sweeps, seed: agents.fit_dqlm(
+            inp["y"], X, spec, (sweeps, 0), np.random.default_rng(seed)
+        )
 
     def synth(sweeps, seed):
         return drqs.gibbs_drqs(inp["y"], (inp["a"], inp["A"]), cfg, (sweeps, 0),
@@ -82,7 +85,8 @@ def _runners(pkg, inp: dict) -> dict:
         return fdrqs.gibbs_fdrqs(inp["Y"], (inp["aa"], inp["AA"]), fcfg, (sweeps, 0),
                                  np.random.default_rng(seed))
 
-    return {"fit_dqlm": fit, "gibbs_drqs": synth, "gibbs_fdrqs": factor}
+    return {"fit_dqlm_p2": fit(np.ascontiguousarray(inp["X"][:, :2])), "fit_dqlm": fit(inp["X"]),
+            "gibbs_drqs": synth, "gibbs_fdrqs": factor}
 
 
 def _same_draws(a, b) -> bool:

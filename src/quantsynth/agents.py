@@ -16,6 +16,7 @@ variance of the agent's tau-quantile at one time.
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -126,9 +127,12 @@ def fit_dqlm(
     keep_CT = np.empty((n_keep, p, p))
 
     Fdes = X[:, None, :]
+    # X beta of the current path: formed once per sweep, after the state draw,
+    # and carried into the next sweep's residual.
+    fitted = np.einsum("tp,tp->t", X, beta)
     try:
         for it in range(n_burn + n_keep):
-            resid = y - np.einsum("tp,tp->t", X, beta)
+            resid = y - fitted
             chi, psi = _gig_params(resid, sigma, consts)
             v = np.maximum(sample_gig_half(chi, psi, rng), CHI_FLOOR)
 
@@ -137,13 +141,14 @@ def fit_dqlm(
                 m0, C0, spec.delta, rng,
             )
             beta = ffbs.state
+            fitted = np.einsum("tp,tp->t", X, beta)
 
-            resid2 = y - np.einsum("tp,tp->t", X, beta) - k1 * v
-            rate = spec.sigma_rate + float(np.sum(resid2 * resid2 / (2.0 * k2 * v) + v))
+            resid2 = y - fitted - k1 * v
+            rate = spec.sigma_rate + float((resid2 * resid2 / (2.0 * k2 * v) + v).sum())
             shape = spec.sigma_shape + 1.5 * T
             sigma = 1.0 / rng.gamma(shape=shape, scale=1.0 / rate)
 
-            if not (np.isfinite(sigma) and sigma > 0.0 and np.all(np.isfinite(beta))):
+            if not (math.isfinite(sigma) and sigma > 0.0 and np.isfinite(beta).all()):
                 raise FloatingPointError(f"non-finite sampler state at iteration {it}")
             if it >= n_burn:
                 r = it - n_burn

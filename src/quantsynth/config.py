@@ -155,6 +155,10 @@ class PlanConfig:
     factor: bool = False
 
     def __post_init__(self):
+        # task_stream keys every generator by the seed's low 32 bits, so a
+        # seed outside [0, 2**32) would alias one inside it.
+        if not 0 <= self.seed < 2**32:
+            raise ValueError(f"plan.seed must lie in [0, 2**32), got {self.seed}")
         if not self.taus:
             raise ValueError("plan.taus must be nonempty")
         if any(not 0.0 < t < 1.0 for t in self.taus):

@@ -41,6 +41,12 @@ elementwise one, so written in the same association these give the same
 bits.  Every output bit is kept, and the reference loops in
 ``tests/oracles.py`` pin them.
 
+The per-step products of both filters are 1-D/2-D and go through
+``ndarray.dot``: it reaches the same BLAS routine as ``@`` (``gemv``,
+``ddot``, ``gemm``), so the bits are the same, with about half of the
+``matmul`` gufunc's dispatch cost.  Stacked products (``psd_sqrt``, the
+noise of :func:`_sample_states`) keep ``@``.
+
 All evolution noise is discount-implied: the time-``t`` prior scale matrix is
 ``R_t = C_{t-1} / delta``.  Gamma laws are (shape, rate) throughout.
 """
@@ -131,7 +137,7 @@ def psd_sqrt(C: np.ndarray) -> np.ndarray:
     exchangeability.
     """
     C = np.asarray(C, dtype=float)
-    C = 0.5 * (C + np.swapaxes(C, -1, -2))
+    C = 0.5 * (C + C.swapaxes(-1, -2))
     w, V = np.linalg.eigh(C)
     # The failure threshold is at most -PSD_FAIL_RATIO, so the trace is
     # only needed when some smallest eigenvalue falls below that.
@@ -143,7 +149,7 @@ def psd_sqrt(C: np.ndarray) -> np.ndarray:
                 f"min eigenvalue {w[..., 0].min():.3e} vs trace {np.max(np.abs(trace)):.3e}"
             )
     w = np.maximum(w, PSD_CLIP_RATIO * np.maximum(w[..., -1:], 0.0))
-    return (V * np.sqrt(w)[..., None, :]) @ np.swapaxes(V, -1, -2)
+    return (V * np.sqrt(w)[..., None, :]) @ V.swapaxes(-1, -2)
 
 
 def _sample_states(m, C, delta: float, z, scale) -> np.ndarray:
@@ -158,7 +164,7 @@ def _sample_states(m, C, delta: float, z, scale) -> np.ndarray:
     arithmetic, in the same association, as NumPy row operations.
     """
     noise = (psd_sqrt(C) @ z[:, :, None])[:, :, 0]
-    noise[:-1] *= np.sqrt(1.0 - delta)
+    noise[:-1] *= math.sqrt(1.0 - delta)
     noise /= scale[:, None]
     delta = float(delta)
     rows_m, rows_n = m.tolist(), noise.tolist()
@@ -187,7 +193,7 @@ def _sample_precisions(n, d, beta, rng: np.random.Generator) -> np.ndarray:
         shape = (1.0 - beta) * n[: T - 1] / 2.0
         eta = np.zeros_like(shape)
         pos = shape > 0.0
-        if np.any(pos):
+        if pos.any():
             eta[pos] = rng.gamma(shape=shape[pos], scale=2.0 / d[: T - 1][pos])
         beta = float(beta)
         # One column of floats per series; a (T,) path is one column.
@@ -232,9 +238,9 @@ def _filter_scalar(y, F, v, k1, k2, m0, C0, delta, s0, beta=None, n0=None):
     # NumPy's, without a NumPy scalar per operation.
     for t, (F_t, m_t, C_t, y_t, v_t) in enumerate(zip(F, m, C, y.tolist(), v.tolist())):
         R = C_prev / delta
-        RF = R @ F_t
-        f_t = float(F_t @ m_prev)
-        Q = float(F_t @ RF) + s_prev * k2 * v_t
+        RF = R.dot(F_t)
+        f_t = float(F_t.dot(m_prev))
+        Q = float(F_t.dot(RF)) + s_prev * k2 * v_t
         if not math.isfinite(Q) or Q <= 0.0:
             raise FloatingPointError(f"non-finite or nonpositive predictive variance Q at t={t}")
         e = y_t - f_t - k1 * v_t
@@ -378,9 +384,9 @@ def ffbs_known_variance(
         for t in range(T):
             R = C_prev / delta
             Ft = F[t]
-            f_t = offsets[t] + Ft @ m_prev
-            RFt = R @ Ft.T  # (p, N)
-            Q = Ft @ RFt + np.diag(obs_var[t])
+            f_t = offsets[t] + Ft.dot(m_prev)
+            RFt = R.dot(Ft.T)  # (p, N)
+            Q = Ft.dot(RFt) + np.diag(obs_var[t])
             Q = 0.5 * (Q + Q.T)
             try:
                 Lq = np.linalg.cholesky(Q)
@@ -391,8 +397,8 @@ def ffbs_known_variance(
                 ) from None
             e = y[t] - f_t
             gain = np.linalg.solve(Lq.T, np.linalg.solve(Lq, RFt.T)).T  # R F' Q^{-1}, (p, N)
-            m[t] = m_prev + gain @ e
-            C_t = R - gain @ Q @ gain.T
+            m[t] = m_prev + gain.dot(e)
+            C_t = R - gain.dot(Q).dot(gain.T)
             C[t] = 0.5 * (C_t + C_t.T)
             m_prev, C_prev = m[t], C[t]
 
@@ -435,9 +441,9 @@ def gbrw_filter_sample(
     v = np.asarray(v, dtype=float)
     if sq_resid.ndim != 2 or v.shape != sq_resid.shape:
         raise ValueError("sq_resid and v must share one (T, N) shape")
-    if np.any(v <= 0.0):
+    if (v <= 0.0).any():
         raise ValueError("mixing variables v must be positive")
-    if np.any(sq_resid < 0.0):
+    if (sq_resid < 0.0).any():
         raise ValueError("squared residuals must be nonnegative")
     if not (n0 > 0 and d0 > 0):
         raise ValueError("n0 and d0 must be positive")

@@ -134,9 +134,9 @@ def latent_predictor_moments(
     prec[:, idx, idx] += 1.0 / A_var
     rhs = thp * ((y - theta[:, 0] - k1 * v) / c)[:, None] + a_mean / A_var
     w, V = np.linalg.eigh(prec)
-    if np.any(w <= 0.0):
+    if (w <= 0.0).any():
         raise FloatingPointError("latent-predictor precision not positive definite")
-    Vt = np.swapaxes(V, 1, 2)
+    Vt = V.swapaxes(1, 2)
     cov = (V / w[:, None, :]) @ Vt
     f_hat = np.einsum("tij,tj->ti", cov, rhs)
     root = (V / np.sqrt(w)[:, None, :]) @ Vt
@@ -212,7 +212,7 @@ def gibbs_drqs(
             theta = ffbs.theta
             sigma = 1.0 / ffbs.phi
 
-            if not (np.all(np.isfinite(theta)) and np.all(np.isfinite(sigma)) and np.all(sigma > 0)):
+            if not (np.isfinite(theta).all() and np.isfinite(sigma).all() and (sigma > 0).all()):
                 raise FloatingPointError(f"non-finite sweep state at iteration {it}")
             if it >= n_burn:
                 r = it - n_burn

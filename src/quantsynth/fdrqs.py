@@ -127,7 +127,7 @@ def sample_local_precisions(
 
 def _block_sums(lam_blocks: np.ndarray, phi: np.ndarray, j: int) -> np.ndarray:
     """``sum_i phi_ilj * lambda_ilj^2`` for every factor l of block j, shape (L,)."""
-    return np.sum(phi[:, :, j] * lam_blocks[:, :, j] ** 2, axis=0)
+    return (phi[:, :, j] * lam_blocks[:, :, j] ** 2).sum(axis=0)
 
 
 def _delta_site(
@@ -345,7 +345,7 @@ def gibbs_fdrqs(
             # shrinkage prior
             if free_lam:
                 omegas = omegas_from_deltas(deltas)
-                if np.any(omegas < OMEGA_UNDERFLOW):
+                if (omegas < OMEGA_UNDERFLOW).any():
                     raise FloatingPointError(f"shrinkage weight underflow at sweep {it}")
                 prior_prec = (phi_load * omegas[None, :, :]).transpose(0, 2, 1).reshape(N, K)
                 w_obs = 1.0 / (k2 * sigma * v)  # (T, N)
@@ -379,7 +379,7 @@ def gibbs_fdrqs(
             g = gbrw_filter_sample(sq, v, k2, cfg.n0, d0, cfg.beta, rng)
             sigma = 1.0 / g.phi
 
-            if not (np.all(np.isfinite(u)) and np.all(np.isfinite(lam)) and np.all(np.isfinite(sigma))):
+            if not (np.isfinite(u).all() and np.isfinite(lam).all() and np.isfinite(sigma).all()):
                 raise FloatingPointError(f"non-finite sweep state at iteration {it}")
             if it >= n_burn:
                 r = it - n_burn

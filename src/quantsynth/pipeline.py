@@ -170,7 +170,10 @@ def ingest(panel_csv, h: int) -> SeriesPanel:
         cell = str(row["time"]).strip()
         if is_quarter_label(cell) != quarterly:
             raise ValueError(f"{path}, row {i}: mixed quarter-label and integer time formats")
-        t = parse_time(cell)
+        try:
+            t = parse_time(cell)
+        except ValueError as exc:
+            raise ValueError(f"{path}, row {i}: {exc}") from None
         try:
             level = float(row["Y"])
         except (TypeError, ValueError):

@@ -174,6 +174,13 @@ class TestIngest:
         _write_levels(p, [("a", "0", "abc")])
         with pytest.raises(ValueError, match="not a number"):
             ingest(p, h=1)
+        # A short row and a non-label time in an integer panel name the file and row.
+        p.write_text("series,time,Y\na,0,1.0\na\n")
+        with pytest.raises(ValueError, match=re.escape(f"{p}, row 3: time value 'None' is neither")):
+            ingest(p, h=1)
+        _write_levels(p, [("a", "0", 1.0), ("a", "1990-Q2", 2.0)])
+        with pytest.raises(ValueError, match=re.escape(f"{p}, row 3: time value '1990-Q2' is neither")):
+            ingest(p, h=1)
         _write_levels(p, [("a", "0", 1.0, "x")], header=("series", "time", "Y", "z"))
         with pytest.raises(ValueError, match="predictor z="):
             ingest(p, h=1)
@@ -372,6 +379,19 @@ class TestConfig:
             config_from_dict({"agents": [{"name": "a"}, {"name": "a"}]})
         with pytest.raises(ValueError, match="workers"):
             config_from_dict({"workers": 0})
+
+    def test_seed_range(self, tmp_path, capsys):
+        # task_stream keeps a seed's low 32 bits, so 0, 2**32 and -2**32 would alias.
+        for seed in (2**32, -1, -(2**32)):
+            with pytest.raises(ValueError) as info:
+                config_from_dict({"plan": {"seed": seed}})
+            assert str(info.value) == f"plan.seed must lie in [0, 2**32), got {seed}"
+        assert config_from_dict({"plan": {"seed": 2**32 - 1}}).plan.seed == 2**32 - 1
+        # --seed goes through the same check.
+        cfg_path = tmp_path / "run.yaml"
+        dump_config(config_from_dict(_config_dict(tmp_path / "levels.csv")), cfg_path)
+        assert cli.main(["audit-lookahead", "--config", str(cfg_path), "--seed", str(2**32)]) == 1
+        assert capsys.readouterr().err == f"error: plan.seed must lie in [0, 2**32), got {2**32}\n"
 
     def test_values_are_checked_not_converted(self):
         cases = (
@@ -953,6 +973,10 @@ class TestCliErrors:
         replace = dataclasses.replace
         bad_panel = tmp_path / "bad_levels.csv"
         _write_levels(bad_panel, [("a", "1990Q1", 100.0), ("a", "1990Q2", 0.0)])
+        short_row = tmp_path / "short_row.csv"
+        short_row.write_text("series,time,Y\na\n")
+        bad_time = tmp_path / "bad_time.csv"
+        _write_levels(bad_time, [("a", "0", 100.0), ("a", "x1", 101.0)])
         cases = (
             ("audit-lookahead", replace(cfg, synthesis=replace(cfg.synthesis, delta=1.5)),
              "invalid plan:", "synthesis: delta must lie in (0, 1], got 1.5"),
@@ -960,6 +984,10 @@ class TestCliErrors:
              "invalid plan:", "agent base: the first window 1995Q4..1995Q4 has 1 observation(s)"),
             ("ingest", replace(cfg, data=replace(cfg.data, panel_csv=str(bad_panel))),
              str(bad_panel), "nonpositive level 0.0"),
+            ("ingest", replace(cfg, data=replace(cfg.data, panel_csv=str(short_row))),
+             f"{short_row}, row 2:", "time value 'None' is neither an integer nor YYYYQn"),
+            ("ingest", replace(cfg, data=replace(cfg.data, panel_csv=str(bad_time))),
+             f"{bad_time}, row 3:", "time value 'x1' is neither an integer nor YYYYQn"),
             ("ingest", replace(cfg, data=replace(cfg.data, panel_csv=str(tmp_path / "nosuch.csv"))),
              "[Errno 2]", "nosuch.csv"),
             ("backtest", replace(cfg, data=replace(cfg.data, panel_csv=str(tmp_path / "nosuch.csv"))),
@@ -1297,7 +1325,7 @@ def test_sweep_cost_script_runs_against_a_base_checkout(monkeypatch, capsys):
             del sys.modules[name]
     header, *rows = capsys.readouterr().out.splitlines()
     assert header.split() == ["sampler", "T", "this_us", "base_us", "base/this", "same"]
-    assert [row.split()[0] for row in rows] == ["fit_dqlm", "gibbs_drqs", "gibbs_fdrqs"]
+    assert [row.split()[0] for row in rows] == ["fit_dqlm_p2", "fit_dqlm", "gibbs_drqs", "gibbs_fdrqs"]
     assert all(row.split()[-1] == "True" for row in rows), rows
     # ``same`` reads every array field, so a drift in any one of them shows.
     a = types.SimpleNamespace(cfg=None, u=np.zeros(2), n_T=np.zeros(2))
