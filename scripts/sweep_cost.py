@@ -1,8 +1,9 @@
 """Microseconds per Gibbs sweep of the three samplers, one source tree against another.
 
 Prints µs per sweep for ``fit_dqlm`` (at p = 2 and p = 3), ``gibbs_drqs``
-and ``gibbs_fdrqs`` at window lengths T = 15, 60, 120 and 250 (the paper's length): the median of
-``REPS`` timed calls of ``SWEEPS`` sweeps (``FACTOR_SWEEPS`` for FDRQS).
+and ``gibbs_fdrqs`` at window lengths T = 15, 60, 120 and 250 (the paper's
+length): the median of ``REPS`` timed calls of ``SWEEPS`` sweeps
+(``FACTOR_SWEEPS`` for FDRQS).
 With ``--base DIR`` it also loads the package from ``DIR/src/quantsynth``
 under a second name in the same process, and times the two trees in
 alternating order, rep by rep: on a shared host the speed of one process
@@ -16,9 +17,8 @@ every array field of the draws object, in every rep.
 
 Shapes: the agent model has an intercept and one predictor (p = 2, the
 grid19 ``base`` and ``zonly`` agents) or two (p = 3, the grid19 ``zlag``
-agent); DRQS synthesizes J = 3 agents; FDRQS has N = 6
-series, J = 3 agents and L = 5 factors per block (K = 20, the factor
-benchmark's shape).
+agent); DRQS synthesizes J = 3 agents; FDRQS has N = 6 series, J = 3
+agents and L = 5 factors per block (K = 20, the factor benchmark's shape).
 """
 
 from __future__ import annotations
