@@ -120,7 +120,6 @@ def fit_dqlm(
 
     beta = np.zeros((T, p))
     sigma = max(float(np.var(y)), 1.0)
-    v = np.ones(T)
 
     keep_beta = np.empty((n_keep, T, p))
     keep_sigma = np.empty(n_keep)
@@ -299,7 +298,9 @@ class AgentForecastSet:
             reader = csv.DictReader(fh)
             got = tuple(reader.fieldnames or ())
             if got != _CSV_COLUMNS:
-                raise ValueError(f"expected header {','.join(_CSV_COLUMNS)}, got {','.join(got)}")
+                raise ValueError(
+                    f"{path}: expected header {','.join(_CSV_COLUMNS)}, got {','.join(got)}"
+                )
             for i, row in enumerate(reader, start=2):
                 try:
                     cells = {c: row[c] for c in _CSV_COLUMNS}

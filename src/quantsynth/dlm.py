@@ -182,9 +182,9 @@ def _sample_precisions(n, d, beta, rng: np.random.Generator) -> np.ndarray:
 
     ``phi_T ~ Gamma(n_T/2, d_T/2)``, then
     ``phi_t = beta*phi_{t+1} + Gamma((1-beta)*n_t/2, d_t/2)``; a zero shape
-    adds nothing.  ``n`` and ``d`` are ``(T,)`` or ``(T, N)``, and ``beta`` is
-    a scalar.  Draws the terminal gamma, then the others, each in one call;
-    the recursion runs on Python floats, one series (column) at a time.
+    adds nothing.  ``n`` and ``d`` are ``(T, N)``, and ``beta`` is a scalar.
+    Draws the terminal gamma, then the others, each in one call; the
+    recursion runs on Python floats, one series (column) at a time.
     """
     T = n.shape[0]
     phi = np.empty_like(n)
@@ -196,17 +196,15 @@ def _sample_precisions(n, d, beta, rng: np.random.Generator) -> np.ndarray:
         if pos.any():
             eta[pos] = rng.gamma(shape=shape[pos], scale=2.0 / d[: T - 1][pos])
         beta = float(beta)
-        # One column of floats per series; a (T,) path is one column.
-        two_d = eta.ndim == 2
-        cols = eta.T.tolist() if two_d else [eta.tolist()]
-        for i, (p, eta_col) in enumerate(zip(phi[T - 1].reshape(-1).tolist(), cols)):
+        cols = eta.T.tolist()  # one column of floats per series
+        for i, (p, eta_col) in enumerate(zip(phi[T - 1].tolist(), cols)):
             col = []
             for e in reversed(eta_col):
                 p = beta * p + e
                 col.append(p)
             col.reverse()
             cols[i] = col
-        phi[: T - 1] = np.array(cols).T if two_d else cols[0]
+        phi[: T - 1] = np.array(cols).T
     return phi
 
 
@@ -313,16 +311,16 @@ def ffbs_conjugate(
         raise ValueError(f"F must have shape ({T}, {p}), got {F.shape}")
     if v.shape != (T,) or (v <= 0.0).any():
         raise ValueError("v must be positive with one entry per observation")
+    if z_state.shape != (T, p):
+        raise ValueError(f"z_state must have shape ({T}, {p})")
 
     k1, k2 = consts
     m, C, n, s = _filter_scalar(
         y, F, v, k1, k2, prior.m0, prior.C0, disc.delta, float(prior.s0),
         beta=disc.beta, n0=float(prior.n0),
     )
-
-    if z_state.shape != (T, p):
-        raise ValueError(f"z_state must have shape ({T}, {p})")
-    phi = _sample_precisions(n, n * s, disc.beta, rng)
+    # The one path is one column of the (T, N) precision sampler.
+    phi = _sample_precisions(n[:, None], (n * s)[:, None], disc.beta, rng)[:, 0]
     theta = _sample_states(m, C, disc.delta, z_state, np.sqrt(phi * s))
     if not (np.isfinite(theta).all() and np.isfinite(phi).all()):
         raise FloatingPointError("non-finite state draw in backward pass")
@@ -445,8 +443,8 @@ def gbrw_filter_sample(
         raise ValueError("mixing variables v must be positive")
     if (sq_resid < 0.0).any():
         raise ValueError("squared residuals must be nonnegative")
-    if not (n0 > 0 and d0 > 0):
-        raise ValueError("n0 and d0 must be positive")
+    _check_hyperparameter("n0", n0)
+    _check_hyperparameter("d0", d0)
     _check_discount("beta", beta)
 
     T, N = sq_resid.shape

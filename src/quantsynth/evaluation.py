@@ -105,7 +105,7 @@ def _largest_remainder_counts(weights: np.ndarray, R: int) -> np.ndarray:
 def reconstruct_predictive(
     qhat: np.ndarray,
     grid: QuantileGrid,
-    R: int = 10000,
+    R: int,
     *,
     rng: np.random.Generator,
 ) -> ReconstructedPredictive:

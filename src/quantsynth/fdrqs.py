@@ -303,7 +303,6 @@ def gibbs_fdrqs(
         lam = cfg.fixed_loadings.copy()
     u = np.broadcast_to(cfg.m0, (T, K)).copy()
     sigma = np.ones((T, N))
-    v = np.ones((T, N))
     mult = np.ones((T, N, J + 1))  # the intercept's column of ones, then the latent predictors
     mult[:, :, 1:] = a_mean
     # series-major rows for the stacked latent-predictor step

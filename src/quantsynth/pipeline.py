@@ -80,6 +80,12 @@ RATIO_COLUMNS = ("model", "scheme", "t_star", "rcs")
 PIT_COLUMNS = ("model", "series", "time", "pit")
 JOINT_COLUMNS = ("time", "tau", "draw", "series", "Q")
 RECONSTRUCTED_COLUMNS = ("series", "time", "draw", "value")
+PLOT_COLUMNS = {
+    "plots/rcs_curve.csv": ("model", "scheme", "series", "t_star", "rcs"),
+    "plots/fan.csv": ("series", "time", "tau", "point", "lo95", "hi95"),
+    "plots/pit_ecdf.csv": ("model", "series", "u", "ecdf"),
+    "plots/correlation.csv": ("time", "tau", "series_row", "series_col", "corr"),
+}
 
 
 def _repr_float(x) -> str:
@@ -157,6 +163,8 @@ def ingest(panel_csv, h: int) -> SeriesPanel:
         if header[:3] != ("series", "time", "Y"):
             raise ValueError(f"{path}: header must start with series,time,Y; got {','.join(header)}")
         predictor_names = list(header[3:])
+        if "y_lag" in predictor_names:
+            raise ValueError(f"{path}: column name y_lag is reserved for the lagged response")
         rows = list(reader)
     if not rows:
         raise ValueError(f"{path}: no data rows")
@@ -978,70 +986,46 @@ def write_pit(pit_rows, path, quarterly: bool) -> None:
     _write_csv(path, PIT_COLUMNS, out)
 
 
-def emit_plots_data(out_dir, reference: str) -> list:
-    """Derive plot-ready long-format CSVs from a completed run's artifacts.
+def _write_plot(rows, path, header) -> None:
+    """One plot table from :func:`emit_plots_data`, into ``plots/`` under the run directory."""
+    path.parent.mkdir(exist_ok=True)
+    _write_csv(path, header, rows)
 
-    Writes into ``out_dir/plots``: cumulative score-ratio curves per series
-    (``rcs_curve.csv``), the forecast fan (``fan.csv``), PIT empirical CDFs
-    (``pit_ecdf.csv``), and cross-series predictive correlations
-    (``correlation.csv``, filled only when joint draws were written).
-    Returns the list of written paths.
+
+def emit_plots_data(plan: BacktestPlan, panels: dict, rows: list, pit_rows: list) -> tuple:
+    """Plot-ready long-format tables from the evaluate stage's own results.
+
+    Returns ``(rcs_curve, fan, pit_ecdf, correlation)`` as rows of CSV cells:
+    cumulative score-ratio curves per series from the full-precision score
+    ``panels``, the forecast fan (point and 95% band) of the synthesized
+    forecast ``rows``, PIT empirical CDFs of ``pit_rows``, and cross-series
+    predictive correlations, filled only when ``out_dir/joint_draws.csv``
+    exists (no stage hands joint draws to evaluate).
     """
-    out = Path(out_dir)
-    scores_path = out / "scores.csv"
-    if not scores_path.exists():
-        raise FileNotFoundError(f"missing score panel {scores_path}; run the evaluate stage first")
-    plots = out / "plots"
-    plots.mkdir(parents=True, exist_ok=True)
-    written = []
+    reference = plan.cfg.reference_model
 
     # Score curves: per-series cumulative ratio of every model to the reference.
-    by_panel: dict = {}
-    time_labels = {}
-    with open(scores_path, newline="", encoding="utf-8") as fh:
-        for row in csv.DictReader(fh):
-            t = parse_time(row["time"])
-            time_labels[t] = row["time"]
-            key = (row["model"], row["scheme"])
-            by_panel.setdefault(key, ScorePanel(model=row["model"], scheme=row["scheme"])).add(
-                row["series"], t, float(row["crps"])
-            )
     rcs_rows = []
-    for (model, scheme), panel in sorted(by_panel.items()):
-        ref_panel = by_panel.get((reference, scheme))
-        if ref_panel is None:
-            raise ValueError(f"reference model {reference!r} absent from {scores_path}")
+    for (model, scheme), panel in sorted(panels.items()):
+        ref_panel = panels[(reference, scheme)]
         for series in panel.series_ids():
             times = panel.times(series)
             for t_star in times:
                 value = panel.rcs_vs(ref_panel, series, int(t_star), int(times.min()))
                 rcs_rows.append(
-                    (model, scheme, series, time_labels[int(t_star)], _report_float(value))
+                    (model, scheme, series, plan.time_label(int(t_star)), _report_float(value))
                 )
-    path = plots / "rcs_curve.csv"
-    _write_csv(path, ("model", "scheme", "series", "t_star", "rcs"), rcs_rows)
-    written.append(path)
 
-    # Forecast fan: point and 95% band per (series, time, tau).
-    fan_rows = []
-    forecasts_path = out / "forecasts.csv"
-    if forecasts_path.exists():
-        with open(forecasts_path, newline="", encoding="utf-8") as fh:
-            for row in csv.DictReader(fh):
-                fan_rows.append(
-                    (row["series"], row["time"], row["tau"], row["point"], row["lo95"], row["hi95"])
-                )
-    path = plots / "fan.csv"
-    _write_csv(path, ("series", "time", "tau", "point", "lo95", "hi95"), fan_rows)
-    written.append(path)
+    fan_rows = [
+        (series, plan.time_label(t), _repr_float(tau), _repr_float(point), _repr_float(lo),
+         _repr_float(hi))
+        for series, t, tau, point, lo, hi, _ in sorted(rows, key=lambda r: (r[0], r[1], r[2]))
+    ]
 
     # PIT empirical CDF on a fixed grid of u values.
     pit_values: dict = {}
-    pit_path = out / "pit.csv"
-    if pit_path.exists():
-        with open(pit_path, newline="", encoding="utf-8") as fh:
-            for row in csv.DictReader(fh):
-                pit_values.setdefault((row["model"], row["series"]), []).append(float(row["pit"]))
+    for model, series, _, value in pit_rows:
+        pit_values.setdefault((model, series), []).append(value)
     ecdf_rows = []
     u_grid = [round(0.01 * k, 10) for k in range(101)]
     for (model, series), values in sorted(pit_values.items()):
@@ -1049,13 +1033,10 @@ def emit_plots_data(out_dir, reference: str) -> list:
         for u in u_grid:
             ecdf = float(np.searchsorted(arr, u, side="right")) / arr.size
             ecdf_rows.append((model, series, _report_float(u), _report_float(ecdf)))
-    path = plots / "pit_ecdf.csv"
-    _write_csv(path, ("model", "series", "u", "ecdf"), ecdf_rows)
-    written.append(path)
 
     # Cross-series correlation of aligned joint forecast draws, when present.
     corr_rows = []
-    joint_path = out / "joint_draws.csv"
+    joint_path = Path(plan.cfg.out_dir) / "joint_draws.csv"
     if joint_path.exists():
         cells: dict = {}
         with open(joint_path, newline="", encoding="utf-8") as fh:
@@ -1064,17 +1045,11 @@ def emit_plots_data(out_dir, reference: str) -> list:
                 cells.setdefault(key, {}).setdefault(row["series"], []).append(float(row["Q"]))
         for (t_label, tau_label), per_series in sorted(cells.items()):
             sids = sorted(per_series)
-            mat = np.corrcoef(np.array([per_series[s] for s in sids]))
-            mat = np.atleast_2d(mat)
+            mat = np.atleast_2d(np.corrcoef(np.array([per_series[s] for s in sids])))
             for i, si in enumerate(sids):
                 for j, sj in enumerate(sids):
-                    corr_rows.append(
-                        (t_label, tau_label, si, sj, _report_float(mat[i, j]))
-                    )
-    path = plots / "correlation.csv"
-    _write_csv(path, ("time", "tau", "series_row", "series_col", "corr"), corr_rows)
-    written.append(path)
-    return written
+                    corr_rows.append((t_label, tau_label, si, sj, _report_float(mat[i, j])))
+    return rcs_rows, fan_rows, ecdf_rows, corr_rows
 
 
 # ---------------------------------------------------------------------------
@@ -1103,7 +1078,9 @@ class Stage:
     timings.  ``pool`` is the run's process pool, or None to run inline; only
     a ``pooled`` stage gets a pool opened for it.  Each ``run`` calls its
     stage function by name when it runs, so a wrapper installed on this
-    module's attribute is the one called.
+    module's attribute is the one called.  The ``evaluate`` row also writes
+    the plot tables: it calls :func:`stage_evaluate`, then
+    :func:`emit_plots_data` on its results.
     """
 
     name: str
@@ -1111,6 +1088,12 @@ class Stage:
     writes: tuple
     run: Callable
     pooled: bool = False
+
+
+def _run_evaluate(plan, panel, pool, fset, rows) -> tuple:
+    """Score, then build the plot tables from the scores, PIT rows and forecast rows."""
+    panels, pit_rows, ratio_rows = stage_evaluate(plan, panel, fset, rows)
+    return panels, pit_rows, ratio_rows, *emit_plots_data(plan, panels, rows, pit_rows), []
 
 
 STAGES = {
@@ -1133,10 +1116,8 @@ STAGES = {
         Stage(
             "evaluate",
             reads=("agent_forecasts.csv", "forecasts.csv"),
-            writes=("scores.csv", "pit.csv", "ratios.csv"),
-            run=lambda plan, panel, pool, fset, rows: (
-                *stage_evaluate(plan, panel, fset, rows), []
-            ),
+            writes=("scores.csv", "pit.csv", "ratios.csv", *PLOT_COLUMNS),
+            run=_run_evaluate,
         ),
         Stage(
             "reconstruct",
@@ -1162,6 +1143,10 @@ _WRITERS = {
     "reconstructed_draws.csv": lambda value, path, quarterly: write_reconstructed(
         *value, path, quarterly
     ),
+    **{
+        name: lambda rows, path, quarterly, header=header: _write_plot(rows, path, header)
+        for name, header in PLOT_COLUMNS.items()
+    },
 }
 
 
@@ -1174,11 +1159,13 @@ def run_stages(cfg: RunConfig, names) -> RunManifest:
     :class:`RunRefusedError` for an invalid plan, when ``evaluate`` or
     ``reconstruct`` is asked for with fewer than 4 quantile levels
     (reconstruction fits both tails), or when ``evaluate`` is asked for with a
-    reference model that is neither an agent nor the synthesizer.  Plot data
-    under ``plots/`` follows the scores.  ``manifest.json`` records the
-    per-job timings and the files written; any failure aborts the run, and
-    the manifest is still written with ``complete`` false and the failing
-    job identified.
+    reference model that is neither an agent nor the synthesizer.  Every
+    artifact, the plot tables under ``plots/`` included, is written by its
+    entry in ``_WRITERS`` and listed in the manifest's ``outputs``; a stage
+    that writes no joint draws removes a stale ``joint_draws.csv``.
+    ``manifest.json`` records the per-job timings and the files written; any
+    failure aborts the run, and the manifest is still written with
+    ``complete`` false and the failing job identified.
 
     With ``cfg.workers > 1`` the first stage that submits jobs opens one spawn
     process pool, which every later stage reuses; it is shut down, pending
@@ -1242,9 +1229,6 @@ def run_stages(cfg: RunConfig, names) -> RunManifest:
                     continue
                 _WRITERS[name](value, out / name, plan.quarterly)
                 manifest.outputs.append(name)
-            if "scores.csv" in stage.writes:
-                for path in emit_plots_data(out, reference=cfg.reference_model):
-                    manifest.outputs.append(str(Path(path).relative_to(out)))
         manifest.complete = True
     except JobError as exc:
         manifest.failed_job = {
@@ -1273,10 +1257,10 @@ def run_backtest(cfg: RunConfig) -> RunManifest:
     """Execute the full expanding-window protocol and write all artifacts.
 
     Artifacts in ``cfg.out_dir``: ``agent_forecasts.csv``, ``forecasts.csv``,
-    ``scores.csv``, ``ratios.csv``, ``pit.csv``, plot data under ``plots/``,
-    optionally ``joint_draws.csv``, and ``manifest.json``.  Any job failure
-    aborts the run; the manifest is still written with ``complete`` false
-    and the failing job identified.
+    ``scores.csv``, ``ratios.csv``, ``pit.csv``, the evaluate stage's plot
+    tables under ``plots/``, optionally ``joint_draws.csv``, and
+    ``manifest.json``.  Any job failure aborts the run; the manifest is
+    still written with ``complete`` false and the failing job identified.
     """
     return run_stages(cfg, ("agents", "synthesis", "evaluate"))
 

@@ -1,5 +1,6 @@
 """Agent-model fitting, forecasting, and forecast-set plumbing checks."""
 
+import re
 import tempfile
 from pathlib import Path
 
@@ -240,5 +241,5 @@ class TestAgentForecastSet:
     def test_csv_rejects_wrong_header(self, tmp_path):
         path = tmp_path / "bad.csv"
         path.write_text("series,time,agent,tau,mean,var\n")
-        with pytest.raises(ValueError, match="header"):
+        with pytest.raises(ValueError, match=re.escape(f"{path}: expected header series,time,agent")):
             AgentForecastSet.from_csv(path)

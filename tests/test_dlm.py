@@ -487,7 +487,7 @@ class TestPrecisionRecursionsMatchOracle:
     def test_sample_precisions(self, beta):
         rng = np.random.default_rng(int(beta * 100) + 1)
         for T in (1, 2, 16, 40):
-            for shape in ((T,), (T, 1), (T, 6), (T, 9)):
+            for shape in ((T, 1), (T, 6), (T, 9)):
                 n = 10.0 ** rng.uniform(-2.0, 2.0, size=shape)
                 d = n * 10.0 ** rng.uniform(-3.0, 3.0, size=shape)
                 seed = int(rng.integers(2**32))
@@ -540,6 +540,13 @@ class TestGBRW:
             term = g.phi[t - 1]
             se = term.std() / np.sqrt(R)
             assert term.mean() == pytest.approx(g.n[t - 1, 0] / g.d[t - 1, 0], abs=3 * se)
+
+    @pytest.mark.parametrize("n0, d0", [(np.inf, 1.0), (1.0, np.inf), (np.nan, 1.0), (1.0, np.nan),
+                                         (0.0, 1.0), (1.0, -1.0)])
+    def test_rejects_bad_prior(self, n0, d0):
+        with pytest.raises(ValueError, match="must be finite and positive"):
+            gbrw_filter_sample(np.ones((2, 1)), np.ones((2, 1)), 8.0, n0, d0, 0.9,
+                               np.random.default_rng(0))
 
     def test_rejects_nonpositive_mixing(self):
         with pytest.raises(ValueError):

@@ -25,14 +25,19 @@ from hypothesis import strategies as st
 
 from conftest import backtest_config, write_level_panel
 from quantsynth import agents, cli, pipeline
-from quantsynth.agents import fit_dqlm, forecast_dqlm
+from quantsynth.agents import DQLMSpec, fit_dqlm, forecast_dqlm
 from quantsynth.config import (
+    AgentConfig,
+    FactorConfig,
+    SynthesisConfig,
     config_from_dict,
     config_hash,
     config_to_dict,
     dump_config,
     load_config,
 )
+from quantsynth.dlm import DiscountConfig
+from quantsynth.fdrqs import FDRQSConfig
 from quantsynth.pipeline import (
     SeriesRecord,
     _normalized_config_hash,
@@ -68,7 +73,7 @@ GOLDEN_SHA256 = {
     "scores.csv": "577155e0ccf787c0128f59658bf9b82794585081e1d2ff25133165bc827082c1",
     "ratios.csv": "f1cfb9600c5ac79fc6060d7c2a0f1c603f59cfdae006726aff5a9a2220ee58b1",
     "pit.csv": "088ce76202ee44ecc8840e3f87a4d8f2f5f4993093c5446cd3407aac566b2e24",
-    "plots/rcs_curve.csv": "e145913f494a7fd01edd6d2d50c73e69b95ff7bed93d76065d8b53d9373f123c",
+    "plots/rcs_curve.csv": "efd4c180644fa20fb8fa96f5561294535ffd68f6285b05267aa56d1454947681",
 }
 # SHA-256 of the factor backtest in ``test_staged_factor_cli_matches_factor_backtest``:
 # the only pins on the vector FFBS and the gamma-beta precision sampler.
@@ -183,6 +188,12 @@ class TestIngest:
             ingest(p, h=1)
         _write_levels(p, [("a", "0", 1.0, "x")], header=("series", "time", "Y", "z"))
         with pytest.raises(ValueError, match="predictor z="):
+            ingest(p, h=1)
+        # build_design reads y_lag as the lagged response, so a column of that name would be ignored.
+        _write_levels(
+            p, [("a", "0", 1.0, 2.0), ("a", "1", 1.5, 2.5)], header=("series", "time", "Y", "y_lag")
+        )
+        with pytest.raises(ValueError, match=re.escape(f"{p}: column name y_lag is reserved")):
             ingest(p, h=1)
         with pytest.raises(ValueError, match="h must be >= 1"):
             ingest(p, h=0)
@@ -435,6 +446,25 @@ class TestConfig:
         d["evaluation"] = {"reference": "zlag"}
         assert config_from_dict(d).reference_model == "zlag"
         assert cfg.synth_model_name == "drqs"
+
+    def test_section_defaults_match_sampler_defaults(self):
+        """Each YAML section's default equals the default of the sampler setting it feeds.
+
+        ``factor.L`` is left out on purpose: None resolves to ``min(5, N - 1)``.
+        """
+
+        def defaults(cls):
+            return {f.name: f.default for f in dataclasses.fields(cls)}
+
+        pairs = (
+            (AgentConfig, DQLMSpec, ("delta", "prior_scale", "sigma_shape", "sigma_rate")),
+            (SynthesisConfig, DiscountConfig, ("delta", "beta")),
+            (FactorConfig, FDRQSConfig, ("delta", "beta", "nu", "a1", "a2", "n0", "s0")),
+        )
+        for section, sampler, names in pairs:
+            got, want = defaults(section), defaults(sampler)
+            for name in names:
+                assert got[name] == want[name], (section.__name__, name)
 
 
 class TestPlan:
@@ -834,6 +864,25 @@ class TestBacktest:
         assert calls == ["read_forecasts", "stage_evaluate", "write_scores"]
         assert filecmp.cmp(root / "out" / "scores.csv", tmp_path / "scores.csv", shallow=False)
 
+    def test_one_series_rcs_curve_equals_ratios(self, mini_run, tmp_path):
+        # With one series the per-series curve and the summed ratio are the same
+        # full-precision quotient, so the two files agree row for row.
+        cfg, root, _ = mini_run
+        for name in ("levels.csv", "out/agent_forecasts.csv", "out/forecasts.csv"):
+            lines = (root / name).read_text().splitlines()
+            kept = [lines[0]] + [line for line in lines[1:] if line.startswith("alpha,")]
+            (tmp_path / Path(name).name).write_text("\n".join(kept) + "\n")
+        data = dataclasses.replace(cfg.data, panel_csv=str(tmp_path / "levels.csv"))
+        run_stages(dataclasses.replace(cfg, data=data, out_dir=str(tmp_path)), ["evaluate"])
+
+        def rows(name):
+            with open(tmp_path / name, newline="", encoding="utf-8") as fh:
+                return [(r["model"], r["scheme"], r["t_star"], r["rcs"]) for r in csv.DictReader(fh)]
+
+        curve = rows("plots/rcs_curve.csv")
+        assert len(curve) == 3 * 3 * 4  # models x schemes x t_stars
+        assert curve == rows("ratios.csv")
+
     def test_golden_artifact_digests(self, mini_run):
         _, root, _ = mini_run
         got = {
@@ -1148,29 +1197,17 @@ class TestArtifactIO:
                 read_forecasts(path)
 
     def test_empty_scores_yield_header_only_plots(self, tmp_path):
-        out = tmp_path / "run"
-        out.mkdir()
-        (out / "scores.csv").write_text("series,time,model,scheme,crps\n")
-        written = emit_plots_data(out, reference="base")
-        assert [p.name for p in written] == [
-            "rcs_curve.csv", "fan.csv", "pit_ecdf.csv", "correlation.csv",
-        ]
-        for p in written:
-            text = p.read_text().strip().splitlines()
-            assert len(text) == 1 and "," in text[0]
-
-    def test_plots_require_scores(self, tmp_path):
-        with pytest.raises(FileNotFoundError, match="run the evaluate stage"):
-            emit_plots_data(tmp_path, reference="base")
-
-    def test_unknown_reference_is_reported(self, tmp_path):
-        out = tmp_path / "run"
-        out.mkdir()
-        (out / "scores.csv").write_text(
-            "series,time,model,scheme,crps\na,1990Q1,base,none,1.0\n"
-        )
-        with pytest.raises(ValueError, match="reference model 'other' absent"):
-            emit_plots_data(out, reference="other")
+        write_level_panel(tmp_path / "levels.csv")
+        cfg = backtest_config(tmp_path / "levels.csv", tmp_path / "out")
+        plan = make_plan(cfg, ingest(cfg.data.panel_csv, cfg.data.h))
+        tables = emit_plots_data(plan, {}, [], [])
+        assert tables == ([], [], [], [])
+        names = pipeline.STAGES["evaluate"].writes[-len(tables):]
+        assert names == tuple(pipeline.PLOT_COLUMNS)
+        for name, table in zip(names, tables):
+            pipeline._WRITERS[name](table, tmp_path / name, plan.quarterly)
+            header = ",".join(pipeline.PLOT_COLUMNS[name])
+            assert (tmp_path / name).read_text().splitlines() == [header]
 
 
 def test_exports_resolve():
@@ -1291,7 +1328,7 @@ def test_traced_benchmark_command_runs(tmp_path, factor, spans):
     assert proc.returncode == 0, proc.stdout + proc.stderr
     data = json.loads(record.read_text())
     assert data["status"] == 0
-    for name in spans:
+    for name in (*spans, "pipeline.plots"):
         assert data["spans"].get(name, {}).get("calls", 0) > 0, name
     # The benchmark checks the traced sweeps against the plan's fits x (draws + burn),
     # so a sampler that fits several levels per call must still count every sweep.
