@@ -40,6 +40,13 @@ MIN_AGENT_DRAWS = 50
 WEIGHT_SCHEMES = ("none", "right", "left")
 
 
+def _check_unique(name: str, values) -> None:
+    """Refuse a list that holds one value twice, naming the list and the value."""
+    repeated = [v for i, v in enumerate(values) if v in values[:i]]
+    if repeated:
+        raise ValueError(f"{name} must be unique, got {repeated[0]!r} twice")
+
+
 def tau_key(tau) -> float:
     """The key a quantile level is stored and matched under: ``tau`` rounded to 10 decimals."""
     return round(float(tau), 10)
@@ -92,6 +99,7 @@ class AgentConfig:
             )
         if self.burn < 0:
             raise ValueError(f"agent {self.name}: burn must be >= 0")
+        _check_unique(f"agent {self.name}: predictors", self.predictors)
 
 
 @dataclass(frozen=True)
@@ -184,6 +192,7 @@ class EvalConfig:
             raise ValueError(f"unknown weight scheme(s) {unknown}; choose from {WEIGHT_SCHEMES}")
         if not self.schemes:
             raise ValueError("evaluation.schemes must be nonempty")
+        _check_unique("evaluation.schemes", self.schemes)
         if self.reconstruction_draws < 1:
             raise ValueError("evaluation.reconstruction_draws must be >= 1")
 
@@ -204,9 +213,7 @@ class RunConfig:
     def __post_init__(self):
         if self.workers < 1:
             raise ValueError(f"workers must be >= 1, got {self.workers}")
-        names = [a.name for a in self.agents]
-        if len(set(names)) != len(names):
-            raise ValueError(f"agent names must be unique, got {names}")
+        _check_unique("agent names", [a.name for a in self.agents])
 
     @property
     def agent_names(self) -> list:

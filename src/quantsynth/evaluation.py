@@ -10,7 +10,8 @@ span (no tail extrapolation).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import reduce
 
 import numpy as np
 
@@ -165,53 +166,45 @@ def reconstruct_predictive(
 
 @dataclass
 class ScorePanel:
-    """Per-(series, time) scores for one model under one weighting scheme."""
+    """One model's scores under one weighting scheme, ``series[i]`` at ``times[k]`` in ``crps[i, k]``."""
 
     model: str
     scheme: str
-    crps: dict = field(default_factory=dict)  # (series, time) -> score
+    series: list
+    times: np.ndarray
+    crps: np.ndarray  # (len(series), len(times))
 
-    def add(self, series: str, t: int, crps_value: float) -> None:
-        if crps_value < 0.0:
+    def __post_init__(self):
+        if np.any(self.crps < 0.0):
             raise ValueError("scores must be nonnegative")
-        self.crps[(series, int(t))] = float(crps_value)
 
-    def series_ids(self) -> list[str]:
-        return sorted({k[0] for k in self.crps})
+    def _window_sums(self, ref: "ScorePanel") -> tuple[np.ndarray, np.ndarray]:
+        """(N, T) sums of self and ref over each window ``[times[0], times[k]]``.
 
-    def times(self, series: str) -> np.ndarray:
-        return np.array(sorted(t for s, t in self.crps if s == series), dtype=int)
-
-    def _ratio(self, ref: "ScorePanel", series_ids, t_star: int, t_start: int | None) -> float:
-        """Summed scores over the inclusive window ``[t_start, t_star]``, self over reference.
-
-        Every time in the window must be scored exactly once per series.  Each
-        series' window is summed on its own and the sums are added in order.
-        With ``t_start`` None each series' window starts at its first time.
+        Each window is summed on its own; a running sum rounds differently.
         """
-        num = 0.0
-        den = 0.0
-        for s in series_ids:
-            times = self.times(s)
-            if not np.array_equal(times, ref.times(s)):
-                raise ValueError(f"panels disagree on times for series {s}")
-            start = int(times.min()) if t_start is None else int(t_start)
-            window = times[(times >= start) & (times <= t_star)]
-            if not np.array_equal(window, np.arange(start, t_star + 1)):
-                raise ValueError(f"scores do not cover the window [{start}, {t_star}]")
-            num += float(np.sum(np.array([self.crps[(s, t)] for t in window])))
-            den += float(np.sum(np.array([ref.crps[(s, t)] for t in window])))
-        if den <= 0.0:
-            raise ZeroDivisionError("reference score sum is zero over the window")
-        return num / den
+        if self.series != ref.series or not np.array_equal(self.times, ref.times):
+            raise ValueError(f"panels {self.model} and {ref.model} cover different grids")
+        return tuple(
+            np.array([[row[: k + 1].sum() for k in range(row.size)] for row in p.crps])
+            for p in (self, ref)
+        )
 
-    def rcs_vs(self, ref: "ScorePanel", series: str, t_star: int, t_start: int | None = None) -> float:
-        """Per-series cumulative ratio against a reference panel."""
-        return self._ratio(ref, [series], t_star, t_start)
+    def rcs_vs(self, ref: "ScorePanel") -> np.ndarray:
+        """(N, T) cumulative ratio of each series' scores against a reference panel."""
+        return _ratio_curve(*self._window_sums(ref))
 
-    def rtcs_vs(self, ref: "ScorePanel", t_star: int, t_start: int | None = None) -> float:
-        """Cumulative ratio summed over every series in the panel."""
-        sids = self.series_ids()
-        if sids != ref.series_ids():
-            raise ValueError("panels cover different series")
-        return self._ratio(ref, sids, t_star, t_start)
+    def rtcs_vs(self, ref: "ScorePanel") -> np.ndarray:
+        """(T,) cumulative ratio of the scores summed over series, added in series order.
+
+        The rows are added one by one: ``sum(axis=0)`` of an (N, 1) array
+        goes pairwise from N = 8 on.
+        """
+        num, den = self._window_sums(ref)
+        return _ratio_curve(reduce(np.add, num), reduce(np.add, den))
+
+
+def _ratio_curve(num: np.ndarray, den: np.ndarray) -> np.ndarray:
+    if np.any(den <= 0.0):
+        raise ZeroDivisionError("reference score sum is zero over a window")
+    return num / den

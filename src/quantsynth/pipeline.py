@@ -687,17 +687,18 @@ def _synth_payloads(plan: BacktestPlan, panel: SeriesPanel, fset: AgentForecastS
     names = cfg.agent_names
     sids = panel.series_ids
     syn = cfg.factor if cfg.plan.factor else cfg.synthesis
+    _, report_times = plan.synth_input_times(plan.end)  # every window's report times are a prefix
     payloads = []
     for tau in plan.taus:
+        reports = [fset.panel(sid, tau, report_times, names) for sid in sids]
+        a_all, A_all = (np.stack(x, axis=1) for x in zip(*reports))  # (T, N, J) each
         for target in plan.synth_targets:
             fit_times, all_times = plan.synth_input_times(target)
+            a, A = a_all[: all_times.size], A_all[: all_times.size]
             Y = np.empty((fit_times.size, len(sids)))
-            a = np.empty((all_times.size, len(sids), len(names)))
-            A = np.empty_like(a)
             for i, sid in enumerate(sids):
                 rec = panel.record(sid)
                 Y[:, i] = rec.y[rec.positions(fit_times)]
-                a[:, i], A[:, i] = fset.panel(sid, tau, all_times, names)
             payloads.append(
                 {
                     "tau": float(tau),
@@ -736,11 +737,14 @@ def stage_synthesize(
 
 
 def _forecast_curves(plan: BacktestPlan, rows: list) -> dict:
-    """Point forecasts as ``{(series, time): curve over plan.taus}``; refuses a curve missing a level."""
+    """Point forecasts as ``{(series, time): curve over plan.taus}``; refuses a missing or repeated level."""
     levels = [tau_key(t) for t in plan.taus]
     maps: dict = {}
     for series, t, tau, point, *_ in rows:
-        maps.setdefault((series, int(t)), {})[tau_key(tau)] = float(point)
+        curve_map = maps.setdefault((series, int(t)), {})
+        if tau_key(tau) in curve_map:
+            raise ValueError(f"repeated forecast for series {series} at {plan.time_label(t)}, tau {tau}")
+        curve_map[tau_key(tau)] = float(point)
     curves = {}
     for (series, t), curve_map in maps.items():
         if sorted(curve_map) != levels:
@@ -769,19 +773,18 @@ def stage_evaluate(
     grid = QuantileGrid(np.asarray(plan.taus, dtype=float))
     synth_name = cfg.synth_model_name
     models = cfg.agent_names + [synth_name]
-    reference = cfg.reference_model
 
     synth_curves = _forecast_curves(plan, synth_rows)
-    panels = {
-        (model, scheme): ScorePanel(model=model, scheme=scheme)
+    sids, targets = panel.series_ids, plan.synth_targets
+    scores = {
+        (model, scheme): np.empty((len(sids), targets.size))
         for model in models
         for scheme in cfg.evaluation.schemes
     }
     pit_rows = []
-    for sid in panel.series_ids:
+    for i, sid in enumerate(sids):
         rec = panel.record(sid)
-        for target in plan.synth_targets:
-            target = int(target)
+        for k, target in enumerate(targets.tolist()):
             y = rec.y_at(target)
             for model in models:
                 if model == synth_name:
@@ -794,8 +797,7 @@ def stage_evaluate(
                 else:
                     curve = np.array([fset.get(sid, target, model, t).a for t in plan.taus])
                 for scheme in cfg.evaluation.schemes:
-                    score = crps_quantile_weighted(y, curve, grid, scheme)
-                    panels[(model, scheme)].add(sid, target, score)
+                    scores[(model, scheme)][i, k] = crps_quantile_weighted(y, curve, grid, scheme)
                 rng = task_stream(plan.seed, "eval-pit", model, sid, target)
                 try:
                     rp = reconstruct_predictive(
@@ -808,14 +810,14 @@ def stage_evaluate(
                     ) from exc
                 pit_rows.append((model, sid, target, pit(y, rp.draws)))
 
+    panels = {
+        (model, scheme): ScorePanel(model, scheme, sids, targets, crps)
+        for (model, scheme), crps in scores.items()
+    }
     ratio_rows = []
-    t_start = int(plan.synth_forecast_start)
-    for model in models:
-        for scheme in cfg.evaluation.schemes:
-            ref_panel = panels[(reference, scheme)]
-            for t_star in plan.synth_targets:
-                value = panels[(model, scheme)].rtcs_vs(ref_panel, int(t_star), t_start)
-                ratio_rows.append((model, scheme, int(t_star), value))
+    for (model, scheme), score_panel in panels.items():
+        curve = score_panel.rtcs_vs(panels[(cfg.reference_model, scheme)])
+        ratio_rows += [(model, scheme, t, v) for t, v in zip(targets.tolist(), curve.tolist())]
     return panels, pit_rows, ratio_rows
 
 
@@ -956,11 +958,12 @@ def write_reconstructed(keys, draws, path, quarterly: bool) -> None:
 
 def write_scores(panels: dict, path, quarterly: bool) -> None:
     """Score rows: ``series,time,model,scheme,crps``."""
-    rows = []
-    for (model, scheme), panel in panels.items():
-        for (series, t), value in panel.crps.items():
-            rows.append((series, t, model, scheme, value))
-    rows.sort(key=lambda r: (r[0], r[1], r[2], r[3]))
+    rows = sorted(  # (series, time, model, scheme) is unique, so the score never decides
+        (series, t, model, scheme, value)
+        for (model, scheme), panel in panels.items()
+        for series, row in zip(panel.series, panel.crps.tolist())
+        for t, value in zip(panel.times.tolist(), row)
+    )
     out = [
         (series, format_time(t, quarterly), model, scheme, _report_float(v))
         for series, t, model, scheme, v in rows
@@ -1005,16 +1008,12 @@ def emit_plots_data(plan: BacktestPlan, panels: dict, rows: list, pit_rows: list
     reference = plan.cfg.reference_model
 
     # Score curves: per-series cumulative ratio of every model to the reference.
-    rcs_rows = []
-    for (model, scheme), panel in sorted(panels.items()):
-        ref_panel = panels[(reference, scheme)]
-        for series in panel.series_ids():
-            times = panel.times(series)
-            for t_star in times:
-                value = panel.rcs_vs(ref_panel, series, int(t_star), int(times.min()))
-                rcs_rows.append(
-                    (model, scheme, series, plan.time_label(int(t_star)), _report_float(value))
-                )
+    rcs_rows = [
+        (model, scheme, series, plan.time_label(t), _report_float(v))
+        for (model, scheme), panel in sorted(panels.items())
+        for series, curve in zip(panel.series, panel.rcs_vs(panels[(reference, scheme)]).tolist())
+        for t, v in zip(panel.times.tolist(), curve)
+    ]
 
     fan_rows = [
         (series, plan.time_label(t), _repr_float(tau), _repr_float(point), _repr_float(lo),

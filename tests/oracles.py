@@ -18,9 +18,11 @@ precision draw, the forward gamma filter and the shrinkage-shock cycle as
 they ran on NumPy rows, before their recursions moved to Python floats.
 ``gibbs_fdrqs_per_series`` is the factor sampler as it ran before its
 per-series work was stacked into one call per sweep; it calls those two
-oracles for its precision paths and shrinkage shocks.  The package must
-reproduce all of them bit for bit, drawing the same random numbers in the
-same order.
+oracles for its precision paths and shrinkage shocks.  ``score_ratio`` is
+the cumulative score-ratio loop over ``(series, time) -> score`` maps that
+``ScorePanel`` ran before it held its scores as one (series x time) array.
+The package must reproduce all of them bit for bit, drawing the same random
+numbers in the same order.
 """
 
 from __future__ import annotations
@@ -413,3 +415,20 @@ def gibbs_fdrqs_per_series(Y, agents, cfg, mcmc, rng: np.random.Generator):
             for store, x in zip(keep, (u, lam, sigma, deltas, ffbs.C[-1], g.n[-1])):
                 store.append(np.array(x))
     return tuple(np.stack(store) for store in keep)
+
+
+def score_ratio(crps: dict, ref_crps: dict, series_ids, t_star: int) -> float:
+    """Scores of ``series_ids`` summed from each series' first time to ``t_star``, over the reference's.
+
+    Each series' window is summed on its own and the sums are added in order.
+    """
+    num = 0.0
+    den = 0.0
+    for s in series_ids:
+        times = np.array(sorted(t for si, t in crps if si == s), dtype=int)
+        window = times[times <= t_star]
+        num += float(np.sum(np.array([crps[(s, t)] for t in window])))
+        den += float(np.sum(np.array([ref_crps[(s, t)] for t in window])))
+    if den <= 0.0:
+        raise ZeroDivisionError("reference score sum is zero over the window")
+    return num / den

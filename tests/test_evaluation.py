@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from scipy.special import ndtri
 from scipy.stats import norm
 
-from oracles import check_loss
+from oracles import check_loss, score_ratio
 from quantsynth.config import DEFAULT_TAUS, WEIGHT_SCHEMES
 from quantsynth.evaluation import (
     QuantileGrid,
@@ -116,45 +116,92 @@ def _score_panels(values, ref_values, times=None):
     """A model and a reference :class:`ScorePanel` from (series x time) score arrays."""
     values, ref_values = np.atleast_2d(values), np.atleast_2d(ref_values)
     times = np.arange(values.shape[1]) if times is None else times
-    panel, ref = ScorePanel("m", "none"), ScorePanel("ref", "none")
-    for i, (row, ref_row) in enumerate(zip(values, ref_values)):
-        for t, v, rv in zip(times, row, ref_row):
-            panel.add(f"s{i}", t, v)
-            ref.add(f"s{i}", t, rv)
-    return panel, ref
+    series = [f"s{i}" for i in range(values.shape[0])]
+    return (ScorePanel("m", "none", series, times, values),
+            ScorePanel("ref", "none", series, times, ref_values))
+
+
+def _cells(panel: ScorePanel) -> dict:
+    return {(s, t): v for s, row in zip(panel.series, panel.crps.tolist())
+            for t, v in zip(panel.times.tolist(), row)}
 
 
 class TestScoreRatios:
     def test_identities(self):
         rng = np.random.default_rng(13)
         x = rng.uniform(0.5, 2.0, size=10)
-        assert ScorePanel.rtcs_vs(*_score_panels(x, x), 9, 0) == 1.0
-        assert abs(ScorePanel.rtcs_vs(*_score_panels(2.0 * x, x), 9, 0) - 2.0) < 1e-12
+        assert np.all(ScorePanel.rtcs_vs(*_score_panels(x, x)) == 1.0)
+        np.testing.assert_allclose(ScorePanel.rtcs_vs(*_score_panels(2.0 * x, x)), 2.0, rtol=1e-12)
         # single-point window
-        assert abs(ScorePanel.rcs_vs(*_score_panels(x, x), "s0", 3, 3) - 1.0) < 1e-12
+        assert abs(ScorePanel.rcs_vs(*_score_panels(x, x))[0, 0] - 1.0) < 1e-12
 
     def test_explicit_times_axis(self):
+        # Windows run from the first scored time, whatever its index.
         x = np.array([1.0, 2.0, 3.0, 4.0])
-        times = np.array([7, 8, 9, 10])
-        panel, ref = _score_panels(2.0 * x, x, times)
-        assert abs(panel.rtcs_vs(ref, 10, 8) - 2.0) < 1e-12
-        with pytest.raises(ValueError, match="cover the window"):
-            panel.rtcs_vs(ref, 8, 5)
+        panel, ref = _score_panels(np.array([2.0, 1.0, 1.0, 1.0]) * x, x, np.array([7, 8, 9, 10]))
+        np.testing.assert_allclose(panel.rtcs_vs(ref), [2.0, 4 / 3, 7 / 6, 11 / 10], rtol=1e-12)
 
     def test_multiseries_total_ratio(self):
         rng = np.random.default_rng(13)
         xm = rng.uniform(0.5, 2.0, size=(3, 10))
-        assert abs(ScorePanel.rtcs_vs(*_score_panels(2.0 * xm, xm), 9, 0) - 2.0) < 1e-12
+        np.testing.assert_allclose(ScorePanel.rtcs_vs(*_score_panels(2.0 * xm, xm)), 2.0, rtol=1e-12)
         # the ratio is of the totals over all series in the window
         worse = xm.copy()
         worse[0] *= 3.0
-        expect = (3.0 * xm[0, 2:6].sum() + xm[1:, 2:6].sum()) / xm[:, 2:6].sum()
-        assert abs(ScorePanel.rtcs_vs(*_score_panels(worse, xm), 5, 2) - expect) < 1e-12
+        expect = (3.0 * xm[0, :6].sum() + xm[1:, :6].sum()) / xm[:, :6].sum()
+        assert abs(ScorePanel.rtcs_vs(*_score_panels(worse, xm))[5] - expect) < 1e-12
+        rcs = ScorePanel.rcs_vs(*_score_panels(worse, xm))
+        assert rcs.shape == (3, 10)
+        np.testing.assert_allclose(rcs[0], 3.0, rtol=1e-12)
+        np.testing.assert_allclose(rcs[1:], 1.0, rtol=1e-12)
 
     def test_errors(self):
         x = np.ones(5)
         with pytest.raises(ZeroDivisionError):
-            ScorePanel.rtcs_vs(*_score_panels(x, np.zeros(5)), 4, 0)
+            ScorePanel.rtcs_vs(*_score_panels(x, np.zeros(5)))
+        with pytest.raises(ZeroDivisionError):
+            ScorePanel.rcs_vs(*_score_panels(x, np.zeros(5)))
+
+
+class TestRatiosMatchOracle:
+    """Both curves equal the per-window loop of ``oracles.score_ratio`` bit for bit.
+
+    From 8 terms on NumPy sums a contiguous slice pairwise, so a running sum
+    (``np.cumsum``) rounds differently; the T >= 8 cases catch one.  The
+    N = 20, T = 1 case catches a series total taken with ``sum(axis=0)``,
+    which also goes pairwise there.
+    """
+
+    @pytest.mark.parametrize("T", [1, 7, 8, 30])
+    @pytest.mark.parametrize("N", [1, 3, 20])
+    def test_curves_bit_for_bit(self, N, T):
+        rng = np.random.default_rng(100 * N + T)
+        scales = 10.0 ** rng.uniform(-3.0, 3.0, size=(2, N, T))
+        values, ref_values = rng.exponential(size=(2, N, T)) * scales
+        if T >= 8:
+            # A running sum rounds each small term away; the pairwise sum keeps them.
+            values[0, :8] = [1.0] + [2.0**-53] * 7
+        panel, ref = _score_panels(values, ref_values, np.arange(3, 3 + T))
+        cells, ref_cells = _cells(panel), _cells(ref)
+        rcs, rtcs = panel.rcs_vs(ref), panel.rtcs_vs(ref)
+        assert rcs.shape == (N, T) and rtcs.shape == (T,)
+        times = panel.times.tolist()
+        assert rcs.tolist() == [
+            [score_ratio(cells, ref_cells, [s], t) for t in times] for s in panel.series
+        ]
+        assert rtcs.tolist() == [score_ratio(cells, ref_cells, panel.series, t) for t in times]
+
+    def test_zero_reference_raises(self):
+        values = np.ones((3, 4))
+        ref_values = np.ones((3, 4))
+        ref_values[:, 0] = 0.0
+        panel, ref = _score_panels(values, ref_values)
+        with pytest.raises(ZeroDivisionError):
+            score_ratio(_cells(panel), _cells(ref), panel.series, 0)
+        with pytest.raises(ZeroDivisionError):
+            panel.rtcs_vs(ref)
+        with pytest.raises(ZeroDivisionError):
+            panel.rcs_vs(ref)
 
 
 class TestPIT:
@@ -294,32 +341,23 @@ class TestReconstruction:
 
 class TestScorePanel:
     def test_ratio_methods(self):
-        p1 = ScorePanel("m", "none")
-        p0 = ScorePanel("ref", "none")
-        for t in range(5):
-            for s in ("a", "b"):
-                p1.add(s, t, 2.0)
-                p0.add(s, t, 1.0)
-        assert p1.rcs_vs(p0, "a", 4) == 2.0
-        assert p1.rtcs_vs(p0, 4) == 2.0
-        assert p1.series_ids() == ["a", "b"]
-        np.testing.assert_array_equal(p1.times("a"), np.arange(5))
+        p1 = ScorePanel("m", "none", ["a", "b"], np.arange(5), np.full((2, 5), 2.0))
+        p0 = ScorePanel("ref", "none", ["a", "b"], np.arange(5), np.ones((2, 5)))
+        assert np.all(p1.rcs_vs(p0) == 2.0)
+        assert np.all(p1.rtcs_vs(p0) == 2.0)
+        assert p1.series == ["a", "b"]
+        np.testing.assert_array_equal(p1.times, np.arange(5))
 
-    def test_add_validation(self):
-        p = ScorePanel("m", "none")
+    def test_constructor_validation(self):
         with pytest.raises(ValueError, match="nonnegative"):
-            p.add("a", 0, -1.0)
+            ScorePanel("m", "none", ["a"], np.arange(2), np.array([[1.0, -1.0]]))
 
     def test_mismatch_errors(self):
-        p1 = ScorePanel("m", "none")
-        p0 = ScorePanel("ref", "none")
-        p1.add("a", 0, 1.0)
-        p1.add("a", 1, 1.0)
-        p0.add("a", 0, 1.0)
-        p0.add("a", 2, 1.0)
-        with pytest.raises(ValueError, match="disagree on times"):
-            p1.rcs_vs(p0, "a", 1)
-        p0b = ScorePanel("ref", "none")
-        p0b.add("b", 0, 1.0)
-        with pytest.raises(ValueError, match="different series"):
-            p1.rtcs_vs(p0b, 0)
+        ones = np.ones((1, 2))
+        p1 = ScorePanel("m", "none", ["a"], np.arange(2), ones)
+        p0 = ScorePanel("ref", "none", ["a"], np.array([0, 2]), ones)
+        with pytest.raises(ValueError, match="cover different grids"):
+            p1.rcs_vs(p0)
+        p0b = ScorePanel("ref", "none", ["b"], np.arange(2), ones)
+        with pytest.raises(ValueError, match="cover different grids"):
+            p1.rtcs_vs(p0b)

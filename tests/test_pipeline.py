@@ -391,6 +391,18 @@ class TestConfig:
         with pytest.raises(ValueError, match="workers"):
             config_from_dict({"workers": 0})
 
+    def test_repeated_list_entries(self):
+        # A repeated scheme would write its ratio rows twice; a repeated
+        # predictor would give two identical design columns.
+        with pytest.raises(ValueError) as info:
+            config_from_dict({"evaluation": {"schemes": ["none", "right", "none"]}})
+        assert str(info.value) == "evaluation.schemes must be unique, got 'none' twice"
+        with pytest.raises(ValueError) as info:
+            config_from_dict({"agents": [{"name": "a", "predictors": ["z", "y_lag", "z"]}]})
+        assert str(info.value) == "agent a: predictors must be unique, got 'z' twice"
+        cfg = config_from_dict({"agents": [{"name": "a", "predictors": ["z", "y_lag"]}]})
+        assert cfg.agents[0].predictors == ("z", "y_lag")
+
     def test_seed_range(self, tmp_path, capsys):
         # task_stream keeps a seed's low 32 bits, so 0, 2**32 and -2**32 would alias.
         for seed in (2**32, -1, -(2**32)):
@@ -953,6 +965,23 @@ class TestBacktest:
             assert cli.main([command, "--config", str(cfg_path), "--out-dir", str(tmp_path)]) == 1
             err = capsys.readouterr().err
             assert err.startswith("error: ") and "forecasts.csv, row 3: point, lo95 and hi95" in err
+            assert not (tmp_path / output).exists()
+
+    def test_repeated_forecast_row_refused(self, mini_run, tmp_path, capsys):
+        # A second (series, time, tau) row must not silently replace the first.
+        cfg, root, _ = mini_run
+        shutil.copy(root / "out" / "agent_forecasts.csv", tmp_path / "agent_forecasts.csv")
+        lines = (root / "out" / "forecasts.csv").read_text().splitlines()
+        series, label, tau = lines[2].split(",")[:3]
+        cells = lines[2].split(",")
+        cells[pipeline.FORECAST_COLUMNS.index("point")] = "0.0"
+        (tmp_path / "forecasts.csv").write_text("\n".join(lines + [",".join(cells)]) + "\n")
+        cfg_path = tmp_path / "run.yaml"
+        dump_config(cfg, cfg_path)
+        for command, output in (("evaluate", "scores.csv"), ("reconstruct", "reconstructed_draws.csv")):
+            assert cli.main([command, "--config", str(cfg_path), "--out-dir", str(tmp_path)]) == 1
+            err = capsys.readouterr().err
+            assert f"error: repeated forecast for series {series} at {label}, tau {float(tau)}" in err
             assert not (tmp_path / output).exists()
 
     def test_audit_finds_no_lookahead(self, mini_run):
