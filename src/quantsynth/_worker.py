@@ -1,7 +1,8 @@
-"""Worker-process bootstrap kept free of heavy imports.
+"""Thread-limit bootstrap kept free of heavy imports.
 
 Thread limits must be in the environment before the numerical libraries
-load, so this module must not import numpy directly or transitively.
+load, so this module must not import numpy directly or transitively.  The
+CLI applies them first; pool workers inherit them from its environment.
 """
 
 import os

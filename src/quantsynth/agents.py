@@ -270,12 +270,11 @@ class AgentForecastSet:
 
     def validate(self) -> None:
         """Check the completeness contract; raise naming the first violation."""
-        for series in self.series_ids():
-            pair_times: dict[tuple[str, float], set[int]] = {}
-            for (s, t, agent, tk) in self._data:
-                if s != series:
-                    continue
-                pair_times.setdefault((agent, tk), set()).add(t)
+        by_series: dict[str, dict[tuple[str, float], set[int]]] = {}
+        for (s, t, agent, tk) in self._data:
+            by_series.setdefault(s, {}).setdefault((agent, tk), set()).add(t)
+        for series in sorted(by_series):
+            pair_times = by_series[series]
             ref_pair = min(pair_times)
             ref = pair_times[ref_pair]
             for pair, ts in pair_times.items():

@@ -17,11 +17,13 @@ artifacts, and writes ``manifest.json``.  :func:`run_backtest` runs the
 first three; each stage subcommand of the CLI runs one.
 
 Jobs are independent across (tau, window).  With ``workers > 1`` they run
-on one spawn process pool per run, opened when the first stage that submits
-jobs starts and shut down when the run ends, so each worker imports the
-package once per command.  Every job derives its generator from the root
-seed and its own logical identity, so outputs are bit-identical across
-worker counts and scheduling orders.
+on one process pool per run, opened with the platform's default start
+method when the first stage that submits jobs starts and shut down when the
+run ends; the workers inherit the thread limits the CLI set (under fork, as
+copies of the planned parent with NumPy and the package loaded).  Every job
+derives its generator from the root seed and its own logical identity, so
+outputs are bit-identical across worker counts, start methods and
+scheduling orders.
 """
 
 from __future__ import annotations
@@ -35,12 +37,10 @@ import time as _time
 from collections.abc import Callable
 from concurrent.futures import Executor, ProcessPoolExecutor, as_completed
 from dataclasses import dataclass, field
-from multiprocessing import get_context
 from pathlib import Path
 
 import numpy as np
 
-from ._worker import limit_worker_threads
 from .agents import AgentForecastSet, DQLMSpec, fit_dqlm, forecast_dqlm
 from .config import AgentConfig, RunConfig, config_hash, tau_key
 from .dlm import DiscountConfig
@@ -591,10 +591,9 @@ def _run_pool(
 ) -> tuple[list, list]:
     """Execute independent job payloads, fail-fast.
 
-    Jobs go to ``pool``, the run's one spawn process pool that
-    :func:`run_stages` opens on first use, or run inline in this process when
-    it is None.  Returns the job results in payload order and one timing
-    record per job.
+    Jobs go to ``pool``, the run's one process pool that :func:`run_stages`
+    opens on first use, or run inline in this process when it is None.
+    Returns the job results in payload order and one timing record per job.
     """
     timed = [None] * len(payloads)
 
@@ -1166,10 +1165,10 @@ def run_stages(cfg: RunConfig, names) -> RunManifest:
     failure aborts the run, and the manifest is still written with
     ``complete`` false and the failing job identified.
 
-    With ``cfg.workers > 1`` the first stage that submits jobs opens one spawn
-    process pool, which every later stage reuses; it is shut down, pending
-    jobs cancelled, before the manifest is written, so no worker outlives
-    the call.
+    With ``cfg.workers > 1`` the first stage that submits jobs opens one
+    process pool (the platform's default start method), which every later
+    stage reuses; it is shut down, pending jobs cancelled, before the
+    manifest is written, so no worker outlives the call.
     """
     panel = ingest(cfg.data.panel_csv, cfg.data.h)
     try:
@@ -1212,10 +1211,7 @@ def run_stages(cfg: RunConfig, names) -> RunManifest:
     try:
         for stage in stages:
             if stage.pooled and cfg.workers > 1 and pool is None:
-                pool = ProcessPoolExecutor(
-                    max_workers=cfg.workers, mp_context=get_context("spawn"),
-                    initializer=limit_worker_threads,
-                )
+                pool = ProcessPoolExecutor(max_workers=cfg.workers)
             inputs = [artifacts[a] if a in artifacts else _READERS[a](out / a) for a in stage.reads]
             *values, timings = stage.run(plan, panel, pool, *inputs)
             manifest.windows.extend(timings)

@@ -187,6 +187,25 @@ class TestAgentForecastSet:
         with pytest.raises(ValueError, match="covers times"):
             fset.validate()
 
+    @pytest.mark.parametrize(
+        "times, extra, message",
+        [((5, 7), None, r"series infl: gap in time index at \[6\]"),
+         ((5, 6), ("m2", 0.75, 7), r"series infl: \(agent, tau\)=\('m2', 0.75\) covers times")],
+    )
+    def test_validate_names_the_second_series(self, times, extra, message):
+        """Only the second series is bad; the refusal names it, not the first."""
+        fset = AgentForecastSet()
+        self._fill(fset)
+        for agent in ("m1", "m2"):
+            for tau in (0.25, 0.75):
+                for t in times:
+                    fset.add("infl", t, agent, tau, a=0.0, A=1.0)
+        if extra is not None:
+            agent, tau, t = extra
+            fset.add("infl", t, agent, tau, a=0.0, A=1.0)
+        with pytest.raises(ValueError, match=message):
+            fset.validate()
+
     def test_csv_round_trip(self, tmp_path):
         fset = AgentForecastSet(quarterly=True)
         self._fill(fset)

@@ -1252,7 +1252,7 @@ def test_exports_resolve():
 
 
 def test_pipeline_import_loads_no_scipy():
-    """Pool workers import the pipeline, so SciPy's import time stays off that path."""
+    """Every CLI command imports the pipeline while it sets up, so SciPy's import time stays off that path."""
     src = str(Path(__file__).resolve().parents[1] / "src")
     code = (
         f"import sys; sys.path.insert(0, {src!r}); import quantsynth.pipeline; "
@@ -1264,7 +1264,7 @@ def test_pipeline_import_loads_no_scipy():
 
 
 def test_bootstrap_imports_load_no_numerical_stack():
-    """The bare package, the worker bootstrap and the CLI module load neither NumPy nor SciPy.
+    """The bare package, the thread-limit bootstrap and the CLI module load neither NumPy nor SciPy.
 
     ``limit_worker_threads`` must set the thread limits before NumPy loads.
     """
@@ -1280,7 +1280,12 @@ def test_bootstrap_imports_load_no_numerical_stack():
 
 
 def test_one_worker_pool_per_run(tmp_path, monkeypatch):
-    """A backtest at workers=2 opens one pool of two workers; a stage without jobs opens none."""
+    """A backtest at workers=2 opens one pool of two workers; a stage without jobs opens none.
+
+    The pool takes the platform's default start method and no initializer:
+    the workers inherit the thread limits and the loaded package from the
+    parent where the default is fork.
+    """
     write_level_panel(tmp_path / "levels.csv")
     cfg = backtest_config(tmp_path / "levels.csv", tmp_path / "out")
     cfg = dataclasses.replace(
@@ -1293,6 +1298,7 @@ def test_one_worker_pool_per_run(tmp_path, monkeypatch):
     class CountingPool(ProcessPoolExecutor):
         def __init__(self, *args, **kwargs):
             super().__init__(*args, **kwargs)
+            self.kwargs = kwargs
             self.pids = set()
             pools.append(self)
 
@@ -1304,6 +1310,7 @@ def test_one_worker_pool_per_run(tmp_path, monkeypatch):
     cfg = dataclasses.replace(cfg, workers=2)
     run_backtest(cfg)
     assert len(pools) == 1 and len(pools[0].pids) == 2
+    assert "mp_context" not in pools[0].kwargs and "initializer" not in pools[0].kwargs
     assert multiprocessing.active_children() == []
     run_stages(cfg, ["evaluate"])
     assert len(pools) == 1
