@@ -247,6 +247,30 @@ class TestAgentForecastSet:
             got = back.get(s, t, agent, tau)
             assert (got.tau, got.a, got.A) == (tau, a, A)
 
+    def test_series_may_cover_different_runs_and_agents(self, tmp_path):
+        """Each series keeps its own gap-free run and its own agents; the file reads back byte for byte."""
+        text = (
+            "series,time,agent,tau,a,A\n"
+            "gdp,1990Q1,m1,0.25,0.5,1.0\n"
+            "gdp,1990Q1,m1,0.75,1.5,1.0\n"
+            "gdp,1990Q1,m2,0.25,0.25,2.0\n"
+            "gdp,1990Q1,m2,0.75,1.25,2.0\n"
+            "gdp,1990Q2,m1,0.25,-0.5,1.0\n"
+            "gdp,1990Q2,m1,0.75,-1.5,1.0\n"
+            "gdp,1990Q2,m2,0.25,-0.25,2.0\n"
+            "gdp,1990Q2,m2,0.75,-1.25,2.0\n"
+            "infl,1990Q3,m2,0.25,3.0,0.5\n"
+            "infl,1990Q3,m2,0.75,4.0,0.5\n"
+            "infl,1990Q4,m2,0.25,3.5,0.5\n"
+            "infl,1990Q4,m2,0.75,4.5,0.5\n"
+            "infl,1991Q1,m2,0.25,3.25,0.5\n"
+            "infl,1991Q1,m2,0.75,4.25,0.5\n"
+        )
+        path = tmp_path / "agents.csv"
+        path.write_text(text)
+        AgentForecastSet.from_csv(path).to_csv(tmp_path / "back.csv")
+        assert (tmp_path / "back.csv").read_text() == text
+
     def test_csv_error_names_row(self, tmp_path):
         path = tmp_path / "bad.csv"
         path.write_text(

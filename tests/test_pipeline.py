@@ -903,6 +903,32 @@ class TestBacktest:
         }
         assert got == GOLDEN_SHA256
 
+    def test_synth_payloads_carry_the_stored_reports(self, mini_run):
+        """Every synthesis payload holds the stored agent reports of its window, bit for bit."""
+        cfg, root, _ = mini_run
+        path = root / "out" / "agent_forecasts.csv"
+        cells = {}
+        with open(path, newline="", encoding="utf-8") as fh:
+            reader = csv.reader(fh)
+            next(reader)
+            for series, label, agent, tau, a, A in reader:
+                cells[(series, parse_time(label), agent, float(tau))] = (float(a), float(A))
+        panel = ingest(cfg.data.panel_csv, cfg.data.h)
+        plan = make_plan(cfg, panel)
+        payloads = pipeline._synth_payloads(plan, panel, agents.AgentForecastSet.from_csv(path))
+        assert len(payloads) == len(plan.taus) * plan.synth_targets.size
+        for p in payloads:
+            _, times = plan.synth_input_times(p["target"])
+            want = np.array([
+                [[cells[(sid, t, name, p["tau"])] for name in cfg.agent_names] for sid in panel.series_ids]
+                for t in times.tolist()
+            ])  # (T + 1, N, J, 2)
+            expected = {"a": want[:-1, ..., 0], "A": want[:-1, ..., 1],
+                        "a_next": want[-1, ..., 0], "A_next": want[-1, ..., 1]}
+            for key, value in expected.items():
+                assert np.array_equal(p[key], value), (p["tau"], p["target"], key)
+                assert p[key].flags.c_contiguous, key
+
     def test_staged_factor_cli_matches_factor_backtest(self, mini_run, capsys):
         cfg, root, _ = mini_run
         # Cheaper agents than the mini run's: this test is about the stage path.
