@@ -1,0 +1,127 @@
+"""Seconds to read, write and query agent-report files, one source tree against another.
+
+Writes an ``agent_forecasts.csv`` of ``TIMES`` quarterly times x ``AGENTS``
+agents x ``LEVELS`` levels for each panel size in ``SERIES``, then prints the
+median over ``REPS`` timed calls of:
+
+* ``from_csv`` -- ``AgentForecastSet.from_csv`` on the file;
+* ``to_csv`` -- writing the loaded set back;
+* ``reports`` -- every report as dense (level, time, series, agent) ``a`` and
+  ``A`` arrays: one ``reports`` call, or, in a tree without it, one ``panel``
+  call per (level, series), as the synthesis stage made them.
+
+With ``--base DIR`` it also loads the package from ``DIR/src/quantsynth``
+under a second name in the same process (``sweep_cost.load_tree``) and times
+the two trees in alternating order, rep by rep.  Each row then adds the base
+tree's median, the median of the per-rep ratios base/this, and whether both
+trees wrote the same bytes and read the same arrays in every rep.
+
+    python scripts/report_cost.py
+    python scripts/report_cost.py --base ../parent-checkout
+"""
+
+from __future__ import annotations
+
+import argparse
+import importlib
+import statistics
+import sys
+import tempfile
+import time
+from pathlib import Path
+
+import numpy as np
+
+sys.path.insert(0, str(Path(__file__).resolve().parent))
+from sweep_cost import load_tree  # noqa: E402
+
+HERE = Path(__file__).resolve().parents[1]
+SERIES = (5, 20, 40)
+TIMES = 71
+AGENTS = 4
+LEVELS = 19
+REPS = 5  # timed calls per operation, size and tree
+
+
+def _write_reports(path: Path, n_series: int) -> None:
+    """A valid agent-report file, its rows in the order ``to_csv`` writes them."""
+    rng = np.random.default_rng(n_series)
+    taus = [round(0.05 * (k + 1), 2) for k in range(LEVELS)]
+    lines = ["series,time,agent,tau,a,A"]
+    for s in range(n_series):
+        for t in range(8000, 8000 + TIMES):  # 2000Q1 onwards
+            label = f"{t // 4}Q{t % 4 + 1}"
+            for j in range(AGENTS):
+                a = np.sort(rng.normal(0.0, 2.0, LEVELS)).tolist()
+                A = rng.uniform(0.1, 1.0, LEVELS).tolist()
+                lines += [f"s{s:02d},{label},m{j},{tau:.2f},{x!r},{v!r}" for tau, x, v in zip(taus, a, A)]
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+
+
+def _read_all(fset) -> tuple[np.ndarray, np.ndarray]:
+    """Every report of a set as (level, time, series, agent) ``a`` and ``A`` arrays."""
+    if hasattr(fset, "reports"):
+        return fset.reports(fset.taus, range(fset.t0, fset.t0 + fset.a.shape[1]), fset.series, fset.agents)
+    keys = sorted(fset._data)
+    taus = sorted({k[3] for k in keys})
+    times = sorted({k[1] for k in keys})
+    agents = sorted({k[2] for k in keys})
+    panels = [[fset.panel(s, tau, times, agents) for s in fset.series_ids()] for tau in taus]
+    return tuple(np.array([[p[x] for p in level] for level in panels]).transpose(0, 2, 1, 3)
+                 for x in (0, 1))
+
+
+def _timed(fn, *args):
+    start = time.perf_counter()
+    out = fn(*args)
+    return time.perf_counter() - start, out
+
+
+def main(argv=None) -> None:
+    ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    ap.add_argument("--base", type=Path, help="checkout to compare against (its src/quantsynth)")
+    args = ap.parse_args(argv)
+
+    trees = {"this": load_tree(HERE, "quantsynth_this")}
+    if args.base is not None:
+        trees["base"] = load_tree(args.base.resolve(), "quantsynth_base")
+    sets = {side: importlib.import_module(f"{pkg.__name__}.agents").AgentForecastSet
+            for side, pkg in trees.items()}
+
+    cols = f"{'op':<9} {'series':>6} {'this_s':>8}"
+    if "base" in trees:
+        cols += f" {'base_s':>8} {'base/this':>9} {'same':>5}"
+    print(cols)
+    with tempfile.TemporaryDirectory() as tmp:
+        for n_series in SERIES:
+            path = Path(tmp) / "agent_forecasts.csv"
+            _write_reports(path, n_series)
+            times = {(op, side): [] for op in ("from_csv", "to_csv", "reports") for side in trees}
+            same = True
+            for rep in range(REPS):
+                written, read = {}, {}
+                for side in list(trees)[:: 1 if rep % 2 == 0 else -1]:
+                    out = Path(tmp) / f"{side}.csv"
+                    seconds, fset = _timed(sets[side].from_csv, path)
+                    times[("from_csv", side)].append(seconds)
+                    times[("to_csv", side)].append(_timed(fset.to_csv, out)[0])
+                    seconds, read[side] = _timed(_read_all, fset)
+                    times[("reports", side)].append(seconds)
+                    written[side] = out.read_bytes()
+                    del fset
+                if "base" in trees:
+                    same &= written["this"] == written["base"] == path.read_bytes() and all(
+                        np.array_equal(x, y) for x, y in zip(read["this"], read["base"])
+                    )
+            for op in ("from_csv", "to_csv", "reports"):
+                this = times[(op, "this")]
+                row = f"{op:<9} {n_series:>6} {statistics.median(this):>8.3f}"
+                if "base" in trees:
+                    base = times[(op, "base")]
+                    ratio = statistics.median(b / t for b, t in zip(base, this))
+                    row += f" {statistics.median(base):>8.3f} {ratio:>9.2f} {str(same):>5}"
+                print(row, flush=True)
+
+
+if __name__ == "__main__":
+    main()

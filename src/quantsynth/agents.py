@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -193,11 +193,16 @@ class AgentForecast:
     A: float
 
     def __post_init__(self):
-        if not np.isfinite(self.a):
-            raise ValueError("forecast mean a must be finite")
-        if not (np.isfinite(self.A) and self.A > 0.0):
-            raise ValueError("forecast variance A must be positive")
-        _validate_tau(self.tau)
+        _check_report(self.tau, self.a, self.A)
+
+
+def _check_report(tau: float, a: float, A: float) -> None:
+    """Refuse a non-finite mean, a nonpositive variance or a level outside (0, 1)."""
+    if not math.isfinite(a):
+        raise ValueError("forecast mean a must be finite")
+    if not (math.isfinite(A) and A > 0.0):
+        raise ValueError("forecast variance A must be positive")
+    _validate_tau(tau)
 
 
 def forecast_dqlm(fit: DQLMFit, x_next: np.ndarray, rng: np.random.Generator) -> AgentForecast:
@@ -220,119 +225,150 @@ def forecast_dqlm(fit: DQLMFit, x_next: np.ndarray, rng: np.random.Generator) ->
 _CSV_COLUMNS = ("series", "time", "agent", "tau", "a", "A")
 
 
+def _read_rows(path, columns: tuple, parse):
+    """``parse(cells)`` of each non-blank data row under the header ``columns``.
+
+    A short or long row, or one ``parse`` refuses, is refused naming the file and the row.
+    """
+    with open(path, newline="", encoding="utf-8") as fh:
+        reader = csv.reader(fh)
+        got = tuple(next(reader, ()))
+        if got != columns:
+            raise ValueError(f"{path}: expected header {','.join(columns)}, got {','.join(got)}")
+        for i, cells in enumerate(filter(None, reader), start=2):
+            try:
+                if len(cells) != len(columns):
+                    raise ValueError(f"more cells than the {len(columns)}-column header"
+                                     if len(cells) > len(columns) else "missing cell")
+                record = parse(cells)
+            except (TypeError, ValueError) as exc:
+                raise ValueError(f"{path}, row {i}: {exc}") from None
+            yield record
+
+
+def _write_csv(path, header, rows) -> None:
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows(rows)
+
+
+def _positions(labels, wanted) -> np.ndarray:
+    """The index of each wanted label in ``labels``, -1 for one not there."""
+    pos = {label: k for k, label in enumerate(labels)}
+    return np.array([pos.get(x, -1) for x in wanted], dtype=np.intp)
+
+
 @dataclass
 class AgentForecastSet:
-    """Validated collection of agent forecasts keyed by (series, time, agent, tau).
+    """Agent reports ``(a, A)`` on one (level, time, series, agent) grid, NaN where none is.
 
-    Completeness contract: within a series, every (agent, tau) pair covers the
-    same gap-free run of time indices, so panel extraction is well defined.
+    Axis labels: ``taus`` ascending (each as its rows write it), times ``t0, t0 + 1, ...``,
+    sorted ``series`` and ``agents``.  Checked on construction: within a series, every
+    (agent, tau) pair with reports covers one shared gap-free run of times.
     """
 
-    _data: dict = field(default_factory=dict)
+    taus: tuple
+    t0: int
+    series: tuple
+    agents: tuple
+    a: np.ndarray
+    A: np.ndarray
     quarterly: bool = False
 
-    def add(self, series: str, t: int, agent: str, tau: float, a: float, A: float) -> None:
-        key = (str(series), int(t), str(agent), tau_key(tau))
-        if key in self._data:
-            raise ValueError(f"duplicate forecast key {key}")
-        self._data[key] = AgentForecast(tau=float(tau), a=float(a), A=float(A))
-
-    def __len__(self) -> int:
-        return len(self._data)
-
-    def get(self, series: str, t: int, agent: str, tau: float) -> AgentForecast:
-        """The stored forecast; a missing one raises ``ValueError`` naming its time as written."""
-        key = (str(series), int(t), str(agent), tau_key(tau))
-        if key not in self._data:
-            raise ValueError(
-                f"missing forecast for series={series} t={format_time(t, self.quarterly)} "
-                f"agent={agent} tau={tau}"
-            )
-        return self._data[key]
-
-    def series_ids(self) -> list[str]:
-        return sorted({k[0] for k in self._data})
-
-    def panel(self, series: str, tau: float, times, agents) -> tuple[np.ndarray, np.ndarray]:
-        """Dense ``(a, A)`` arrays for one series at one tau level.
-
-        Both have shape (len(times), len(agents)), rows in the order of
-        ``times`` and agent columns in the order of ``agents``.
-        """
-        a = np.empty((len(times), len(agents)))
-        A = np.empty((len(times), len(agents)))
-        for j, agent in enumerate(agents):
-            for i, t in enumerate(times):
-                fc = self.get(series, t, agent, tau)
-                a[i, j] = fc.a
-                A[i, j] = fc.A
-        return a, A
-
-    def validate(self) -> None:
-        """Check the completeness contract; raise naming the first violation."""
-        by_series: dict[str, dict[tuple[str, float], set[int]]] = {}
-        for (s, t, agent, tk) in self._data:
-            by_series.setdefault(s, {}).setdefault((agent, tk), set()).add(t)
-        for series in sorted(by_series):
-            pair_times = by_series[series]
-            ref_pair = min(pair_times)
-            ref = pair_times[ref_pair]
-            for pair, ts in pair_times.items():
-                if ts != ref:
+    def __post_init__(self):
+        pairs = [(agent, tau_key(tau)) for agent in self.agents for tau in self.taus]
+        for n, series in enumerate(self.series):
+            cover = ~np.isnan(self.a[:, :, n, :]).transpose(2, 0, 1).reshape(len(pairs), -1)
+            has = np.flatnonzero(cover.any(axis=1))
+            times = [(np.flatnonzero(cover[k]) + self.t0).tolist() for k in has]
+            for k, ts in zip(has, times):
+                if ts != times[0]:
                     raise ValueError(
-                        f"series {series}: (agent, tau)={pair} covers times "
-                        f"{sorted(ts)} but {ref_pair} covers {sorted(ref)}"
+                        f"series {series}: (agent, tau)={pairs[k]} covers times {ts} "
+                        f"but {pairs[has[0]]} covers {times[0]}"
                     )
-            lo, hi = min(ref), max(ref)
-            missing = sorted(set(range(lo, hi + 1)) - ref)
+            missing = [t for ts in times[:1] for t in range(ts[0], ts[-1]) if t not in ts]
             if missing:
                 raise ValueError(f"series {series}: gap in time index at {missing[:5]}")
 
     @classmethod
+    def from_rows(cls, rows, quarterly: bool = False, where=lambda i: f"row {i}") -> "AgentForecastSet":
+        """The set of ``(series, t, agent, tau, a, A)`` rows; ``where(i)`` names row i (from 0) in a refusal.
+
+        Refused: a repeated (series, t, agent, ``tau_key(tau)``) key, a bad report, or
+        a level written with another float than its first row's.
+        """
+        cells, levels = {}, {}
+        for i, (series, t, agent, tau, a, A) in enumerate(rows):
+            try:
+                tau, a, A = float(tau), float(a), float(A)
+                key = (str(series), int(t), str(agent), tau_key(tau))
+                if key in cells:
+                    raise ValueError(f"duplicate forecast key {key}")
+                _check_report(tau, a, A)
+                if levels.setdefault(key[3], tau) != tau:
+                    raise ValueError(f"level {key[3]} is written as {levels[key[3]]!r} and as {tau!r}")
+            except ValueError as exc:
+                raise ValueError(f"{where(i)}: {exc}") from None
+            cells[key] = (a, A)
+        cols = list(zip(*cells)) or [()] * 4  # series, time, agent, level
+        series, agents, keys = sorted(set(cols[0])), sorted(set(cols[2])), sorted(levels)
+        t0 = min(cols[1], default=0)
+        i = np.array(cols[1], dtype=np.intp) - t0
+        a, A = np.full((2, len(keys), i.max(initial=-1) + 1, len(series), len(agents)), np.nan)
+        cell = (_positions(keys, cols[3]), i, _positions(series, cols[0]), _positions(agents, cols[2]))
+        a[cell], A[cell] = np.array(list(cells.values())).reshape(-1, 2).T
+        return cls(tuple(levels[k] for k in keys), t0, tuple(series), tuple(agents), a, A, quarterly)
+
+    def reports(self, taus, times, series, agents) -> tuple[np.ndarray, np.ndarray]:
+        """New C-contiguous ``(a, A)`` blocks (levels, times, series, agents); refuses the first uncovered cell."""
+        grid = np.ix_(  # an unknown label indexes -1: the NaN cell padded onto its axis
+            _positions(map(tau_key, self.taus), map(tau_key, taus)),
+            _positions(range(self.t0, self.t0 + self.a.shape[1]), map(int, times)),
+            _positions(self.series, series),
+            _positions(self.agents, agents),
+        )
+        a, A = (np.pad(x, [(0, 1)] * 4, constant_values=np.nan)[grid] for x in (self.a, self.A))
+        missing = np.isnan(a)
+        if missing.any():
+            l, i, n, j = np.unravel_index(np.argmax(missing), a.shape)
+            raise ValueError(
+                f"missing forecast for series={series[n]} t={format_time(times[i], self.quarterly)} "
+                f"agent={agents[j]} tau={taus[l]}"
+            )
+        return a, A
+
+    @classmethod
     def from_csv(cls, path) -> "AgentForecastSet":
-        """Load and validate a forecast CSV with header ``series,time,agent,tau,a,A``."""
-        out = cls()
-        quarterly = None
-        with open(path, newline="", encoding="utf-8") as fh:
-            reader = csv.DictReader(fh)
-            got = tuple(reader.fieldnames or ())
-            if got != _CSV_COLUMNS:
-                raise ValueError(
-                    f"{path}: expected header {','.join(_CSV_COLUMNS)}, got {','.join(got)}"
-                )
-            for i, row in enumerate(reader, start=2):
-                try:
-                    cells = {c: row[c] for c in _CSV_COLUMNS}
-                    if any(c is None or str(c).strip() == "" for c in cells.values()):
-                        raise ValueError("missing cell")
-                    t = parse_time(cells["time"])
-                    row_quarterly = is_quarter_label(cells["time"])
-                    if quarterly is None:
-                        quarterly = row_quarterly
-                    elif quarterly != row_quarterly:
-                        raise ValueError("mixed quarterly and integer time formats")
-                    tau = float(cells["tau"])
-                    a = float(cells["a"])
-                    A = float(cells["A"])
-                    out.add(cells["series"], t, cells["agent"], tau, a, A)
-                except (ValueError, KeyError) as exc:
-                    raise ValueError(f"{path}, row {i}: {exc}") from None
-        out.quarterly = bool(quarterly)
-        out.validate()
+        """Load a forecast CSV with header ``series,time,agent,tau,a,A``.
+
+        Refused, naming the file and row: an empty cell, a time format other than the first row's.
+        """
+        times = {}  # time cell -> time
+
+        def parse(cells):
+            if not all(map(str.strip, cells)):
+                raise ValueError("missing cell")
+            series, label, agent, tau, a, A = cells
+            if label not in times:
+                t = parse_time(label)
+                if times and is_quarter_label(label) != is_quarter_label(next(iter(times))):
+                    raise ValueError("mixed quarterly and integer time formats")
+                times[label] = t
+            return series, times[label], agent, float(tau), float(a), float(A)
+
+        out = cls.from_rows(_read_rows(path, _CSV_COLUMNS, parse), where=lambda i: f"{path}, row {i + 2}")
+        out.quarterly = any(map(is_quarter_label, times))
         return out
 
     def to_csv(self, path) -> None:
-        with open(path, "w", newline="", encoding="utf-8") as fh:
-            writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(_CSV_COLUMNS)
-            for key in sorted(self._data):
-                series, t, agent, _ = key
-                fc = self._data[key]
-                writer.writerow([
-                    series,
-                    format_time(t, self.quarterly),
-                    agent,
-                    f"{fc.tau:.2f}" if float(f"{fc.tau:.2f}") == fc.tau else repr(fc.tau),
-                    repr(fc.a),
-                    repr(fc.A),
-                ])
+        """One row per report, in (series, time, agent, level) order."""
+        a, A = self.a.transpose(2, 1, 3, 0), self.A.transpose(2, 1, 3, 0)
+        cell = np.nonzero(~np.isnan(a))
+        labels = [format_time(self.t0 + k, self.quarterly) for k in range(a.shape[1])]
+        levels = [f"{tau:.2f}" if float(f"{tau:.2f}") == tau else repr(tau) for tau in self.taus]
+        _write_csv(path, _CSV_COLUMNS, (
+            (self.series[n], labels[i], self.agents[j], levels[k], repr(x), repr(y))
+            for n, i, j, k, x, y in zip(*(ix.tolist() for ix in cell), a[cell].tolist(), A[cell].tolist())
+        ))

@@ -41,7 +41,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .agents import AgentForecastSet, DQLMSpec, fit_dqlm, forecast_dqlm
+from .agents import AgentForecastSet, DQLMSpec, _read_rows, _write_csv, fit_dqlm, forecast_dqlm
 from .config import AgentConfig, RunConfig, config_hash, tau_key
 from .dlm import DiscountConfig
 from .drqs import DRQSConfig, forecast_drqs, gibbs_drqs
@@ -172,6 +172,8 @@ def ingest(panel_csv, h: int) -> SeriesPanel:
     quarterly = is_quarter_label(rows[0]["time"])
     grouped: dict = {}
     for i, row in enumerate(rows, start=2):
+        if None in row:  # DictReader files the cells beyond the header under None
+            raise ValueError(f"{path}, row {i}: more cells than the {len(header)}-column header")
         sid = str(row["series"]).strip()
         if not sid:
             raise ValueError(f"{path}, row {i}: empty series id")
@@ -667,11 +669,7 @@ def stage_fit_agents(
     """
     payloads = _agent_payloads(plan, panel)
     results, timings = _run_pool(_run_agent_window, payloads, pool, "agents", plan)
-    fset = AgentForecastSet(quarterly=plan.quarterly)
-    for rows in results:
-        for row in rows:
-            fset.add(*row)
-    return fset, timings
+    return AgentForecastSet.from_rows((row for rows in results for row in rows), plan.quarterly), timings
 
 
 def _synth_payloads(plan: BacktestPlan, panel: SeriesPanel, fset: AgentForecastSet) -> list:
@@ -687,13 +685,12 @@ def _synth_payloads(plan: BacktestPlan, panel: SeriesPanel, fset: AgentForecastS
     sids = panel.series_ids
     syn = cfg.factor if cfg.plan.factor else cfg.synthesis
     _, report_times = plan.synth_input_times(plan.end)  # every window's report times are a prefix
+    a_all, A_all = fset.reports(plan.taus, report_times, sids, names)  # (levels, T, N, J) each
     payloads = []
-    for tau in plan.taus:
-        reports = [fset.panel(sid, tau, report_times, names) for sid in sids]
-        a_all, A_all = (np.stack(x, axis=1) for x in zip(*reports))  # (T, N, J) each
+    for level, tau in enumerate(plan.taus):
         for target in plan.synth_targets:
             fit_times, all_times = plan.synth_input_times(target)
-            a, A = a_all[: all_times.size], A_all[: all_times.size]
+            a, A = a_all[level, : all_times.size], A_all[level, : all_times.size]
             Y = np.empty((fit_times.size, len(sids)))
             for i, sid in enumerate(sids):
                 rec = panel.record(sid)
@@ -775,6 +772,7 @@ def stage_evaluate(
 
     synth_curves = _forecast_curves(plan, synth_rows)
     sids, targets = panel.series_ids, plan.synth_targets
+    agent_a, _ = fset.reports(plan.taus, targets, sids, cfg.agent_names)  # (levels, targets, series, agents)
     scores = {
         (model, scheme): np.empty((len(sids), targets.size))
         for model in models
@@ -785,7 +783,7 @@ def stage_evaluate(
         rec = panel.record(sid)
         for k, target in enumerate(targets.tolist()):
             y = rec.y_at(target)
-            for model in models:
+            for j, model in enumerate(models):
                 if model == synth_name:
                     curve = synth_curves.get((sid, target))
                     if curve is None:
@@ -794,7 +792,7 @@ def stage_evaluate(
                             f"{plan.time_label(target)}"
                         )
                 else:
-                    curve = np.array([fset.get(sid, target, model, t).a for t in plan.taus])
+                    curve = agent_a[:, k, i, j]
                 for scheme in cfg.evaluation.schemes:
                     scores[(model, scheme)][i, k] = crps_quantile_weighted(y, curve, grid, scheme)
                 rng = task_stream(plan.seed, "eval-pit", model, sid, target)
@@ -880,25 +878,10 @@ def _versions() -> dict:
     }
 
 
-def _write_csv(path, header, rows) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(header)
-        writer.writerows(rows)
-
-
-def write_forecasts(rows, path, quarterly: bool) -> None:
+def write_forecasts(rows, path, time_label: Callable) -> None:
     """Forecast summary rows: ``series,time,tau,point,lo95,hi95,n_draws``."""
     out = [
-        (
-            series,
-            format_time(t, quarterly),
-            _repr_float(tau),
-            _repr_float(point),
-            _repr_float(lo),
-            _repr_float(hi),
-            int(n),
-        )
+        (series, time_label(t), *map(_repr_float, (tau, point, lo, hi)), int(n))
         for series, t, tau, point, lo, hi, n in sorted(rows, key=lambda r: (r[0], r[1], r[2]))
     ]
     _write_csv(path, FORECAST_COLUMNS, out)
@@ -909,53 +892,36 @@ def read_forecasts(path) -> list:
 
     A row whose point or interval end is not finite is refused, naming the row.
     """
-    rows = []
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.DictReader(fh)
-        got = tuple(reader.fieldnames or ())
-        if got != FORECAST_COLUMNS:
-            raise ValueError(
-                f"{path}: expected header {','.join(FORECAST_COLUMNS)}, got {','.join(got)}"
-            )
-        for i, row in enumerate(reader, start=2):
-            try:
-                rec = (
-                    row["series"],
-                    parse_time(row["time"]),
-                    float(row["tau"]),
-                    float(row["point"]),
-                    float(row["lo95"]),
-                    float(row["hi95"]),
-                    int(row["n_draws"]),
-                )
-                if not np.all(np.isfinite(rec[3:6])):
-                    raise ValueError(f"point, lo95 and hi95 must be finite, got {rec[3:6]}")
-                rows.append(rec)
-            except (TypeError, ValueError, KeyError) as exc:
-                raise ValueError(f"{path}, row {i}: {exc}") from None
-    return rows
+    def parse(cells):
+        series, label, tau, point, lo95, hi95, n_draws = cells
+        rec = (series, parse_time(label), float(tau), float(point), float(lo95), float(hi95), int(n_draws))
+        if not np.all(np.isfinite(rec[3:6])):
+            raise ValueError(f"point, lo95 and hi95 must be finite, got {rec[3:6]}")
+        return rec
+
+    return list(_read_rows(path, FORECAST_COLUMNS, parse))
 
 
-def write_joint_draws(joint_rows, path, quarterly: bool) -> None:
+def write_joint_draws(joint_rows, path, time_label: Callable) -> None:
     """Aligned joint forecast draws: ``time,tau,draw,series,Q``."""
     out = [
-        (format_time(t, quarterly), _repr_float(tau), int(r), sid, _repr_float(q))
+        (time_label(t), _repr_float(tau), int(r), sid, _repr_float(q))
         for t, tau, r, sid, q in joint_rows
     ]
     _write_csv(path, JOINT_COLUMNS, out)
 
 
-def write_reconstructed(keys, draws, path, quarterly: bool) -> None:
+def write_reconstructed(keys, draws, path, time_label: Callable) -> None:
     """Reconstructed predictive draws: ``series,time,draw,value``, streamed row by row."""
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(RECONSTRUCTED_COLUMNS)
         for (series, t), values in zip(keys, draws):
-            label = format_time(t, quarterly)
+            label = time_label(t)
             writer.writerows((series, label, r, _repr_float(v)) for r, v in enumerate(values))
 
 
-def write_scores(panels: dict, path, quarterly: bool) -> None:
+def write_scores(panels: dict, path, time_label: Callable) -> None:
     """Score rows: ``series,time,model,scheme,crps``."""
     rows = sorted(  # (series, time, model, scheme) is unique, so the score never decides
         (series, t, model, scheme, value)
@@ -964,25 +930,25 @@ def write_scores(panels: dict, path, quarterly: bool) -> None:
         for t, value in zip(panel.times.tolist(), row)
     )
     out = [
-        (series, format_time(t, quarterly), model, scheme, _report_float(v))
+        (series, time_label(t), model, scheme, _report_float(v))
         for series, t, model, scheme, v in rows
     ]
     _write_csv(path, SCORE_COLUMNS, out)
 
 
-def write_ratios(ratio_rows, path, quarterly: bool) -> None:
+def write_ratios(ratio_rows, path, time_label: Callable) -> None:
     """Cumulative score ratios: ``model,scheme,t_star,rcs``."""
     out = [
-        (model, scheme, format_time(t, quarterly), _report_float(v))
+        (model, scheme, time_label(t), _report_float(v))
         for model, scheme, t, v in sorted(ratio_rows, key=lambda r: (r[0], r[1], r[2]))
     ]
     _write_csv(path, RATIO_COLUMNS, out)
 
 
-def write_pit(pit_rows, path, quarterly: bool) -> None:
+def write_pit(pit_rows, path, time_label: Callable) -> None:
     """PIT rows: ``model,series,time,pit``."""
     out = [
-        (model, series, format_time(t, quarterly), _report_float(v))
+        (model, series, time_label(t), _report_float(v))
         for model, series, t, v in sorted(pit_rows, key=lambda r: (r[0], r[1], r[2]))
     ]
     _write_csv(path, PIT_COLUMNS, out)
@@ -1037,10 +1003,8 @@ def emit_plots_data(plan: BacktestPlan, panels: dict, rows: list, pit_rows: list
     joint_path = Path(plan.cfg.out_dir) / "joint_draws.csv"
     if joint_path.exists():
         cells: dict = {}
-        with open(joint_path, newline="", encoding="utf-8") as fh:
-            for row in csv.DictReader(fh):
-                key = (row["time"], row["tau"])
-                cells.setdefault(key, {}).setdefault(row["series"], []).append(float(row["Q"]))
+        for t_label, tau_label, _, series, q in _read_rows(joint_path, JOINT_COLUMNS, tuple):
+            cells.setdefault((t_label, tau_label), {}).setdefault(series, []).append(float(q))
         for (t_label, tau_label), per_series in sorted(cells.items()):
             sids = sorted(per_series)
             mat = np.atleast_2d(np.corrcoef(np.array([per_series[s] for s in sids])))
@@ -1131,18 +1095,16 @@ _READERS = {
     "agent_forecasts.csv": lambda path: AgentForecastSet.from_csv(path),
     "forecasts.csv": lambda path: read_forecasts(path),
 }
-_WRITERS = {
-    "agent_forecasts.csv": lambda fset, path, quarterly: fset.to_csv(path),
-    "forecasts.csv": lambda rows, path, quarterly: write_forecasts(rows, path, quarterly),
-    "joint_draws.csv": lambda rows, path, quarterly: write_joint_draws(rows, path, quarterly),
-    "scores.csv": lambda panels, path, quarterly: write_scores(panels, path, quarterly),
-    "pit.csv": lambda rows, path, quarterly: write_pit(rows, path, quarterly),
-    "ratios.csv": lambda rows, path, quarterly: write_ratios(rows, path, quarterly),
-    "reconstructed_draws.csv": lambda value, path, quarterly: write_reconstructed(
-        *value, path, quarterly
-    ),
+_WRITERS = {  # each called with the artifact, its path and the plan's time formatter
+    "agent_forecasts.csv": lambda fset, path, label: fset.to_csv(path),
+    "forecasts.csv": lambda rows, path, label: write_forecasts(rows, path, label),
+    "joint_draws.csv": lambda rows, path, label: write_joint_draws(rows, path, label),
+    "scores.csv": lambda panels, path, label: write_scores(panels, path, label),
+    "pit.csv": lambda rows, path, label: write_pit(rows, path, label),
+    "ratios.csv": lambda rows, path, label: write_ratios(rows, path, label),
+    "reconstructed_draws.csv": lambda value, path, label: write_reconstructed(*value, path, label),
     **{
-        name: lambda rows, path, quarterly, header=header: _write_plot(rows, path, header)
+        name: lambda rows, path, label, header=header: _write_plot(rows, path, header)
         for name, header in PLOT_COLUMNS.items()
     },
 }
@@ -1222,7 +1184,7 @@ def run_stages(cfg: RunConfig, names) -> RunManifest:
                     # earlier run's file must not feed this run's plots.
                     (out / name).unlink(missing_ok=True)
                     continue
-                _WRITERS[name](value, out / name, plan.quarterly)
+                _WRITERS[name](value, out / name, plan.time_label)
                 manifest.outputs.append(name)
         manifest.complete = True
     except JobError as exc:

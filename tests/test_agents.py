@@ -146,46 +146,48 @@ class TestForecastDQLM:
 
 
 class TestAgentForecastSet:
-    def _fill(self, fset: AgentForecastSet) -> None:
-        for offset, agent in enumerate(("m1", "m2")):
-            for tau in (0.25, 0.75):
-                for t in (5, 6, 7):
-                    fset.add("gdp", t, agent, tau, a=0.1 * t + offset, A=0.5)
+    @staticmethod
+    def _rows() -> list:
+        return [
+            ("gdp", t, agent, tau, 0.1 * t + offset, 0.5)
+            for offset, agent in enumerate(("m1", "m2"))
+            for tau in (0.25, 0.75)
+            for t in (5, 6, 7)
+        ]
 
     def test_counts_and_lookup(self):
-        fset = AgentForecastSet()
-        self._fill(fset)
-        assert len(fset) == 12
-        assert fset.series_ids() == ["gdp"]
-        assert fset.get("gdp", 6, "m2", 0.75).a == pytest.approx(1.6)
+        fset = AgentForecastSet.from_rows(self._rows())
+        assert (fset.taus, fset.t0, fset.series, fset.agents) == ((0.25, 0.75), 5, ("gdp",), ("m1", "m2"))
+        assert fset.a.shape == fset.A.shape == (2, 3, 1, 2)
+        assert np.count_nonzero(~np.isnan(fset.a)) == 12
+        a, A = fset.reports([0.75], [6], ["gdp"], ["m2"])
+        assert a.item() == pytest.approx(1.6) and A.item() == 0.5
 
     def test_duplicate_key_rejected(self):
-        fset = AgentForecastSet()
-        fset.add("gdp", 5, "m1", 0.25, 0.0, 1.0)
-        with pytest.raises(ValueError, match="duplicate"):
-            fset.add("gdp", 5, "m1", 0.25, 0.3, 1.0)
+        rows = [("gdp", 5, "m1", 0.25, 0.0, 1.0), ("gdp", 5, "m1", 0.25, 0.3, 1.0)]
+        with pytest.raises(ValueError, match="row 1: duplicate"):
+            AgentForecastSet.from_rows(rows)
 
     def test_nonpositive_variance_rejected(self):
-        fset = AgentForecastSet()
-        with pytest.raises(ValueError):
-            fset.add("gdp", 5, "m1", 0.25, 0.0, 0.0)
+        with pytest.raises(ValueError, match="variance A must be positive"):
+            AgentForecastSet.from_rows([("gdp", 5, "m1", 0.25, 0.0, 0.0)])
 
     def test_panel_layout_and_missing_key(self):
-        fset = AgentForecastSet()
-        self._fill(fset)
-        a, A = fset.panel("gdp", 0.25, [5, 6, 7], ["m2", "m1"])
-        assert a.shape == (3, 2) and A.shape == (3, 2)
-        np.testing.assert_allclose(a, [[1.5, 0.5], [1.6, 0.6], [1.7, 0.7]])
+        fset = AgentForecastSet.from_rows(self._rows())
+        a, A = fset.reports([0.25], [5, 6, 7], ["gdp"], ["m2", "m1"])
+        assert a.shape == A.shape == (1, 3, 1, 2) and a.flags.c_contiguous
+        np.testing.assert_allclose(a[0, :, 0], [[1.5, 0.5], [1.6, 0.6], [1.7, 0.7]])
         np.testing.assert_allclose(A, 0.5)
-        with pytest.raises(ValueError, match="missing forecast"):
-            fset.panel("gdp", 0.25, [5, 6, 7, 8], ["m1", "m2"])
+        with pytest.raises(ValueError, match="missing forecast for series=gdp t=8 agent=m1 tau=0.25"):
+            fset.reports([0.25], [5, 6, 7, 8], ["gdp"], ["m1", "m2"])
+        for labels in (([0.5], [5], ["gdp"], ["m1"]), ([0.25], [5], ["cpi"], ["m1"]),
+                       ([0.25], [5], ["gdp"], ["m3"]), ([0.25], [4], ["gdp"], ["m1"])):
+            with pytest.raises(ValueError, match="missing forecast"):
+                fset.reports(*labels)
 
     def test_validate_flags_coverage_mismatch(self):
-        fset = AgentForecastSet()
-        self._fill(fset)
-        fset.add("gdp", 8, "m1", 0.25, 0.0, 1.0)
         with pytest.raises(ValueError, match="covers times"):
-            fset.validate()
+            AgentForecastSet.from_rows(self._rows() + [("gdp", 8, "m1", 0.25, 0.0, 1.0)])
 
     @pytest.mark.parametrize(
         "times, extra, message",
@@ -194,29 +196,24 @@ class TestAgentForecastSet:
     )
     def test_validate_names_the_second_series(self, times, extra, message):
         """Only the second series is bad; the refusal names it, not the first."""
-        fset = AgentForecastSet()
-        self._fill(fset)
-        for agent in ("m1", "m2"):
-            for tau in (0.25, 0.75):
-                for t in times:
-                    fset.add("infl", t, agent, tau, a=0.0, A=1.0)
+        rows = self._rows() + [
+            ("infl", t, agent, tau, 0.0, 1.0) for agent in ("m1", "m2") for tau in (0.25, 0.75) for t in times
+        ]
         if extra is not None:
             agent, tau, t = extra
-            fset.add("infl", t, agent, tau, a=0.0, A=1.0)
+            rows.append(("infl", t, agent, tau, 0.0, 1.0))
         with pytest.raises(ValueError, match=message):
-            fset.validate()
+            AgentForecastSet.from_rows(rows)
 
     def test_csv_round_trip(self, tmp_path):
-        fset = AgentForecastSet(quarterly=True)
-        self._fill(fset)
+        fset = AgentForecastSet.from_rows(self._rows(), quarterly=True)
         path = tmp_path / "agents.csv"
         fset.to_csv(path)
+        assert path.read_text().splitlines()[1] == "gdp,1Q2,m1,0.25,0.5,0.5"
         back = AgentForecastSet.from_csv(path)
         assert back.quarterly
-        assert len(back) == 12
-        for key, fc in fset._data.items():
-            got = back._data[key]
-            assert got.a == fc.a and got.A == fc.A and got.tau == fc.tau
+        assert (back.taus, back.t0, back.series, back.agents) == (fset.taus, fset.t0, fset.series, fset.agents)
+        assert np.array_equal(back.a, fset.a, equal_nan=True) and np.array_equal(back.A, fset.A, equal_nan=True)
 
     @settings(derandomize=True, deadline=None, max_examples=60)
     @given(
@@ -232,20 +229,20 @@ class TestAgentForecastSet:
     def test_csv_round_trip_keeps_every_value(self, series, agents, taus, start, n_times, quarterly, data):
         finite = st.floats(allow_nan=False, allow_infinity=False)
         positive = st.floats(min_value=0.0, exclude_min=True, allow_infinity=False)
+        times = range(start, start + n_times)
         rows = [
             (s, t, agent, tau, data.draw(finite), data.draw(positive))
-            for s in series for t in range(start, start + n_times) for agent in agents for tau in taus
+            for s in series for t in times for agent in agents for tau in taus
         ]
-        fset = AgentForecastSet(quarterly=quarterly)
-        for row in rows:
-            fset.add(*row)
+        fset = AgentForecastSet.from_rows(rows, quarterly=quarterly)
         with tempfile.TemporaryDirectory() as tmp:
             fset.to_csv(Path(tmp) / "agents.csv")
             back = AgentForecastSet.from_csv(Path(tmp) / "agents.csv")
-        assert back.quarterly == quarterly and len(back) == len(rows)
-        for s, t, agent, tau, a, A in rows:
-            got = back.get(s, t, agent, tau)
-            assert (got.tau, got.a, got.A) == (tau, a, A)
+        assert back.quarterly == quarterly and back.taus == tuple(sorted(taus))
+        a, A = back.reports(taus, times, series, agents)
+        for s, t, agent, tau, a_in, A_in in rows:
+            cell = (taus.index(tau), t - start, series.index(s), agents.index(agent))
+            assert (a[cell], A[cell]) == (a_in, A_in)
 
     def test_series_may_cover_different_runs_and_agents(self, tmp_path):
         """Each series keeps its own gap-free run and its own agents; the file reads back byte for byte."""
@@ -270,6 +267,19 @@ class TestAgentForecastSet:
         path.write_text(text)
         AgentForecastSet.from_csv(path).to_csv(tmp_path / "back.csv")
         assert (tmp_path / "back.csv").read_text() == text
+
+    def test_level_written_two_ways_refused(self, tmp_path):
+        """One array level holds one float, so a second spelling of a level is refused by its row."""
+        path = tmp_path / "agents.csv"
+        path.write_text(
+            "series,time,agent,tau,a,A\n"
+            "gdp,5,m1,0.25,0.1,1.0\n"
+            "gdp,5,m2,0.25000000000001,0.1,1.0\n"
+        )
+        with pytest.raises(ValueError, match=re.escape(
+            f"{path}, row 3: level 0.25 is written as 0.25 and as 0.25000000000001"
+        )):
+            AgentForecastSet.from_csv(path)
 
     def test_csv_error_names_row(self, tmp_path):
         path = tmp_path / "bad.csv"

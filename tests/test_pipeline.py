@@ -1260,9 +1260,27 @@ class TestArtifactIO:
         names = pipeline.STAGES["evaluate"].writes[-len(tables):]
         assert names == tuple(pipeline.PLOT_COLUMNS)
         for name, table in zip(names, tables):
-            pipeline._WRITERS[name](table, tmp_path / name, plan.quarterly)
+            pipeline._WRITERS[name](table, tmp_path / name, plan.time_label)
             header = ",".join(pipeline.PLOT_COLUMNS[name])
             assert (tmp_path / name).read_text().splitlines() == [header]
+
+
+@pytest.mark.parametrize(
+    "read, text, columns",
+    [
+        (agents.AgentForecastSet.from_csv, "series,time,agent,tau,a,A\ngdp,5,m1,0.25,1,000.5,1.0\n", 6),
+        (read_forecasts, "series,time,tau,point,lo95,hi95,n_draws\ngdp,5,0.25,1,2,3,4,100\n", 7),
+        (lambda path: ingest(path, h=1), "series,time,Y\na,0,1.0\na,1,1.1,7\n", 3),
+    ],
+    ids=["agent_forecasts", "forecasts", "panel"],
+)
+def test_csv_readers_refuse_cells_beyond_the_header(tmp_path, read, text, columns):
+    """A row with more cells than its header is refused by file and row, not read without the extras."""
+    path = tmp_path / "table.csv"
+    path.write_text(text)
+    with pytest.raises(ValueError, match=re.escape(f"{path}, row {text.count(chr(10))}: more cells than the "
+                                                   f"{columns}-column header")):
+        read(path)
 
 
 def test_exports_resolve():
@@ -1430,3 +1448,22 @@ def test_sweep_cost_script_runs_against_a_base_checkout(monkeypatch, capsys):
     a = types.SimpleNamespace(cfg=None, u=np.zeros(2), n_T=np.zeros(2))
     b = types.SimpleNamespace(cfg=None, u=np.zeros(2), n_T=np.ones(2))
     assert sweep_cost._same_draws(a, a) and not sweep_cost._same_draws(a, b)
+
+
+def test_report_cost_script_runs_against_a_base_checkout(monkeypatch, capsys):
+    """``scripts/report_cost.py`` times every operation, and a tree compared with itself gives the same bytes."""
+    root = Path(__file__).resolve().parents[1]
+    spec = importlib.util.spec_from_file_location("_report_cost", root / "scripts" / "report_cost.py")
+    report_cost = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(report_cost)
+    for name, value in (("SERIES", (2,)), ("TIMES", 3), ("REPS", 2)):
+        monkeypatch.setattr(report_cost, name, value)
+    try:
+        report_cost.main(["--base", str(root)])
+    finally:
+        for name in [m for m in sys.modules if m.split(".")[0] in ("quantsynth_this", "quantsynth_base")]:
+            del sys.modules[name]
+    header, *rows = capsys.readouterr().out.splitlines()
+    assert header.split() == ["op", "series", "this_s", "base_s", "base/this", "same"]
+    assert [row.split()[:2] for row in rows] == [["from_csv", "2"], ["to_csv", "2"], ["reports", "2"]]
+    assert all(row.split()[-1] == "True" for row in rows), rows
