@@ -259,7 +259,7 @@ def _positions(labels, wanted) -> np.ndarray:
     return np.array([pos.get(x, -1) for x in wanted], dtype=np.intp)
 
 
-@dataclass
+@dataclass(eq=False)  # arrays have no single truth value; sets compare by identity
 class AgentForecastSet:
     """Agent reports ``(a, A)`` on one (level, time, series, agent) grid, NaN where none is.
 
@@ -356,7 +356,7 @@ class AgentForecastSet:
                 if times and is_quarter_label(label) != is_quarter_label(next(iter(times))):
                     raise ValueError("mixed quarterly and integer time formats")
                 times[label] = t
-            return series, times[label], agent, float(tau), float(a), float(A)
+            return series, times[label], agent, tau, a, A  # from_rows reads the numbers
 
         out = cls.from_rows(_read_rows(path, _CSV_COLUMNS, parse), where=lambda i: f"{path}, row {i + 2}")
         out.quarterly = any(map(is_quarter_label, times))
