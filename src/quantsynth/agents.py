@@ -225,24 +225,27 @@ def forecast_dqlm(fit: DQLMFit, x_next: np.ndarray, rng: np.random.Generator) ->
 _CSV_COLUMNS = ("series", "time", "agent", "tau", "a", "A")
 
 
-def _read_rows(path, columns: tuple, parse):
+def _read_rows(path, columns: tuple, parse, lines: list | None = None):
     """``parse(cells)`` of each non-blank data row under the header ``columns``.
 
-    A short or long row, or one ``parse`` refuses, is refused naming the file and the row.
+    A short or long row, or one ``parse`` refuses, is refused naming the file and the
+    row by its line in the file.  ``lines``, if given, gets the line of each row yielded.
     """
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
         got = tuple(next(reader, ()))
         if got != columns:
             raise ValueError(f"{path}: expected header {','.join(columns)}, got {','.join(got)}")
-        for i, cells in enumerate(filter(None, reader), start=2):
+        for cells in filter(None, reader):
             try:
                 if len(cells) != len(columns):
                     raise ValueError(f"more cells than the {len(columns)}-column header"
                                      if len(cells) > len(columns) else "missing cell")
                 record = parse(cells)
             except (TypeError, ValueError) as exc:
-                raise ValueError(f"{path}, row {i}: {exc}") from None
+                raise ValueError(f"{path}, row {reader.line_num}: {exc}") from None
+            if lines is not None:
+                lines.append(reader.line_num)
             yield record
 
 
@@ -358,7 +361,9 @@ class AgentForecastSet:
                 times[label] = t
             return series, times[label], agent, tau, a, A  # from_rows reads the numbers
 
-        out = cls.from_rows(_read_rows(path, _CSV_COLUMNS, parse), where=lambda i: f"{path}, row {i + 2}")
+        lines = []  # the file line of each row
+        rows = _read_rows(path, _CSV_COLUMNS, parse, lines)
+        out = cls.from_rows(rows, where=lambda i: f"{path}, row {lines[i]}")
         out.quarterly = any(map(is_quarter_label, times))
         return out
 

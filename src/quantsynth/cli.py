@@ -22,7 +22,7 @@ _COMMANDS = (
     ("evaluate", "score stored forecasts and write scores, ratios, PIT and plot data"),
     ("reconstruct", "draw predictive samples from stored quantile forecasts"),
     ("backtest", "run the full pipeline: agents, synthesis, evaluation, artifacts"),
-    ("audit-lookahead", "check that no job consumes values dated later than its target-1"),
+    ("audit-lookahead", "check that every job reads exactly its window's times, none past target-1"),
 )
 
 
@@ -120,7 +120,8 @@ def _cmd_audit(cfg) -> int:
     for row in violations:
         print(
             f"  VIOLATION {row['stage']} series={row['series']} model={row['model']} "
-            f"target={row['target']} consumes input at {row['max_input_time']}"
+            f"target={row['target']} reads times up to {row['max_input_time']}, "
+            "not exactly the protocol's times up to target-1"
         )
     return 1 if violations else 0
 

@@ -158,50 +158,46 @@ def ingest(panel_csv, h: int) -> SeriesPanel:
         raise ValueError(f"transform horizon h must be >= 1, got {h}")
     path = Path(panel_csv)
     with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.DictReader(fh)
-        header = tuple(reader.fieldnames or ())
-        if header[:3] != ("series", "time", "Y"):
-            raise ValueError(f"{path}: header must start with series,time,Y; got {','.join(header)}")
-        predictor_names = list(header[3:])
-        if "y_lag" in predictor_names:
-            raise ValueError(f"{path}: column name y_lag is reserved for the lagged response")
-        rows = list(reader)
-    if not rows:
-        raise ValueError(f"{path}: no data rows")
+        header = tuple(next(csv.reader(fh), ()))
+    if header[:3] != ("series", "time", "Y"):
+        raise ValueError(f"{path}: header must start with series,time,Y; got {','.join(header)}")
+    predictor_names = list(header[3:])
+    if "y_lag" in predictor_names:
+        raise ValueError(f"{path}: column name y_lag is reserved for the lagged response")
+    quarterly = None  # the first row's time format, which every row must share
 
-    quarterly = is_quarter_label(rows[0]["time"])
-    grouped: dict = {}
-    for i, row in enumerate(rows, start=2):
-        if None in row:  # DictReader files the cells beyond the header under None
-            raise ValueError(f"{path}, row {i}: more cells than the {len(header)}-column header")
-        sid = str(row["series"]).strip()
+    def parse(cells):
+        nonlocal quarterly
+        sid, cell = cells[0].strip(), cells[1].strip()
         if not sid:
-            raise ValueError(f"{path}, row {i}: empty series id")
-        cell = str(row["time"]).strip()
+            raise ValueError("empty series id")
+        if quarterly is None:
+            quarterly = is_quarter_label(cell)
         if is_quarter_label(cell) != quarterly:
-            raise ValueError(f"{path}, row {i}: mixed quarter-label and integer time formats")
+            raise ValueError("mixed quarter-label and integer time formats")
+        t = parse_time(cell)
         try:
-            t = parse_time(cell)
-        except ValueError as exc:
-            raise ValueError(f"{path}, row {i}: {exc}") from None
-        try:
-            level = float(row["Y"])
-        except (TypeError, ValueError):
-            raise ValueError(f"{path}, row {i}: level {row['Y']!r} is not a number") from None
+            level = float(cells[2])
+        except ValueError:
+            raise ValueError(f"level {cells[2]!r} is not a number") from None
         if not np.isfinite(level) or level <= 0.0:
-            raise ValueError(
-                f"{path}, row {i}: series {sid} at {cell} has nonpositive level {row['Y']}"
-            )
+            raise ValueError(f"series {sid} at {cell} has nonpositive level {cells[2]}")
         preds = {}
-        for name in predictor_names:
+        for name, raw in zip(predictor_names, cells[3:]):
             try:
-                value = float(row[name])
-            except (TypeError, ValueError):
-                raise ValueError(f"{path}, row {i}: predictor {name}={row[name]!r} is not a number") from None
+                value = float(raw)
+            except ValueError:
+                raise ValueError(f"predictor {name}={raw!r} is not a number") from None
             if not np.isfinite(value):
-                raise ValueError(f"{path}, row {i}: predictor {name} is not finite")
+                raise ValueError(f"predictor {name} is not finite")
             preds[name] = value
+        return sid, t, level, preds
+
+    grouped: dict = {}
+    for sid, t, level, preds in _read_rows(path, header, parse):
         grouped.setdefault(sid, []).append((t, level, preds))
+    if not grouped:
+        raise ValueError(f"{path}: no data rows")
 
     records = {}
     for sid, items in grouped.items():
@@ -449,14 +445,11 @@ def build_design(
     predictors,
     lag: int,
     target: int,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
-    """Regression arrays for one agent window.
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Regression arrays ``(y, X, x_next)`` for one agent window.
 
     Columns: intercept first, then each named predictor lagged ``lag``
     quarters; the reserved name ``y_lag`` refers to the response itself.
-    Returns ``(y, X, x_next, max_input_time)`` where ``max_input_time`` is
-    the largest time index of any consumed value, used by the look-ahead
-    audit.
     """
     fit_times = np.asarray(fit_times, dtype=int)
     if fit_times.size == 0:
@@ -464,15 +457,12 @@ def build_design(
     all_times = np.append(fit_times, int(target))
     y = record.y[record.positions(fit_times)]
     cols = [np.ones(all_times.size)]
-    max_input = int(fit_times[-1])
     for name in predictors:
-        src_times = all_times - int(lag)
-        pos = record.positions(src_times)
+        pos = record.positions(all_times - int(lag))
         vals = record.y[pos] if name == "y_lag" else record.predictors[name][pos]
         cols.append(vals)
-        max_input = max(max_input, int(src_times.max()))
     X = np.column_stack(cols)
-    return y, X[:-1], X[-1], max_input
+    return y, X[:-1], X[-1]
 
 
 def task_stream(seed: int, *labels) -> np.random.Generator:
@@ -633,20 +623,15 @@ def _run_pool(
 
 
 def _agent_jobs(plan: BacktestPlan, panel: SeriesPanel, target: int) -> list:
-    """The (series, agent) fits of one agent window, each with the newest time its design reads."""
+    """The (series, agent) fits of one agent window."""
     cfg = plan.cfg
     fit_times = plan.agent_fit_times(target)
     jobs = []
     for sid in panel.series_ids:
         rec = panel.record(sid)
         for agent in cfg.agents:
-            y, X, x_next, max_input = build_design(
-                rec, fit_times, agent.predictors, cfg.data.predictor_lag, target
-            )
-            jobs.append(
-                {"series": sid, "agent": agent, "y": y, "X": X, "x_next": x_next,
-                 "max_input": max_input}
-            )
+            y, X, x_next = build_design(rec, fit_times, agent.predictors, cfg.data.predictor_lag, target)
+            jobs.append({"series": sid, "agent": agent, "y": y, "X": X, "x_next": x_next})
     return jobs
 
 
@@ -1223,44 +1208,54 @@ def run_backtest(cfg: RunConfig) -> RunManifest:
 
 
 def audit_lookahead(cfg: RunConfig) -> list:
-    """Re-derive each job's inputs and check none is dated past target-1.
+    """Check that every job's payload reads exactly the times the protocol names.
 
-    Returns one record per audited job with the largest consumed time index.
-    Agent jobs are audited from the job inputs the agent stage runs, and
-    synthesis jobs from the times their payloads read: the newest realized
-    value or, if later, the newest agent report's time - 1 (a report is a
-    function of data through its own time - 1).  Scoring consumes the
-    realized value at the target and is retrospective by definition, so it
-    is not part of the audit.
+    The stages' own payload builders run on stamped inputs: the real panel's series,
+    times and predictor names with every value equal to its time, and reports whose
+    ``a`` is their time, with one spare period each side; so each payload array holds
+    the times its job reads.  An agent fit for target t reads y at
+    ``agent_fit_start .. t-1`` and its predictors ``predictor_lag`` earlier, through t.
+    A synthesis window reads Y at ``synth_fit_start .. t-1`` and the reports through t
+    (a report is fit on data through its time - 1).  One record per agent (window,
+    series, agent) fit and per synthesis window: the newest time consumed, and ``ok``
+    if every level's payload reads exactly the protocol's times.  Scoring reads the
+    realized value at the target by definition, so it is not audited.
     """
     panel = ingest(cfg.data.panel_csv, cfg.data.h)
     plan = make_plan(cfg, panel)
-    rows = []
-    for target in plan.agent_targets:
-        target = int(target)
-        for job in _agent_jobs(plan, panel, target):
-            rows.append(
-                {
-                    "stage": "agents",
-                    "series": job["series"],
-                    "model": job["agent"].name,
-                    "target": plan.time_label(target),
-                    "max_input_time": plan.time_label(job["max_input"]),
-                    "ok": job["max_input"] <= target - 1,
-                }
-            )
-    for target in plan.synth_targets:
-        target = int(target)
-        realized, reports = plan.synth_input_times(target)
-        consumed = max(int(realized[-1]), int(reports[-1]) - 1)
-        rows.append(
-            {
-                "stage": "synthesis",
-                "series": "*",
-                "model": plan.cfg.synth_model_name,
-                "target": plan.time_label(target),
-                "max_input_time": plan.time_label(consumed),
-                "ok": consumed <= target - 1,
-            }
-        )
-    return rows
+    stamped = SeriesPanel(panel.h, panel.quarterly, {
+        sid: SeriesRecord(sid, r.times, r.times, dict.fromkeys(r.predictors, r.times))
+        for sid, r in panel.records.items()
+    })
+    reports = AgentForecastSet.from_rows(
+        (sid, t, name, tau, t, 1.0)
+        for tau in plan.taus for sid in panel.series_ids for name in cfg.agent_names
+        for t in range(plan.synth_fit_start - 1, plan.end + 2)
+    )
+    found: dict = {}  # (stage, series, model, target) -> [newest time consumed, ok]
+
+    def check(key, newest, reads):
+        """``reads`` pairs an array with the times its slices along the first axis must hold."""
+        ok = all(got.shape[:1] == times.shape and np.all(got.T == times) for got, times in reads)
+        row = found.setdefault(key, [newest, ok])
+        row[:] = max(row[0], newest), row[1] and ok
+
+    lag = cfg.data.predictor_lag
+    for p in _agent_payloads(plan, stamped):
+        fit = np.arange(plan.agent_fit_start, p["target"])
+        for job in p["jobs"]:
+            X = np.vstack([job["X"], job["x_next"]])[:, 1:]  # the predictors, without the intercept
+            check(("agents", job["series"], job["agent"].name, p["target"]),
+                  max(job["y"].max(), X.max(initial=-np.inf)),
+                  [(job["y"], fit), (X, np.append(fit, p["target"]) - lag)])
+    for p in _synth_payloads(plan, stamped, reports):
+        fit = np.arange(plan.synth_fit_start, p["target"])
+        a = np.concatenate([p["a"], p["a_next"][None]])
+        check(("synthesis", "*", cfg.synth_model_name, p["target"]),
+              max(p["Y"].max(), a.max() - 1),
+              [(p["Y"], fit), (a, np.append(fit, p["target"]))])
+    return [
+        {"stage": stage, "series": series, "model": model, "target": plan.time_label(target),
+         "max_input_time": plan.time_label(int(newest)), "ok": ok}
+        for (stage, series, model, target), (newest, ok) in found.items()
+    ]

@@ -181,7 +181,7 @@ class TestIngest:
             ingest(p, h=1)
         # A short row and a non-label time in an integer panel name the file and row.
         p.write_text("series,time,Y\na,0,1.0\na\n")
-        with pytest.raises(ValueError, match=re.escape(f"{p}, row 3: time value 'None' is neither")):
+        with pytest.raises(ValueError, match=re.escape(f"{p}, row 3: missing cell")):
             ingest(p, h=1)
         _write_levels(p, [("a", "0", 1.0), ("a", "1990-Q2", 2.0)])
         with pytest.raises(ValueError, match=re.escape(f"{p}, row 3: time value '1990-Q2' is neither")):
@@ -270,28 +270,22 @@ class TestBuildDesign:
     def test_lagged_response_design(self):
         rec = self._record()
         fit_times = np.arange(5, 9)
-        y, X, x_next, max_input = build_design(rec, fit_times, ("y_lag",), lag=1, target=9)
+        y, X, x_next = build_design(rec, fit_times, ("y_lag",), lag=1, target=9)
         np.testing.assert_array_equal(y, [5.0, 6.0, 7.0, 8.0])
         np.testing.assert_array_equal(X[:, 0], np.ones(4))
         np.testing.assert_array_equal(X[:, 1], [4.0, 5.0, 6.0, 7.0])
         np.testing.assert_array_equal(x_next, [1.0, 8.0])
-        assert max_input == 8 and max_input <= 9 - 1
 
     def test_named_predictor_with_longer_lag(self):
         rec = self._record()
-        y, X, x_next, max_input = build_design(
-            rec, np.arange(5, 9), ("y_lag", "z"), lag=2, target=9
-        )
+        y, X, x_next = build_design(rec, np.arange(5, 9), ("y_lag", "z"), lag=2, target=9)
         np.testing.assert_array_equal(X[:, 2], 10.0 + np.arange(3, 7))
         assert x_next[2] == 10.0 + 7.0
-        # z at target-2 = 7 and realized y through 8: nothing past target-1
-        assert max_input == 8
 
     def test_intercept_only(self):
         rec = self._record()
-        y, X, x_next, max_input = build_design(rec, np.arange(5, 9), (), lag=1, target=9)
+        y, X, x_next = build_design(rec, np.arange(5, 9), (), lag=1, target=9)
         assert X.shape == (4, 1) and x_next.shape == (1,)
-        assert max_input == 8
 
     def test_errors(self):
         rec = self._record()
@@ -1015,9 +1009,8 @@ class TestBacktest:
         rows = audit_lookahead(cfg)
         assert len(rows) == 8 * 3 * 2 + 4  # agent jobs + synthesis windows
         assert all(r["ok"] for r in rows)
-        agent_rows = [r for r in rows if r["stage"] == "agents"]
-        for r in agent_rows:
-            assert parse_time(r["max_input_time"]) <= parse_time(r["target"]) - 1
+        for r in rows:
+            assert parse_time(r["max_input_time"]) == parse_time(r["target"]) - 1
 
     def test_audit_reports_agent_window_that_reads_its_target(self, mini_run, monkeypatch):
         # Planted off-by-one: every agent fit window runs through its target.
@@ -1045,6 +1038,57 @@ class TestBacktest:
         assert len(rows) == 4
         assert not any(r["ok"] for r in rows)
         assert all(r["max_input_time"] == r["target"] for r in rows)
+
+    def test_audit_reports_panel_read_one_period_late(self, mini_run, monkeypatch):
+        # Planted off-by-one: every read of the panel lands one period after the time asked for.
+        cfg, _, _ = mini_run
+        positions = pipeline.SeriesRecord.positions
+        monkeypatch.setattr(
+            pipeline.SeriesRecord, "positions", lambda self, times: positions(self, np.asarray(times) + 1)
+        )
+        rows = audit_lookahead(cfg)
+        assert len(rows) == 8 * 3 * 2 + 4
+        assert not any(r["ok"] for r in rows)
+        assert all(r["max_input_time"] == r["target"] for r in rows)
+
+    @pytest.mark.parametrize("factor", [False, True], ids=["drqs", "factor"])
+    @pytest.mark.parametrize("shift", [1, -1], ids=["later", "stale"])
+    def test_audit_reports_synthesis_window_handed_a_shifted_report(self, mini_run, monkeypatch, shift, factor):
+        # Planted inside _synth_payloads: every window gets the agent reports `shift` periods off.
+        cfg, _, _ = mini_run
+        cfg = dataclasses.replace(cfg, plan=dataclasses.replace(cfg.plan, factor=factor))
+        reports = pipeline.AgentForecastSet.reports
+        monkeypatch.setattr(
+            pipeline.AgentForecastSet,
+            "reports",
+            lambda self, taus, times, *rest: reports(self, taus, np.asarray(times) + shift, *rest),
+        )
+        rows = audit_lookahead(cfg)
+        assert all(r["ok"] for r in rows if r["stage"] == "agents")
+        synth = [r for r in rows if r["stage"] == "synthesis"]
+        assert len(synth) == 4 and not any(r["ok"] for r in synth)
+        # A stale report is consumed no later than target-1, so only the exact check catches it.
+        assert all(parse_time(r["max_input_time"]) == parse_time(r["target"]) + min(shift, 0) for r in synth)
+
+    def test_audit_cli_names_the_times_a_violation_reads(self, mini_run, monkeypatch, tmp_path, capsys):
+        # Planted: the last synthesis payload reads the report for target-1 in place of the target's.
+        cfg, _, _ = mini_run
+        synth_payloads = pipeline._synth_payloads
+
+        def stale_last(*args):
+            payloads = synth_payloads(*args)
+            payloads[-1]["a_next"] = payloads[-1]["a"][-1]
+            return payloads
+
+        monkeypatch.setattr(pipeline, "_synth_payloads", stale_last)
+        cfg_path = tmp_path / "run.yaml"
+        dump_config(cfg, cfg_path)
+        assert cli.main(["audit-lookahead", "--config", str(cfg_path)]) == 1
+        assert capsys.readouterr().out.splitlines() == [
+            "52 jobs audited; 1 look-ahead violations",
+            f"  VIOLATION synthesis series=* model={cfg.synth_model_name} target=1997Q4 reads times "
+            "up to 1997Q3, not exactly the protocol's times up to target-1",
+        ]
 
     def test_reconstruct_stage_writes_draws(self, mini_run, tmp_path, capsys):
         cfg, root, _ = mini_run
@@ -1089,7 +1133,7 @@ class TestCliErrors:
             ("ingest", replace(cfg, data=replace(cfg.data, panel_csv=str(bad_panel))),
              str(bad_panel), "nonpositive level 0.0"),
             ("ingest", replace(cfg, data=replace(cfg.data, panel_csv=str(short_row))),
-             f"{short_row}, row 2:", "time value 'None' is neither an integer nor YYYYQn"),
+             f"{short_row}, row 2:", "missing cell"),
             ("ingest", replace(cfg, data=replace(cfg.data, panel_csv=str(bad_time))),
              f"{bad_time}, row 3:", "time value 'x1' is neither an integer nor YYYYQn"),
             ("ingest", replace(cfg, data=replace(cfg.data, panel_csv=str(tmp_path / "nosuch.csv"))),
@@ -1280,6 +1324,27 @@ def test_csv_readers_refuse_cells_beyond_the_header(tmp_path, read, text, column
     path.write_text(text)
     with pytest.raises(ValueError, match=re.escape(f"{path}, row {text.count(chr(10))}: more cells than the "
                                                    f"{columns}-column header")):
+        read(path)
+
+
+@pytest.mark.parametrize(
+    "read, text, message",
+    [
+        (agents.AgentForecastSet.from_csv, "series,time,agent,tau,a,A\ngdp,5,m1,0.25,1,0.5\n\ngdp,6,m1,0.25,1,0\n",
+         "forecast variance A must be positive"),
+        (agents.AgentForecastSet.from_csv, "series,time,agent,tau,a,A\ngdp,5,m1,0.25,1,0.5\n\ngdp,5,m1,0.25,2,0.5\n",
+         "duplicate forecast key"),
+        (read_forecasts, "series,time,tau,point,lo95,hi95,n_draws\ngdp,5,0.25,1,2,3,4\n\ngdp,6,0.25,1,2,3\n",
+         "missing cell"),
+        (lambda path: ingest(path, h=1), "series,time,Y\na,0,1.0\n\na,1,abc\n", "level 'abc' is not a number"),
+    ],
+    ids=["agent_forecasts_bad_report", "agent_forecasts_duplicate_key", "forecasts", "panel"],
+)
+def test_csv_readers_name_the_file_line_after_a_blank_line(tmp_path, read, text, message):
+    """A refusal names the line the bad row is on in the file, counting the blank line before it."""
+    path = tmp_path / "table.csv"
+    path.write_text(text)
+    with pytest.raises(ValueError, match=re.escape(f"{path}, row 4: {message}")):
         read(path)
 
 
