@@ -116,7 +116,8 @@ def _cmd_audit(cfg) -> int:
 
     rows = audit_lookahead(cfg)
     violations = [r for r in rows if not r["ok"]]
-    print(f"{len(rows)} jobs audited; {len(violations)} look-ahead violations")
+    failed = "job reads" if len(violations) == 1 else "jobs read"
+    print(f"{len(rows)} jobs audited; {len(violations)} {failed} other times than the protocol's")
     for row in violations:
         print(
             f"  VIOLATION {row['stage']} series={row['series']} model={row['model']} "

@@ -851,16 +851,10 @@ class RunManifest:
 
 def _versions() -> dict:
     import platform
-    from importlib.metadata import version
 
     from . import __version__
 
-    return {
-        "quantsynth": __version__,
-        "python": platform.python_version(),
-        "numpy": np.__version__,
-        "scipy": version("scipy"),  # read from the package metadata: importing SciPy is slow
-    }
+    return {"quantsynth": __version__, "python": platform.python_version(), "numpy": np.__version__}
 
 
 def write_forecasts(rows, path, time_label: Callable) -> None:

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
-from scipy.special import ndtri
+from scipy import special
 from scipy.stats import norm
 
 from oracles import check_loss, score_ratio
@@ -13,6 +13,7 @@ from quantsynth.evaluation import (
     QuantileGrid,
     ScorePanel,
     crps_quantile_weighted,
+    ndtri,
     pit,
     quantile_weights,
     reconstruct_predictive,
@@ -223,6 +224,35 @@ class TestPIT:
             pit(0.0, np.array([]))
 
 
+class TestNdtri:
+    def test_matches_scipy_bit_for_bit(self):
+        """The package's ndtri equals ``scipy.special.ndtri`` on 1.2M levels over every branch."""
+        rng = np.random.default_rng(23)
+        n = 200_000
+        e2, e32 = np.exp(-2.0), np.exp(-32.0)
+        ulps = np.arange(-100, 101)
+        boundaries = [b + ulps * np.spacing(b) for b in (e2, 1.0 - e2, e32, 1.0 - e32)]
+        u = rng.uniform(size=n)
+        levels = np.concatenate([
+            rng.uniform(e2, 1.0 - e2, n),  # central
+            np.exp(-rng.uniform(2.0, 32.0, n)),  # tail, exp(-32) .. exp(-2)
+            np.maximum(np.exp(-rng.uniform(32.0, 745.0, n)), 5e-324),  # far tail, to the least subnormal
+            np.minimum(1.0 - np.exp(-rng.uniform(2.0, 37.0, n)), np.nextafter(1.0, 0.0)),  # upper flip
+            1.0 - np.arange(1.0, 2_001.0) * 2.0**-53,  # the top 2000 levels below 1
+            *boundaries,
+            np.array([5e-324, np.nextafter(5e-324, 1.0), np.nextafter(1.0, 0.0), 0.5]),
+            np.asarray(DEFAULT_TAUS), np.linspace(0.01, 0.99, 99), np.array([0.1, 0.35, 0.65, 0.9, 0.95, 0.99]),
+            0.05 * (1.0 - u), 0.95 + u * (1.0 - 0.95),  # reconstruction's tail levels
+        ])
+        assert levels.size >= 1_000_000
+        assert np.all((levels > 0.0) & (levels < 1.0))
+        given = levels.copy()
+        ours, theirs = ndtri(levels), special.ndtri(levels)
+        assert np.array_equal(ours, theirs)
+        assert np.array_equal(np.signbit(ours), np.signbit(theirs))
+        assert np.array_equal(levels, given)  # reconstruction passes the grid's own array
+
+
 class TestReconstruction:
     def test_normal_quantiles_recover_tail_parameters(self):
         # Feeding exact standard-normal quantiles must return mu=0, sigma=1
@@ -313,7 +343,7 @@ class TestReconstruction:
 
     @pytest.mark.parametrize("tau_K", [0.9, 0.95, 0.99])
     def test_uniforms_next_to_one_give_finite_right_tail(self, tau_K):
-        # A level taus[-1] + u * (1 - taus[-1]) rounds to 1.0 for these u, and ndtri(1.0) is inf.
+        # A level taus[-1] + u * (1 - taus[-1]) rounds to 1.0 for these u, outside ndtri's domain.
         class NearOne:
             def uniform(self, size):
                 return 1.0 - np.resize(np.arange(1.0, 6.0), size) * 2.0**-53
