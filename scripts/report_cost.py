@@ -7,8 +7,7 @@ median over ``REPS`` timed calls of:
 * ``from_csv`` -- ``AgentForecastSet.from_csv`` on the file;
 * ``to_csv`` -- writing the loaded set back;
 * ``reports`` -- every report as dense (level, time, series, agent) ``a`` and
-  ``A`` arrays: one ``reports`` call, or, in a tree without it, one ``panel``
-  call per (level, series), as the synthesis stage made them.
+  ``A`` arrays, in one ``reports`` call.
 
 With ``--base DIR`` it also loads the package from ``DIR/src/quantsynth``
 under a second name in the same process (``sweep_cost.load_tree``) and times
@@ -60,15 +59,7 @@ def _write_reports(path: Path, n_series: int) -> None:
 
 def _read_all(fset) -> tuple[np.ndarray, np.ndarray]:
     """Every report of a set as (level, time, series, agent) ``a`` and ``A`` arrays."""
-    if hasattr(fset, "reports"):
-        return fset.reports(fset.taus, range(fset.t0, fset.t0 + fset.a.shape[1]), fset.series, fset.agents)
-    keys = sorted(fset._data)
-    taus = sorted({k[3] for k in keys})
-    times = sorted({k[1] for k in keys})
-    agents = sorted({k[2] for k in keys})
-    panels = [[fset.panel(s, tau, times, agents) for s in fset.series_ids()] for tau in taus]
-    return tuple(np.array([[p[x] for p in level] for level in panels]).transpose(0, 2, 1, 3)
-                 for x in (0, 1))
+    return fset.reports(fset.taus, range(fset.t0, fset.t0 + fset.a.shape[1]), fset.series, fset.agents)
 
 
 def _timed(fn, *args):

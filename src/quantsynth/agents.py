@@ -31,7 +31,6 @@ from .quarters import format_time, is_quarter_label, parse_time
 __all__ = [
     "DQLMSpec",
     "DQLMFit",
-    "AgentForecast",
     "AgentForecastSet",
     "fit_dqlm",
     "predictive_cloud",
@@ -184,18 +183,6 @@ def predictive_cloud(fit: DQLMFit, x_next: np.ndarray, rng: np.random.Generator)
     return beta_next @ x_next
 
 
-@dataclass(frozen=True)
-class AgentForecast:
-    """Gaussian summary of one agent's tau-quantile forecast."""
-
-    tau: float
-    a: float
-    A: float
-
-    def __post_init__(self):
-        _check_report(self.tau, self.a, self.A)
-
-
 def _check_report(tau: float, a: float, A: float) -> None:
     """Refuse a non-finite mean, a nonpositive variance or a level outside (0, 1)."""
     if not math.isfinite(a):
@@ -205,12 +192,13 @@ def _check_report(tau: float, a: float, A: float) -> None:
     _validate_tau(tau)
 
 
-def forecast_dqlm(fit: DQLMFit, x_next: np.ndarray, rng: np.random.Generator) -> AgentForecast:
-    """Summarize the one-step predictive quantile as an ``(a, A)`` Gaussian.
+def forecast_dqlm(fit: DQLMFit, x_next: np.ndarray, rng: np.random.Generator) -> tuple[float, float]:
+    """Summarize the one-step predictive quantile as the Gaussian ``(a, A)`` pair.
 
     ``a`` is the mean and ``A`` the variance of the predictive draw cloud
     from :func:`predictive_cloud`; ``A`` is floored at 1e-10 so degenerate
-    posteriors still yield a valid variance.
+    posteriors still yield a valid variance.  A report ``_check_report``
+    refuses (a non-finite mean, say) raises here, in the fit's own job.
     """
     if fit.n_draws < MIN_AGENT_DRAWS:
         raise ValueError(
@@ -219,7 +207,8 @@ def forecast_dqlm(fit: DQLMFit, x_next: np.ndarray, rng: np.random.Generator) ->
     cloud = predictive_cloud(fit, x_next, rng)
     a = float(cloud.mean())
     A = max(float(cloud.var()), VARIANCE_FLOOR)
-    return AgentForecast(tau=fit.spec.tau, a=a, A=A)
+    _check_report(fit.spec.tau, a, A)
+    return a, A
 
 
 _CSV_COLUMNS = ("series", "time", "agent", "tau", "a", "A")

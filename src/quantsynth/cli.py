@@ -33,12 +33,9 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
     for name, help_text in _COMMANDS:
-        sp = sub.add_parser(name, help=help_text, description=help_text)
+        # No prefix matching: an unknown option such as --h is refused, not read as --help.
+        sp = sub.add_parser(name, help=help_text, description=help_text, allow_abbrev=False)
         sp.add_argument("--config", required=True, help="YAML run configuration file")
-        sp.add_argument("--seed", type=int, default=None, help="override plan.seed")
-        sp.add_argument("--tau", type=float, default=None,
-                        help="restrict the stage to a single quantile level")
-        sp.add_argument("--h", type=int, default=None, help="override data.h")
         sp.add_argument("--workers", type=int, default=None, help="override workers")
         sp.add_argument("--out-dir", default=None, help="override out_dir")
     return parser
@@ -48,12 +45,6 @@ def _load_config(args):
     from .config import load_config
 
     cfg = load_config(args.config)
-    if args.seed is not None:
-        cfg = replace(cfg, plan=replace(cfg.plan, seed=int(args.seed)))
-    if args.tau is not None:
-        cfg = replace(cfg, plan=replace(cfg.plan, taus=(float(args.tau),)))
-    if args.h is not None:
-        cfg = replace(cfg, data=replace(cfg.data, h=int(args.h)))
     if args.workers is not None:
         cfg = replace(cfg, workers=int(args.workers))
     if args.out_dir is not None:

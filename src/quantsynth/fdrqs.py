@@ -34,7 +34,6 @@ __all__ = [
     "forecast_fdrqs",
     "omegas_from_deltas",
     "sample_local_precisions",
-    "delta_full_conditional",
 ]
 
 OMEGA_UNDERFLOW = 1e-300
@@ -133,8 +132,9 @@ def _block_sums(lam_blocks: np.ndarray, phi: np.ndarray, j: int) -> np.ndarray:
 def _delta_site(
     sums: list[float], dj: list[float], h: int, N: int, a1: float, a2: float
 ) -> tuple[float, float]:
-    """(shape, rate) of delta_hj from its block's sums and current deltas ``dj``, both (L,) lists.
+    """(shape, rate) of the full conditional of delta_hj, ``h`` zero-based.
 
+    ``sums`` is the block's :func:`_block_sums` and ``dj`` its current deltas, both (L,) lists.
     Runs on Python floats: the leave-one-out products are the running
     products of ``dj`` with ``delta_hj`` set to 1, and the tail
     ``sum_{l>=h} omega^(h)_l * sums_l`` is taken with ``np.add.reduce`` over
@@ -155,24 +155,6 @@ def _delta_site(
     else:
         shape = N * (L - h) / 2.0 + a2
     return shape, 1.0 + 0.5 * tail
-
-
-def delta_full_conditional(
-    lam_blocks: np.ndarray,
-    phi: np.ndarray,
-    deltas: np.ndarray,
-    h: int,
-    j: int,
-    a1: float,
-    a2: float,
-) -> tuple[float, float]:
-    """(shape, rate) of the multiplicative-shock full conditional for delta_hj.
-
-    ``h`` and ``j`` are zero-based; the leave-one-out products
-    ``omega^(h)_lj = prod_{s<=l, s!=h} delta_sj`` use the current deltas.
-    """
-    sums = _block_sums(lam_blocks, phi, j).tolist()
-    return _delta_site(sums, deltas[:, j].tolist(), h, len(lam_blocks), a1, a2)
 
 
 def _update_deltas(
@@ -242,9 +224,6 @@ class FDRQSDraws:
     @property
     def T(self) -> int:
         return self.u.shape[1]
-
-    def omegas(self, r: int) -> np.ndarray:
-        return omegas_from_deltas(self.deltas[r])
 
     def theta(self, r: int) -> np.ndarray:
         """Implied weights (T, N, J+1) for draw r: theta_itj = lambda_ij' u_tj."""

@@ -511,11 +511,11 @@ def _run_agent_window(payload: dict) -> list:
             fit = fit_dqlm(
                 job["y"], job["X"], payload["specs"][agent.name], mcmc=(agent.draws, agent.burn), rng=rng
             )
-            fc = forecast_dqlm(fit, job["x_next"], rng)
+            a, A = forecast_dqlm(fit, job["x_next"], rng)
         except Exception as exc:
             exc.quantsynth_fit = (job["series"], agent.name)  # travels with the exception out of a worker
             raise
-        rows.append((job["series"], target, agent.name, tau, fc.a, fc.A))
+        rows.append((job["series"], target, agent.name, tau, a, A))
     return rows
 
 

@@ -32,8 +32,8 @@ def test_agent_model_at_extreme_level(tau):
     X = np.column_stack([np.ones(T), rng.normal(size=T)])
     y = X @ np.array([0.5, 1.0]) + rng.normal(size=T)
     fit = fit_dqlm(y, X, DQLMSpec(tau=tau), mcmc=(50, 20), rng=rng)
-    fc = forecast_dqlm(fit, X[-1], rng)
-    assert _finite(fit.beta, fit.sigma, fit.C_T, fc.a, fc.A)
+    a, A = forecast_dqlm(fit, X[-1], rng)
+    assert _finite(fit.beta, fit.sigma, fit.C_T, a, A)
 
 
 @pytest.mark.parametrize("tau", EXTREME_TAUS)
@@ -85,10 +85,10 @@ def test_agent_model_on_near_constant_series(floored_sweeps, sigma_rate, floored
     T = 16
     X = np.ones((T, 1))
     fit = fit_dqlm(_near_constant(rng, T), X, DQLMSpec(tau=0.5, sigma_rate=sigma_rate), (60, 20), rng)
-    fc = forecast_dqlm(fit, X[-1], rng)
+    a, A = forecast_dqlm(fit, X[-1], rng)
     assert any(floored_sweeps)
-    assert _finite(fit.beta, fit.sigma, fit.C_T, fc.a, fc.A)
-    assert (fc.A == VARIANCE_FLOOR) == floored_A
+    assert _finite(fit.beta, fit.sigma, fit.C_T, a, A)
+    assert (A == VARIANCE_FLOOR) == floored_A
 
 
 @pytest.mark.parametrize("A", [0.3, VARIANCE_FLOOR])

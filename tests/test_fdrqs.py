@@ -11,7 +11,6 @@ from quantsynth.distributions import mixture_constants
 from quantsynth.fdrqs import (
     FDRQSConfig,
     FDRQSDraws,
-    delta_full_conditional,
     forecast_fdrqs,
     gibbs_fdrqs,
     omegas_from_deltas,
@@ -43,7 +42,8 @@ class TestShrinkagePrior:
         phi = rng.gamma(2.0, size=(N, L, J + 1))
         deltas = rng.gamma(2.0, size=(L, J + 1))
         a1, a2 = 2.5, 3.5
-        shape, rate = delta_full_conditional(lam_blocks, phi, deltas, 0, 0, a1, a2)
+        sums = fdrqs._block_sums(lam_blocks, phi, 0).tolist()
+        shape, rate = fdrqs._delta_site(sums, deltas[:, 0].tolist(), 0, N, a1, a2)
         assert shape == N * L / 2.0 + a1
         assert rate == 1.0
 
@@ -55,12 +55,14 @@ class TestShrinkagePrior:
         deltas = np.array([[4.0], [5.0]])
         a1, a2 = 2.5, 3.5
 
+        sums, dj = fdrqs._block_sums(lam_blocks, phi, 0).tolist(), deltas[:, 0].tolist()
+        assert sums == [3.0, 2.0]
         # h=0: omega_wo = (1, 5); tail = 1*3 + 5*2 = 13
-        shape0, rate0 = delta_full_conditional(lam_blocks, phi, deltas, 0, 0, a1, a2)
+        shape0, rate0 = fdrqs._delta_site(sums, dj, 0, 1, a1, a2)
         assert shape0 == 1 * 2 / 2.0 + 2.5
         assert abs(rate0 - (1.0 + 0.5 * 13.0)) < 1e-12
         # h=1: omega_wo = (4, 4); tail = 4*2 = 8
-        shape1, rate1 = delta_full_conditional(lam_blocks, phi, deltas, 1, 0, a1, a2)
+        shape1, rate1 = fdrqs._delta_site(sums, dj, 1, 1, a1, a2)
         assert shape1 == 1 * (2 - 1) / 2.0 + 3.5
         assert abs(rate1 - (1.0 + 0.5 * 8.0)) < 1e-12
 
@@ -157,7 +159,7 @@ class TestGibbsFDRQS:
         assert np.all(np.isfinite(dr.lam)) and np.all(np.isfinite(dr.u))
         assert np.all(dr.deltas > 0.0) and np.all(dr.sigma > 0.0)
         assert dr.theta(5).shape == (T, N, J + 1)
-        np.testing.assert_allclose(dr.omegas(3), np.cumprod(dr.deltas[3], axis=0))
+        np.testing.assert_allclose(omegas_from_deltas(dr.deltas[3]), np.cumprod(dr.deltas[3], axis=0))
 
     def test_rejects_bad_inputs(self):
         T, N, J = 10, 2, 1

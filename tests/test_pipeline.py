@@ -404,10 +404,12 @@ class TestConfig:
                 config_from_dict({"plan": {"seed": seed}})
             assert str(info.value) == f"plan.seed must lie in [0, 2**32), got {seed}"
         assert config_from_dict({"plan": {"seed": 2**32 - 1}}).plan.seed == 2**32 - 1
-        # --seed goes through the same check.
+        # A config file's plan.seed goes through the same check.
+        d = _config_dict(tmp_path / "levels.csv")
+        d["plan"]["seed"] = 2**32
         cfg_path = tmp_path / "run.yaml"
-        dump_config(config_from_dict(_config_dict(tmp_path / "levels.csv")), cfg_path)
-        assert cli.main(["audit-lookahead", "--config", str(cfg_path), "--seed", str(2**32)]) == 1
+        cfg_path.write_text(json.dumps(d))  # JSON is valid YAML
+        assert cli.main(["audit-lookahead", "--config", str(cfg_path)]) == 1
         assert capsys.readouterr().err == f"error: plan.seed must lie in [0, 2**32), got {2**32}\n"
 
     def test_values_are_checked_not_converted(self):
@@ -535,8 +537,8 @@ class TestPlan:
         assert job["X"].shape == (3, 3)
         rng = np.random.default_rng(5)
         fit = fit_dqlm(job["y"], job["X"], plan.agent_specs[0.25]["zlag"], mcmc=(50, 10), rng=rng)
-        fc = forecast_dqlm(fit, job["x_next"], rng)
-        assert np.all(np.isfinite(fit.beta)) and np.isfinite(fc.a) and np.isfinite(fc.A)
+        a, A = forecast_dqlm(fit, job["x_next"], rng)
+        assert np.all(np.isfinite(fit.beta)) and np.isfinite(a) and np.isfinite(A)
 
     def test_missing_pieces_reported_together(self, panel):
         src, pan = panel
@@ -724,9 +726,9 @@ class TestBacktest:
             cfg, agents=tuple(dataclasses.replace(a, draws=50, burn=0) for a in cfg.agents)
         )
         cfg_path = tmp_path / "run.yaml"
-        dump_config(cfg, cfg_path)
+        dump_config(dataclasses.replace(cfg, plan=dataclasses.replace(cfg.plan, taus=(0.5,))), cfg_path)
         for command in ("backtest", "evaluate", "reconstruct"):
-            assert cli.main([command, "--config", str(cfg_path), "--tau", "0.5"]) == 1
+            assert cli.main([command, "--config", str(cfg_path)]) == 1
             assert "at least 4 quantile levels" in capsys.readouterr().err
             assert not (tmp_path / "out").exists()
         few = dataclasses.replace(cfg, plan=dataclasses.replace(cfg.plan, taus=(0.1, 0.5, 0.9)))
@@ -734,7 +736,7 @@ class TestBacktest:
             run_backtest(few)
         assert not (tmp_path / "out").exists()
         # The stages before evaluate need no minimum.
-        assert cli.main(["fit-agents", "--config", str(cfg_path), "--tau", "0.5"]) == 0
+        assert cli.main(["fit-agents", "--config", str(cfg_path)]) == 0
         capsys.readouterr()
 
     def test_unknown_reference_refused_before_any_stage(self, tmp_path, capsys):
@@ -1115,6 +1117,30 @@ class TestBacktest:
 class TestCliErrors:
     """Every command reports a refused run or a bad input as ``error: ...`` and exits 1."""
 
+    def test_run_settings_come_only_from_the_config(self, tmp_path, capsys):
+        # Every run-defining setting has one route, the config file; the command
+        # line sets only the file and the two execution settings the hash leaves out.
+        write_level_panel(tmp_path / "levels.csv")
+        cfg_path = tmp_path / "run.yaml"
+        dump_config(backtest_config(tmp_path / "levels.csv", tmp_path / "out"), cfg_path)
+        for command in ("backtest", "audit-lookahead"):
+            for flag, value in (("--seed", "7"), ("--tau", "0.5"), ("--h", "4")):
+                with pytest.raises(SystemExit) as info:
+                    cli.main([command, "--config", str(cfg_path), flag, value])
+                assert info.value.code == 2
+                assert f"unrecognized arguments: {flag} {value}" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+        for command, _ in cli._COMMANDS:
+            with pytest.raises(SystemExit) as info:
+                cli.main([command, "--help"])
+            assert info.value.code == 0
+            assert set(re.findall(r"--[\w-]+", capsys.readouterr().out)) == {
+                "--help", "--config", "--workers", "--out-dir"
+            }, command
+        args = ["--config", str(cfg_path), "--workers", "2", "--out-dir", str(tmp_path / "elsewhere")]
+        assert cli.main(["audit-lookahead", *args]) == 0
+        assert capsys.readouterr().out.endswith("; 0 jobs read other times than the protocol's\n")
+
     def test_bad_inputs_print_error(self, tmp_path, capsys):
         write_level_panel(tmp_path / "levels.csv")
         cfg = backtest_config(tmp_path / "levels.csv", tmp_path / "out")
@@ -1195,11 +1221,12 @@ class TestCliErrors:
         write_level_panel(tmp_path / "levels.csv")
         cfg = backtest_config(tmp_path / "levels.csv", tmp_path / "out")
         cfg = dataclasses.replace(
-            cfg, agents=(cfg.agents[0], dataclasses.replace(cfg.agents[1], sigma_rate=1e308))
+            cfg, agents=(cfg.agents[0], dataclasses.replace(cfg.agents[1], sigma_rate=1e308)),
+            plan=dataclasses.replace(cfg.plan, taus=(0.5,)),
         )
         cfg_path = tmp_path / "run.yaml"
         dump_config(cfg, cfg_path)
-        assert cli.main(["fit-agents", "--config", str(cfg_path), "--tau", "0.5"]) == 1
+        assert cli.main(["fit-agents", "--config", str(cfg_path)]) == 1
         assert capsys.readouterr().err.startswith(
             "error: agents stage failed at tau=0.5, window=1996Q1, series=alpha, agent=zlag, "
             "sweep=1: "
@@ -1210,8 +1237,9 @@ class TestCliErrors:
         cfg, root, _ = mini_run
         shutil.copy(root / "out" / "agent_forecasts.csv", tmp_path / "agent_forecasts.csv")
         cfg_path = tmp_path / "run.yaml"
-        dump_config(dataclasses.replace(cfg, out_dir=str(tmp_path)), cfg_path)
-        assert cli.main(["synth", "--config", str(cfg_path), "--tau", "0.5"]) == 1
+        plan = dataclasses.replace(cfg.plan, taus=(0.5,))
+        dump_config(dataclasses.replace(cfg, out_dir=str(tmp_path), plan=plan), cfg_path)
+        assert cli.main(["synth", "--config", str(cfg_path)]) == 1
         message = "missing forecast for series=alpha t=1996Q1 agent=base tau=0.5"
         assert capsys.readouterr().err == f"error: {message}\n"
         manifest = json.loads((tmp_path / "manifest.json").read_text())
