@@ -74,12 +74,15 @@ GOLDEN_SHA256 = {
     "ratios.csv": "f1cfb9600c5ac79fc6060d7c2a0f1c603f59cfdae006726aff5a9a2220ee58b1",
     "pit.csv": "088ce76202ee44ecc8840e3f87a4d8f2f5f4993093c5446cd3407aac566b2e24",
     "plots/rcs_curve.csv": "efd4c180644fa20fb8fa96f5561294535ffd68f6285b05267aa56d1454947681",
+    "plots/fan.csv": "62c5a6736da3d477d147c2ef021daf285faa0415177e44c351f2217c746d759e",
+    "plots/pit_ecdf.csv": "b3b7c999be14f940087798a1475fe64f110fa56aa4b49e54c4045d892fb9f724",
 }
 # SHA-256 of the factor backtest in ``test_staged_factor_cli_matches_factor_backtest``:
 # the only pins on the vector FFBS and the gamma-beta precision sampler.
 FACTOR_SHA256 = {
     "forecasts.csv": "4c41a2cfd82e0228ef969bc9e5a0990004d0812a2eb722f2763c34692b0975b3",
     "joint_draws.csv": "8b18182d4f68ee3bd5a8920cf0c3ca2d7430f2bf8eb46d3acc7cd456b057ae76",
+    "plots/correlation.csv": "6d6f6d9dda6687d03b20a16f6fe7e6b885273cf126db6b38b1cf73375fb823d7",
 }
 # SHA-256 of ``reconstruct`` run on the ``mini_run`` forecasts.
 RECONSTRUCT_SHA256 = "34bf0bb741da2fa3b3ef3cfb078ddff3f7837163aea6d1fdb7adc5be6a972c76"
