@@ -121,8 +121,9 @@ class FactorConfig:
     """Factor synthesis model settings.
 
     ``L`` is the number of factors per agent block; left unset it resolves to
-    ``min(5, N - 1)`` for an N-series panel.  ``write_joint_draws`` controls
-    whether the aligned cross-series forecast draws are written to disk.
+    ``min(5, N - 1)`` for an N-series panel.  ``write_joint_draws`` also writes the aligned
+    cross-series forecast draws to ``joint_draws.csv``; their correlations go to
+    ``plots/correlation.csv`` either way.
     """
 
     L: int | None = None

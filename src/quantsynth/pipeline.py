@@ -519,8 +519,8 @@ def _run_agent_window(payload: dict) -> list:
     return rows
 
 
-def _run_synth_window(payload: dict) -> tuple[list, list]:
-    """Fit the univariate synthesizer per series for one (tau, window) task."""
+def _run_synth_window(payload: dict) -> tuple:
+    """Fit the univariate synthesizer per series for one (tau, window) task; no joint draws."""
     tau, target, seed = payload["tau"], payload["target"], payload["seed"]
     names = payload["agent_names"]
     Y, a, A = payload["Y"], payload["a"], payload["A"]
@@ -541,11 +541,15 @@ def _run_synth_window(payload: dict) -> tuple[list, list]:
             exc.quantsynth_fit = (sid, None)
             raise
         rows.append((sid, target, tau, fc.point, fc.interval[0], fc.interval[1], fc.draws.size))
-    return rows, []
+    return rows, None, None
 
 
-def _run_factor_window(payload: dict) -> tuple[list, list]:
-    """Fit the factor synthesizer jointly over all series for one (tau, window)."""
+def _run_factor_window(payload: dict) -> tuple:
+    """Fit the factor synthesizer jointly over all series for one (tau, window).
+
+    Returns the forecast rows, the (N, N) correlation of the (R, N) joint draws, and the draws
+    themselves only under ``write_joint_draws``.
+    """
     tau, target, seed = payload["tau"], payload["target"], payload["seed"]
     series_ids = payload["series_ids"]
     rng = task_stream(seed, "synthesis-factor", tau, target)
@@ -562,13 +566,8 @@ def _run_factor_window(payload: dict) -> tuple[list, list]:
     for i, sid in enumerate(series_ids):
         fc = ff.forecasts[i]
         rows.append((sid, target, tau, fc.point, fc.interval[0], fc.interval[1], fc.draws.size))
-    joint = []
-    if payload["write_joint_draws"]:
-        R = ff.joint.shape[0]
-        for r in range(R):
-            for i, sid in enumerate(series_ids):
-                joint.append((target, tau, r, sid, ff.joint[r, i]))
-    return rows, joint
+    corr = np.atleast_2d(np.corrcoef(np.ascontiguousarray(ff.joint.T)))
+    return rows, corr, ff.joint if payload["write_joint_draws"] else None
 
 
 def _timed(fn, payload: dict) -> tuple:
@@ -705,16 +704,25 @@ def stage_synthesize(
     panel: SeriesPanel,
     fset: AgentForecastSet,
     pool: Executor | None = None,
-) -> tuple[list, list, list]:
-    """Run the synthesis stage; returns (forecast rows, joint draw rows, timings).
+) -> tuple[list, list, list, list]:
+    """Run the synthesis stage; returns (forecast rows, joint draws, correlation rows, timings).
 
-    Jobs run on ``pool``, or inline when it is None.
+    Joint draws, one ``(target, tau, series_ids, (R, N) draws)`` per factor window, are kept
+    only under ``factor.write_joint_draws``; the correlation rows, ordered by (time, tau), fill
+    ``plots/correlation.csv`` for every factor run.  Jobs run on ``pool``, or inline when it is None.
     """
     fn = _run_factor_window if plan.cfg.plan.factor else _run_synth_window
-    results, timings = _run_pool(fn, _synth_payloads(plan, panel, fset), pool, "synthesis", plan)
-    rows = sorted((row for res, _ in results for row in res), key=lambda r: (r[0], r[1], r[2]))
-    joint = [row for _, res in results for row in res]
-    return rows, joint, timings
+    payloads = _synth_payloads(plan, panel, fset)
+    results, timings = _run_pool(fn, payloads, pool, "synthesis", plan)
+    rows = sorted((row for res, _, _ in results for row in res), key=lambda r: (r[0], r[1], r[2]))
+    windows = [(p["target"], p["tau"], p["series_ids"], *res[1:]) for p, res in zip(payloads, results)]
+    joint = [(t, tau, sids, draws) for t, tau, sids, _, draws in windows if draws is not None]
+    corr_rows = [
+        (plan.time_label(t), _repr_float(tau), si, sj, _report_float(c))
+        for t, tau, sids, corr, _ in sorted(windows, key=lambda w: w[:2]) if corr is not None
+        for si, corr_row in zip(sids, corr.tolist()) for sj, c in zip(sids, corr_row)
+    ]
+    return rows, joint, corr_rows, timings
 
 
 def _forecast_curves(plan: BacktestPlan, rows: list) -> dict:
@@ -881,13 +889,15 @@ def read_forecasts(path) -> list:
     return list(_read_rows(path, FORECAST_COLUMNS, parse))
 
 
-def write_joint_draws(joint_rows, path, time_label: Callable) -> None:
-    """Aligned joint forecast draws: ``time,tau,draw,series,Q``."""
-    out = [
-        (time_label(t), _repr_float(tau), int(r), sid, _repr_float(q))
-        for t, tau, r, sid, q in joint_rows
-    ]
-    _write_csv(path, JOINT_COLUMNS, out)
+def write_joint_draws(windows, path, time_label: Callable) -> None:
+    """Joint draws from :func:`stage_synthesize` as ``time,tau,draw,series,Q``, streamed window by window."""
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(JOINT_COLUMNS)
+        for t, tau, sids, draws in windows:
+            label, tau_cell = time_label(t), _repr_float(tau)
+            writer.writerows((label, tau_cell, r, sid, _repr_float(q))
+                             for r, values in enumerate(draws.tolist()) for sid, q in zip(sids, values))
 
 
 def write_reconstructed(keys, draws, path, time_label: Callable) -> None:
@@ -942,12 +952,12 @@ def _write_plot(rows, path, header) -> None:
 def emit_plots_data(plan: BacktestPlan, panels: dict, rows: list, pit_rows: list) -> tuple:
     """Plot-ready long-format tables from the evaluate stage's own results.
 
-    Returns ``(rcs_curve, fan, pit_ecdf, correlation)`` as rows of CSV cells:
-    cumulative score-ratio curves per series from the full-precision score
-    ``panels``, the forecast fan (point and 95% band) of the synthesized
-    forecast ``rows``, PIT empirical CDFs of ``pit_rows``, and cross-series
-    predictive correlations, filled only when ``out_dir/joint_draws.csv``
-    exists (no stage hands joint draws to evaluate).
+    Returns ``(rcs_curve, fan, pit_ecdf)`` as rows of CSV cells: cumulative
+    score-ratio curves per series from the full-precision score ``panels``,
+    the forecast fan (point and 95% band) of the synthesized forecast
+    ``rows``, and PIT empirical CDFs of ``pit_rows``.  It reads no file; the
+    fourth plot table, ``plots/correlation.csv``, comes from
+    :func:`stage_synthesize`, where the joint draws are.
     """
     reference = plan.cfg.reference_model
 
@@ -970,27 +980,11 @@ def emit_plots_data(plan: BacktestPlan, panels: dict, rows: list, pit_rows: list
     for model, series, _, value in pit_rows:
         pit_values.setdefault((model, series), []).append(value)
     ecdf_rows = []
-    u_grid = [round(0.01 * k, 10) for k in range(101)]
+    u_grid = np.array([round(0.01 * k, 10) for k in range(101)])
     for (model, series), values in sorted(pit_values.items()):
-        arr = np.sort(np.asarray(values))
-        for u in u_grid:
-            ecdf = float(np.searchsorted(arr, u, side="right")) / arr.size
-            ecdf_rows.append((model, series, _report_float(u), _report_float(ecdf)))
-
-    # Cross-series correlation of aligned joint forecast draws, when present.
-    corr_rows = []
-    joint_path = Path(plan.cfg.out_dir) / "joint_draws.csv"
-    if joint_path.exists():
-        cells: dict = {}
-        for t_label, tau_label, _, series, q in _read_rows(joint_path, JOINT_COLUMNS, tuple):
-            cells.setdefault((t_label, tau_label), {}).setdefault(series, []).append(float(q))
-        for (t_label, tau_label), per_series in sorted(cells.items()):
-            sids = sorted(per_series)
-            mat = np.atleast_2d(np.corrcoef(np.array([per_series[s] for s in sids])))
-            for i, si in enumerate(sids):
-                for j, sj in enumerate(sids):
-                    corr_rows.append((t_label, tau_label, si, sj, _report_float(mat[i, j])))
-    return rcs_rows, fan_rows, ecdf_rows, corr_rows
+        ecdf = np.searchsorted(np.sort(values), u_grid, side="right") / len(values)
+        ecdf_rows += [(model, series, _report_float(u), _report_float(e)) for u, e in zip(u_grid, ecdf)]
+    return rcs_rows, fan_rows, ecdf_rows
 
 
 # ---------------------------------------------------------------------------
@@ -1019,9 +1013,10 @@ class Stage:
     timings.  ``pool`` is the run's process pool, or None to run inline; only
     a ``pooled`` stage gets a pool opened for it.  Each ``run`` calls its
     stage function by name when it runs, so a wrapper installed on this
-    module's attribute is the one called.  The ``evaluate`` row also writes
-    the plot tables: it calls :func:`stage_evaluate`, then
-    :func:`emit_plots_data` on its results.
+    module's attribute is the one called.  No ``run`` reads ``out_dir``.  The
+    ``synthesis`` row writes ``plots/correlation.csv`` from its jobs' joint draws
+    and the ``evaluate`` row the other plot tables: it calls
+    :func:`stage_evaluate`, then :func:`emit_plots_data` on its results.
     """
 
     name: str
@@ -1050,14 +1045,15 @@ STAGES = {
         Stage(
             "synthesis",
             reads=("agent_forecasts.csv",),
-            writes=("forecasts.csv", "joint_draws.csv"),
+            writes=("forecasts.csv", "joint_draws.csv", "plots/correlation.csv"),
             run=lambda plan, panel, pool, fset: stage_synthesize(plan, panel, fset, pool),
             pooled=True,
         ),
         Stage(
             "evaluate",
             reads=("agent_forecasts.csv", "forecasts.csv"),
-            writes=("scores.csv", "pit.csv", "ratios.csv", *PLOT_COLUMNS),
+            writes=("scores.csv", "pit.csv", "ratios.csv",
+                    "plots/rcs_curve.csv", "plots/fan.csv", "plots/pit_ecdf.csv"),
             run=_run_evaluate,
         ),
         Stage(
@@ -1160,7 +1156,7 @@ def run_stages(cfg: RunConfig, names) -> RunManifest:
                 artifacts[name] = value
                 if name == "joint_draws.csv" and not value:
                     # Only a factor run with write_joint_draws keeps draws; an
-                    # earlier run's file must not feed this run's plots.
+                    # earlier run's file must not sit beside this run's forecasts.
                     (out / name).unlink(missing_ok=True)
                     continue
                 _WRITERS[name](value, out / name, plan.time_label)
@@ -1193,8 +1189,8 @@ def run_backtest(cfg: RunConfig) -> RunManifest:
     """Execute the full expanding-window protocol and write all artifacts.
 
     Artifacts in ``cfg.out_dir``: ``agent_forecasts.csv``, ``forecasts.csv``,
-    ``scores.csv``, ``ratios.csv``, ``pit.csv``, the evaluate stage's plot
-    tables under ``plots/``, optionally ``joint_draws.csv``, and
+    ``scores.csv``, ``ratios.csv``, ``pit.csv``, the plot tables under
+    ``plots/``, optionally ``joint_draws.csv``, and
     ``manifest.json``.  Any job failure aborts the run; the manifest is
     still written with ``complete`` false and the failing job identified.
     """

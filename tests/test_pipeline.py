@@ -432,6 +432,21 @@ class TestConfig:
             ({"evaluation": {"schemes": ["none", 1]}}, "evaluation.schemes[1] must be a string, got 1"),
             ({"agents": [{"name": "a", "predictors": [3]}]},
              "agents[0].predictors[0] must be a string, got 3"),
+            # Values of the right type that a section refuses.
+            ({"data": {"h": 0}}, "data.h must be >= 1, got 0"),
+            ({"agents": [{"name": ""}]}, "every agent needs a nonempty name"),
+            ({"agents": [{"name": "a", "burn": -1}]}, "agent a: burn must be >= 0"),
+            ({"synthesis": {"draws": 0}}, "synthesis.draws must be >= 1 and synthesis.burn >= 0"),
+            ({"synthesis": {"burn": -1}}, "synthesis.draws must be >= 1 and synthesis.burn >= 0"),
+            ({"factor": {"draws": 0}}, "factor.draws must be >= 1 and factor.burn >= 0"),
+            ({"factor": {"burn": -1}}, "factor.draws must be >= 1 and factor.burn >= 0"),
+            ({"factor": {"L": 0}}, "factor.L must be >= 1, got 0"),
+            ({"plan": {"taus": []}}, "plan.taus must be nonempty"),
+            ({"evaluation": {"schemes": []}}, "evaluation.schemes must be nonempty"),
+            ({"evaluation": {"reconstruction_draws": 0}}, "evaluation.reconstruction_draws must be >= 1"),
+            # Sections of the wrong shape.
+            ({"data": ["levels.csv"]}, "data must be a mapping, got list"),
+            ({"agents": {"name": "a"}}, "agents must be a list of agent mappings"),
         )
         for raw, message in cases:
             with pytest.raises(ValueError) as info:
@@ -449,6 +464,13 @@ class TestConfig:
         assert config_hash(backtest_config("levels.csv", "out")) == (
             "730960fb0213e701f45d8a69af530e4da38f21abe3cd86b998fc43ab45d3628b"
         )
+
+    def test_yaml_top_level_must_be_a_mapping(self, tmp_path):
+        path = tmp_path / "run.yaml"
+        path.write_text("- data\n- plan\n")
+        with pytest.raises(ValueError) as info:
+            load_config(path)
+        assert str(info.value) == f"config file {path} must contain a mapping at the top level"
 
     def test_reference_model_defaults_to_first_agent(self):
         cfg = config_from_dict(_config_dict("levels.csv"))
@@ -511,6 +533,26 @@ class TestPlan:
         d["plan"]["synth_fit_start"] = "1995Q1"
         with pytest.raises(ValueError, match="1995Q1 precedes agent_forecast_start 1996Q1"):
             make_plan(config_from_dict(d), pan)
+
+    def test_synthesis_window_order_names_both_dates(self, panel):
+        src, pan = panel
+        d = _config_dict(src)
+        d["plan"]["synth_fit_start"] = "1997Q1"
+        with pytest.raises(ValueError, match="synth_fit_start 1997Q1 must precede synth_forecast_start 1997Q1"):
+            make_plan(config_from_dict(d), pan)
+        d = _config_dict(src)
+        d["plan"]["end"] = "1996Q4"
+        with pytest.raises(ValueError, match="synth_forecast_start 1997Q1 must not exceed end 1996Q4"):
+            make_plan(config_from_dict(d), pan)
+
+    def test_unparseable_plan_date_names_its_field(self, panel):
+        src, pan = panel
+        d = _config_dict(src)
+        d["plan"]["synth_fit_start"] = "1996-Q1"
+        with pytest.raises(ValueError) as exc:
+            make_plan(config_from_dict(d), pan)
+        msg = str(exc.value)
+        assert msg.startswith("invalid plan:") and "plan.synth_fit_start: " in msg and "1996-Q1" in msg
 
     def test_agent_window_shorter_than_design(self, panel):
         # base has p=2 columns (intercept, y_lag), zlag p=3 (intercept, y_lag, z).
@@ -710,8 +752,8 @@ class TestBacktest:
         assert cli.main(["ingest", *base_args]) == 0
         expected_outputs = {
             "fit-agents": ["agent_forecasts.csv"],
-            "synth": ["forecasts.csv"],
-            "evaluate": sorted(["scores.csv", "ratios.csv", "pit.csv", *PLOT_FILES]),
+            "synth": ["forecasts.csv", "plots/correlation.csv"],
+            "evaluate": sorted(["scores.csv", "ratios.csv", "pit.csv", *PLOT_FILES[:3]]),
         }
         for command, outputs in expected_outputs.items():
             assert cli.main([command, *base_args]) == 0
@@ -956,10 +998,72 @@ class TestBacktest:
             assert filecmp.cmp(root / "out_factor" / name, staged / name, shallow=False), name
         with open(staged / "plots" / "correlation.csv", newline="", encoding="utf-8") as fh:
             assert len(list(csv.DictReader(fh))) == 4 * 4 * 3 * 3  # times x taus x series^2
+        # The correlations come from the draws in memory, so a run that keeps
+        # no joint draws writes the same table.
+        kept = root / "out_factor_no_joint"
+        kept.mkdir()
+        shutil.copy(staged / "agent_forecasts.csv", kept / "agent_forecasts.csv")
+        no_joint = dataclasses.replace(cfg, factor=dataclasses.replace(cfg.factor, write_joint_draws=False),
+                                       out_dir=str(kept))
+        manifest = run_stages(no_joint, ["synthesis"])
+        assert manifest.outputs == ["forecasts.csv", "plots/correlation.csv"]
+        assert not (kept / "joint_draws.csv").exists()
+        for name in ("forecasts.csv", "plots/correlation.csv"):
+            assert filecmp.cmp(staged / name, kept / name, shallow=False), name
+
+    def test_integer_time_correlation_rows_follow_numeric_time(self, tmp_path):
+        # Targets 8..11 cross from one digit to two: rows go 8, 9, 10, 11, not "10" < "8".
+        rng = np.random.default_rng(3)
+        rows = [
+            (sid, t, float(level))
+            for sid in ("a", "b")
+            for t, level in enumerate(100.0 * np.exp(np.cumsum(rng.normal(0.005, 0.01, 14))))
+        ]
+        _write_levels(tmp_path / "levels.csv", rows)
+        d = _config_dict(tmp_path / "levels.csv")
+        d["plan"].update(agent_fit_start=2, agent_forecast_start=6, synth_fit_start=6,
+                         synth_forecast_start=8, end=11, factor=True)
+        d["agents"] = [{"name": "base", "predictors": ["y_lag"], "draws": 50, "burn": 10}]
+        d["factor"] = {"draws": 30, "burn": 10}
+        d["out_dir"] = str(tmp_path / "out")
+        run_stages(config_from_dict(d), ["agents", "synthesis"])
+        with open(tmp_path / "out" / "plots" / "correlation.csv", newline="", encoding="utf-8") as fh:
+            table = list(csv.DictReader(fh))
+        windows = list(dict.fromkeys((r["time"], r["tau"]) for r in table))
+        assert windows == [(str(t), tau) for t in (8, 9, 10, 11) for tau in ("0.25", "0.75")]
+        assert [(r["series_row"], r["series_col"]) for r in table[:4]] == [
+            ("a", "a"), ("a", "b"), ("b", "a"), ("b", "b")
+        ]
+        assert len(table) == 8 * 4
+        assert all(r["corr"] == "1" for r in table if r["series_row"] == r["series_col"])
+
+    def test_evaluate_reads_no_joint_draws(self, mini_run, tmp_path):
+        # No stage reads a file the stage table does not name: a malformed
+        # joint_draws.csv beside the inputs changes nothing evaluate writes.
+        cfg, root, _ = mini_run
+        for name in ("agent_forecasts.csv", "forecasts.csv"):
+            shutil.copy(root / "out" / name, tmp_path / name)
+        (tmp_path / "joint_draws.csv").write_text("not,a,joint,draw,file\n1,2\n")
+        manifest = run_stages(dataclasses.replace(cfg, out_dir=str(tmp_path)), ["evaluate"])
+        assert manifest.complete and "joint_draws.csv" not in manifest.outputs
+        for name in ("scores.csv", "pit.csv", "ratios.csv", *PLOT_FILES[:3]):
+            assert filecmp.cmp(root / "out" / name, tmp_path / name, shallow=False), name
+        assert not (tmp_path / "plots" / "correlation.csv").exists()
+
+    def test_forecast_missing_for_a_target_names_it(self, mini_run, tmp_path):
+        cfg, root, _ = mini_run
+        shutil.copy(root / "out" / "agent_forecasts.csv", tmp_path / "agent_forecasts.csv")
+        lines = (root / "out" / "forecasts.csv").read_text().splitlines()
+        kept = [line for line in lines if not line.startswith("beta,1997Q3,")]
+        assert len(kept) == len(lines) - 4  # every level of one (series, target)
+        (tmp_path / "forecasts.csv").write_text("\n".join(kept) + "\n")
+        with pytest.raises(ValueError, match="missing synthesized forecasts for series beta at 1997Q3"):
+            run_stages(dataclasses.replace(cfg, out_dir=str(tmp_path)), ["evaluate"])
+        assert not (tmp_path / "scores.csv").exists()
 
     def test_synthesis_without_joint_draws_removes_a_stale_file(self, mini_run, tmp_path):
-        # A factor run's joint draws left in out_dir must not feed a later
-        # univariate run's correlation plot.
+        # A factor run's joint draws left in out_dir must not sit beside a
+        # later univariate run's forecasts.
         cfg, root, _ = mini_run
         shutil.copy(root / "out" / "agent_forecasts.csv", tmp_path / "agent_forecasts.csv")
         stale = [("1997Q1", "0.1", r, sid, float(r + k)) for r in range(3)
@@ -1331,10 +1435,11 @@ class TestArtifactIO:
         cfg = backtest_config(tmp_path / "levels.csv", tmp_path / "out")
         plan = make_plan(cfg, ingest(cfg.data.panel_csv, cfg.data.h))
         tables = emit_plots_data(plan, {}, [], [])
-        assert tables == ([], [], [], [])
-        names = pipeline.STAGES["evaluate"].writes[-len(tables):]
+        assert tables == ([], [], [])
+        # evaluate writes three plot tables and synthesis the correlation table
+        names = pipeline.STAGES["evaluate"].writes[-len(tables):] + pipeline.STAGES["synthesis"].writes[-1:]
         assert names == tuple(pipeline.PLOT_COLUMNS)
-        for name, table in zip(names, tables):
+        for name, table in zip(names, (*tables, [])):
             pipeline._WRITERS[name](table, tmp_path / name, plan.time_label)
             header = ",".join(pipeline.PLOT_COLUMNS[name])
             assert (tmp_path / name).read_text().splitlines() == [header]
@@ -1365,11 +1470,19 @@ def test_csv_readers_refuse_cells_beyond_the_header(tmp_path, read, text, column
          "forecast variance A must be positive"),
         (agents.AgentForecastSet.from_csv, "series,time,agent,tau,a,A\ngdp,5,m1,0.25,1,0.5\n\ngdp,5,m1,0.25,2,0.5\n",
          "duplicate forecast key"),
+        (agents.AgentForecastSet.from_csv, "series,time,agent,tau,a,A\ngdp,5,m1,0.25,1,0.5\n\ngdp,6,m1, ,1,0.5\n",
+         "missing cell"),
+        (agents.AgentForecastSet.from_csv,
+         "series,time,agent,tau,a,A\ngdp,5,m1,0.25,1,0.5\n\ngdp,1990Q2,m1,0.25,1,0.5\n",
+         "mixed quarterly and integer time formats"),
         (read_forecasts, "series,time,tau,point,lo95,hi95,n_draws\ngdp,5,0.25,1,2,3,4\n\ngdp,6,0.25,1,2,3\n",
          "missing cell"),
         (lambda path: ingest(path, h=1), "series,time,Y\na,0,1.0\n\na,1,abc\n", "level 'abc' is not a number"),
+        (lambda path: ingest(path, h=1), "series,time,Y,z\na,0,1.0,0.5\n\na,1,1.1,inf\n",
+         "predictor z is not finite"),
     ],
-    ids=["agent_forecasts_bad_report", "agent_forecasts_duplicate_key", "forecasts", "panel"],
+    ids=["agent_forecasts_bad_report", "agent_forecasts_duplicate_key", "agent_forecasts_empty_cell",
+         "agent_forecasts_mixed_times", "forecasts", "panel", "panel_nonfinite_predictor"],
 )
 def test_csv_readers_name_the_file_line_after_a_blank_line(tmp_path, read, text, message):
     """A refusal names the line the bad row is on in the file, counting the blank line before it."""
@@ -1577,3 +1690,28 @@ def test_report_cost_script_runs_against_a_base_checkout(monkeypatch, capsys):
     assert header.split() == ["op", "series", "this_s", "base_s", "base/this", "same"]
     assert [row.split()[:2] for row in rows] == [["from_csv", "2"], ["to_csv", "2"], ["reports", "2"]]
     assert all(row.split()[-1] == "True" for row in rows), rows
+
+
+def test_untested_lines_script_lists_the_lines_no_test_reached(tmp_path):
+    """``scripts/untested_lines.py`` traces the package lines a test run reaches and lists the rest."""
+    root = Path(__file__).resolve().parents[1]
+    (tmp_path / "test_tiny.py").write_text(
+        "from quantsynth.quarters import int_to_quarter\n\n\n"
+        "def test_label():\n    assert int_to_quarter(5) == '1Q2'\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, str(root / "scripts" / "untested_lines.py"), "test_tiny.py", "-q", "-p", "no:cacheprovider"],
+        cwd=tmp_path, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    missed = {line.split(": ", 1)[0] for line in proc.stdout.splitlines()}
+    source = (root / "src" / "quantsynth" / "quarters.py").read_text().splitlines()
+
+    def where(text):
+        return f"src/quantsynth/quarters.py:{next(n for n, s in enumerate(source, 1) if text in s)}"
+
+    # int_to_quarter ran but not its refusal of a negative count; quarter_to_int never ran.
+    assert where('return f"{t // 4}Q{t % 4 + 1}"') not in missed
+    assert where("negative quarter count") in missed
+    assert where("m = _QUARTER_RE.match(label.strip())") in missed
+    assert proc.stdout.splitlines()[-1].endswith("reached by no test")
