@@ -86,6 +86,8 @@ FACTOR_SHA256 = {
 }
 # SHA-256 of ``reconstruct`` run on the ``mini_run`` forecasts.
 RECONSTRUCT_SHA256 = "34bf0bb741da2fa3b3ef3cfb078ddff3f7837163aea6d1fdb7adc5be6a972c76"
+# SHA-256 of the ``panel.csv`` that ``quantsynth ingest`` writes for the conftest panel.
+PANEL_SHA256 = "93af306799c9bf595027d3eeeeaee0860fd85003542f8277fb86cef5bf41debc"
 
 
 class TestQuarters:
@@ -215,6 +217,13 @@ class TestIngest:
         assert float(rows[0]["y"]) == rec.y[0]
         assert rows[0]["time"] == panel.time_label(rec.times[0])
 
+    def test_ingest_command_panel_digest(self, tmp_path, capsys):
+        write_level_panel(tmp_path / "levels.csv")
+        cfg_path = tmp_path / "run.yaml"
+        dump_config(backtest_config(tmp_path / "levels.csv", tmp_path / "out"), cfg_path)
+        assert cli.main(["ingest", "--config", str(cfg_path)]) == 0
+        capsys.readouterr()
+        assert hashlib.sha256((tmp_path / "out" / "panel.csv").read_bytes()).hexdigest() == PANEL_SHA256
 
     @settings(derandomize=True, deadline=None, max_examples=60)
     @given(
