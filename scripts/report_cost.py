@@ -10,7 +10,7 @@ median over ``REPS`` timed calls of:
   ``A`` arrays, in one ``reports`` call.
 
 With ``--base DIR`` it also loads the package from ``DIR/src/quantsynth``
-under a second name in the same process (``sweep_cost.load_tree``) and times
+under a second name in the same process (``sweep_cost.load_trees``) and times
 the two trees in alternating order, rep by rep.  Each row then adds the base
 tree's median, the median of the per-rep ratios base/this, and whether both
 trees wrote the same bytes and read the same arrays in every rep.
@@ -21,9 +21,7 @@ trees wrote the same bytes and read the same arrays in every rep.
 
 from __future__ import annotations
 
-import argparse
 import importlib
-import statistics
 import sys
 import tempfile
 import time
@@ -32,9 +30,8 @@ from pathlib import Path
 import numpy as np
 
 sys.path.insert(0, str(Path(__file__).resolve().parent))
-from sweep_cost import load_tree  # noqa: E402
+from sweep_cost import cost_cells, cost_header, load_trees  # noqa: E402
 
-HERE = Path(__file__).resolve().parents[1]
 SERIES = (5, 20, 40)
 TIMES = 71
 AGENTS = 4
@@ -69,49 +66,33 @@ def _timed(fn, *args):
 
 
 def main(argv=None) -> None:
-    ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    ap.add_argument("--base", type=Path, help="checkout to compare against (its src/quantsynth)")
-    args = ap.parse_args(argv)
-
-    trees = {"this": load_tree(HERE, "quantsynth_this")}
-    if args.base is not None:
-        trees["base"] = load_tree(args.base.resolve(), "quantsynth_base")
+    trees = load_trees(argv, __doc__)
     sets = {side: importlib.import_module(f"{pkg.__name__}.agents").AgentForecastSet
             for side, pkg in trees.items()}
-
-    cols = f"{'op':<9} {'series':>6} {'this_s':>8}"
-    if "base" in trees:
-        cols += f" {'base_s':>8} {'base/this':>9} {'same':>5}"
-    print(cols)
+    print(cost_header(f"{'op':<9} {'series':>6}", "s", 8, "base" in trees))
     with tempfile.TemporaryDirectory() as tmp:
         for n_series in SERIES:
             path = Path(tmp) / "agent_forecasts.csv"
             _write_reports(path, n_series)
-            times = {(op, side): [] for op in ("from_csv", "to_csv", "reports") for side in trees}
+            times = {op: {side: [] for side in trees} for op in ("from_csv", "to_csv", "reports")}
             same = True
             for rep in range(REPS):
                 written, read = {}, {}
                 for side in list(trees)[:: 1 if rep % 2 == 0 else -1]:
                     out = Path(tmp) / f"{side}.csv"
                     seconds, fset = _timed(sets[side].from_csv, path)
-                    times[("from_csv", side)].append(seconds)
-                    times[("to_csv", side)].append(_timed(fset.to_csv, out)[0])
+                    times["from_csv"][side].append(seconds)
+                    times["to_csv"][side].append(_timed(fset.to_csv, out)[0])
                     seconds, read[side] = _timed(_read_all, fset)
-                    times[("reports", side)].append(seconds)
+                    times["reports"][side].append(seconds)
                     written[side] = out.read_bytes()
                     del fset
                 if "base" in trees:
                     same &= written["this"] == written["base"] == path.read_bytes() and all(
                         np.array_equal(x, y) for x, y in zip(read["this"], read["base"])
                     )
-            for op in ("from_csv", "to_csv", "reports"):
-                this = times[(op, "this")]
-                row = f"{op:<9} {n_series:>6} {statistics.median(this):>8.3f}"
-                if "base" in trees:
-                    base = times[(op, "base")]
-                    ratio = statistics.median(b / t for b, t in zip(base, this))
-                    row += f" {statistics.median(base):>8.3f} {ratio:>9.2f} {str(same):>5}"
-                print(row, flush=True)
+            for op, op_times in times.items():
+                print(f"{op:<9} {n_series:>6}" + cost_cells(op_times, ">8.3f", same), flush=True)
 
 
 if __name__ == "__main__":

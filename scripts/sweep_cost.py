@@ -51,6 +51,32 @@ def load_tree(root: Path, name: str):
     return module
 
 
+def load_trees(argv, doc: str) -> dict:
+    """``{"this": HERE's package}``, plus ``"base"`` loaded from the ``--base DIR`` option."""
+    ap = argparse.ArgumentParser(description=doc.split("\n\n")[0])
+    ap.add_argument("--base", type=Path, help="checkout to compare against (its src/quantsynth)")
+    args = ap.parse_args(argv)
+    trees = {"this": load_tree(HERE, "quantsynth_this")}
+    if args.base is not None:
+        trees["base"] = load_tree(args.base.resolve(), "quantsynth_base")
+    return trees
+
+
+def cost_header(keys: str, unit: str, width: int, base: bool) -> str:
+    """The ``keys`` columns, then ``this_<unit>`` and, with a base tree, its three columns."""
+    cols = f"{keys} {'this_' + unit:>{width}}"
+    return cols + (f" {'base_' + unit:>{width}} {'base/this':>9} {'same':>5}" if base else "")
+
+
+def cost_cells(times: dict, spec: str, same: bool) -> str:
+    """Median of ``times["this"]``; with ``times["base"]``, its median, per-rep base/this and ``same``."""
+    cells = f" {statistics.median(times['this']):{spec}}"
+    if "base" in times:
+        ratio = statistics.median(b / t for b, t in zip(times["base"], times["this"]))
+        cells += f" {statistics.median(times['base']):{spec}} {ratio:>9.2f} {str(same):>5}"
+    return cells
+
+
 def _inputs(T: int, seed: int) -> dict:
     rng = np.random.default_rng(seed)
     X = np.column_stack([np.ones(T), rng.normal(size=(T, 2))])
@@ -105,18 +131,8 @@ def _time(run, sweeps: int, seed: int):
 
 
 def main(argv=None) -> None:
-    ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    ap.add_argument("--base", type=Path, help="checkout to compare against (its src/quantsynth)")
-    args = ap.parse_args(argv)
-
-    trees = {"this": load_tree(HERE, "quantsynth_this")}
-    if args.base is not None:
-        trees["base"] = load_tree(args.base.resolve(), "quantsynth_base")
-
-    cols = f"{'sampler':<12} {'T':>4} {'this_us':>10}"
-    if "base" in trees:
-        cols += f" {'base_us':>10} {'base/this':>9} {'same':>5}"
-    print(cols)
+    trees = load_trees(argv, __doc__)
+    print(cost_header(f"{'sampler':<12} {'T':>4}", "us", 10, "base" in trees))
     for T in T_VALUES:
         inp = _inputs(T, seed=T)
         runners = {side: _runners(pkg, inp) for side, pkg in trees.items()}
@@ -131,11 +147,7 @@ def main(argv=None) -> None:
                     times[side].append(us)
                 if "base" in outs:
                     same &= _same_draws(outs["this"], outs["base"])
-            row = f"{sampler:<12} {T:>4} {statistics.median(times['this']):>10.1f}"
-            if "base" in trees:
-                ratio = statistics.median(b / t for b, t in zip(times["base"], times["this"]))
-                row += f" {statistics.median(times['base']):>10.1f} {ratio:>9.2f} {str(same):>5}"
-            print(row, flush=True)
+            print(f"{sampler:<12} {T:>4}" + cost_cells(times, ">10.1f", same), flush=True)
 
 
 if __name__ == "__main__":

@@ -18,6 +18,7 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 
@@ -239,6 +240,12 @@ def _read_rows(path, columns: tuple, parse, lines: list | None = None):
 
 
 def _write_csv(path, header, rows) -> None:
+    """The one CSV writer: ``header``, then every row of the iterable ``rows`` as it comes.
+
+    Rows may be a generator, so a large artifact streams to disk.  The file's
+    parent directory is made if missing, one level deep (``plots/`` in a run directory).
+    """
+    Path(path).parent.mkdir(exist_ok=True)
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(header)

@@ -14,17 +14,6 @@ from pathlib import Path
 
 from ._worker import limit_worker_threads
 
-_COMMANDS = (
-    ("ingest", "transform the level panel and write a series,time,y CSV"),
-    ("fit-agents", "fit agent models over the expanding windows and write agent_forecasts.csv"),
-    ("synth", "fit the per-series synthesizer on stored agent forecasts and write forecasts.csv"),
-    ("synth-factor", "fit the joint factor synthesizer on stored agent forecasts and write forecasts.csv"),
-    ("evaluate", "score stored forecasts and write scores, ratios, PIT and plot data"),
-    ("reconstruct", "draw predictive samples from stored quantile forecasts"),
-    ("backtest", "run the full pipeline: agents, synthesis, evaluation, artifacts"),
-    ("audit-lookahead", "check that every job reads exactly its window's times, none past target-1"),
-)
-
 
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -32,7 +21,7 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Expanding-window quantile forecast synthesis and evaluation.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, help_text in _COMMANDS:
+    for name, (help_text, _, _) in _COMMANDS.items():
         # No prefix matching: an unknown option such as --h is refused, not read as --help.
         sp = sub.add_parser(name, help=help_text, description=help_text, allow_abbrev=False)
         sp.add_argument("--config", required=True, help="YAML run configuration file")
@@ -73,21 +62,9 @@ def _cmd_ingest(cfg) -> int:
     return 0
 
 
-# command -> (stages it runs, the plan.factor it requires or None for either)
-_STAGE_COMMANDS = {
-    "fit-agents": (("agents",), None),
-    "synth": (("synthesis",), False),
-    "synth-factor": (("synthesis",), True),
-    "evaluate": (("evaluate",), None),
-    "reconstruct": (("reconstruct",), None),
-    "backtest": (("agents", "synthesis", "evaluate"), None),
-}
-
-
-def _cmd_stages(cfg, command: str) -> int:
+def _cmd_stages(cfg, command: str, stages: tuple, factor: bool | None) -> int:
     from .pipeline import RunRefusedError, run_stages
 
-    stages, factor = _STAGE_COMMANDS[command]
     if factor is not None and cfg.plan.factor != factor:
         other = "synth" if factor else "synth-factor"
         raise RunRefusedError(
@@ -118,9 +95,21 @@ def _cmd_audit(cfg) -> int:
     return 1 if violations else 0
 
 
-_HANDLERS = {
-    "ingest": _cmd_ingest,
-    "audit-lookahead": _cmd_audit,
+# command -> (help, the stages it runs or its handler, the plan.factor it needs or None for either)
+_COMMANDS = {
+    "ingest": ("transform the level panel and write a series,time,y CSV", _cmd_ingest, None),
+    "fit-agents": ("fit agent models over the expanding windows and write agent_forecasts.csv",
+                   ("agents",), None),
+    "synth": ("fit the per-series synthesizer on stored agent forecasts and write forecasts.csv",
+              ("synthesis",), False),
+    "synth-factor": ("fit the joint factor synthesizer on stored agent forecasts and write forecasts.csv",
+                     ("synthesis",), True),
+    "evaluate": ("score stored forecasts and write scores, ratios, PIT and plot data", ("evaluate",), None),
+    "reconstruct": ("draw predictive samples from stored quantile forecasts", ("reconstruct",), None),
+    "backtest": ("run the full pipeline: agents, synthesis, evaluation, artifacts",
+                 ("agents", "synthesis", "evaluate"), None),
+    "audit-lookahead": ("check that every job reads exactly its window's times, none past target-1",
+                        _cmd_audit, None),
 }
 
 
@@ -132,9 +121,8 @@ def main(argv=None) -> int:
 
     try:
         cfg = _load_config(args)
-        if args.command in _STAGE_COMMANDS:
-            return _cmd_stages(cfg, args.command)
-        return _HANDLERS[args.command](cfg)
+        _, run, factor = _COMMANDS[args.command]
+        return run(cfg) if callable(run) else _cmd_stages(cfg, args.command, run, factor)
     except (RunRefusedError, JobError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -91,6 +91,14 @@ def _check_hyperparameter(name: str, value) -> None:
         raise ValueError(f"{name} must be finite and positive, got {value}")
 
 
+def _check_psd(name: str, C: np.ndarray) -> None:
+    """The one rule for a prior state scale matrix: symmetric and positive semidefinite."""
+    if not np.allclose(C, C.T):
+        raise ValueError(f"{name} must be symmetric")
+    if np.linalg.eigvalsh(C).min() < -PSD_FAIL_RATIO * max(np.trace(C), 1.0):
+        raise ValueError(f"{name} must be positive semidefinite")
+
+
 @dataclass(frozen=True)
 class DiscountConfig:
     """Discount factors: ``delta`` for the state scale, ``beta`` for the precision walk."""
@@ -119,10 +127,7 @@ class NormalGammaPrior:
         object.__setattr__(self, "C0", C0)
         if C0.shape != (m0.size, m0.size):
             raise ValueError("C0 must be square with dimension matching m0")
-        if not np.allclose(C0, C0.T):
-            raise ValueError("C0 must be symmetric")
-        if np.linalg.eigvalsh(C0).min() < -PSD_FAIL_RATIO * max(np.trace(C0), 1.0):
-            raise ValueError("C0 must be positive semidefinite")
+        _check_psd("C0", C0)
         _check_hyperparameter("n0", self.n0)
         _check_hyperparameter("s0", self.s0)
 

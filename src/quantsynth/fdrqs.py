@@ -22,7 +22,7 @@ from .distributions import (
     CHI_FLOOR, _chain_lengths, _gig_params, _validate_tau, mixture_constants, sample_gig_half,
 )
 from .dlm import (
-    _check_discount, _check_hyperparameter, ffbs_known_variance, gbrw_filter_sample, psd_sqrt,
+    _check_discount, _check_hyperparameter, _check_psd, ffbs_known_variance, gbrw_filter_sample, psd_sqrt,
 )
 from .drqs import QuantileForecast, _agent_reports, _evolve_scale, latent_predictor_moments
 
@@ -93,6 +93,7 @@ class FDRQSConfig:
         C0 = np.asarray(C0, dtype=float)
         if C0.shape != (K, K):
             raise ValueError(f"C0 must have shape ({K}, {K})")
+        _check_psd("C0", C0)
         object.__setattr__(self, "C0", C0)
         for name in ("n0", "s0", "nu", "a1", "a2"):
             _check_hyperparameter(name, getattr(self, name))

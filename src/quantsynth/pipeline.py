@@ -42,7 +42,7 @@ from pathlib import Path
 import numpy as np
 
 from .agents import AgentForecastSet, DQLMSpec, _read_rows, _write_csv, fit_dqlm, forecast_dqlm
-from .config import AgentConfig, RunConfig, config_hash, tau_key
+from .config import AgentConfig, RunConfig, _check_unique, config_hash, tau_key
 from .dlm import DiscountConfig
 from .drqs import DRQSConfig, forecast_drqs, gibbs_drqs
 from .evaluation import QuantileGrid, ScorePanel, crps_quantile_weighted, pit, reconstruct_predictive
@@ -148,19 +148,24 @@ class SeriesPanel:
 def ingest(panel_csv, h: int) -> SeriesPanel:
     """Load a level panel and apply the annualized h-quarter log-growth transform.
 
-    The CSV needs columns ``series,time,Y``; any further columns are carried
-    as predictors.  Each series becomes ``y_t = 400 log(Y_t / Y_{t-h}) / h``
-    with its first h observations consumed by the transform; predictor
-    columns pass through untransformed, aligned to the remaining times.
+    The CSV needs columns ``series,time,Y``; any further columns, each named
+    once, are carried as predictors.  Each series becomes
+    ``y_t = 400 log(Y_t / Y_{t-h}) / h`` with its first h observations
+    consumed by the transform; predictor columns pass through untransformed,
+    aligned to the remaining times.  An empty ``panel_csv`` (a config with no
+    ``data.panel_csv``) is refused before any file is opened.
     """
     h = int(h)
     if h < 1:
         raise ValueError(f"transform horizon h must be >= 1, got {h}")
+    if panel_csv == "":
+        raise ValueError("data.panel_csv is required: the config names no level panel")
     path = Path(panel_csv)
     with open(path, newline="", encoding="utf-8") as fh:
         header = tuple(next(csv.reader(fh), ()))
     if header[:3] != ("series", "time", "Y"):
         raise ValueError(f"{path}: header must start with series,time,Y; got {','.join(header)}")
+    _check_unique(f"{path}: header columns", header)
     predictor_names = list(header[3:])
     if "y_lag" in predictor_names:
         raise ValueError(f"{path}: column name y_lag is reserved for the lagged response")
@@ -229,18 +234,12 @@ def ingest(panel_csv, h: int) -> SeriesPanel:
 
 def write_panel(panel: SeriesPanel, path) -> None:
     """Write the transformed panel as ``series,time,y,<predictors>``."""
-    names = []
-    if panel.series_ids:
-        names = list(panel.record(panel.series_ids[0]).predictors)
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["series", "time", "y", *names])
-        for sid in panel.series_ids:
-            rec = panel.record(sid)
-            for i, t in enumerate(rec.times):
-                row = [sid, panel.time_label(t), _repr_float(rec.y[i])]
-                row += [_repr_float(rec.predictors[n][i]) for n in names]
-                writer.writerow(row)
+    names = list(panel.record(panel.series_ids[0]).predictors) if panel.series_ids else []
+    _write_csv(path, ("series", "time", "y", *names), (
+        (sid, panel.time_label(t), *map(_repr_float, values))
+        for sid, rec in sorted(panel.records.items())
+        for t, *values in zip(rec.times.tolist(), rec.y, *(rec.predictors[n] for n in names))
+    ))
 
 
 # ---------------------------------------------------------------------------
@@ -499,6 +498,12 @@ class JobError(RuntimeError):
         fit = "".join(f", {k}={v}" for k, v in where if v is not None)
         super().__init__(f"{stage} stage failed at tau={tau}, window={target_label}{fit}: {cause}")
 
+    @property
+    def failed_job(self) -> dict:
+        """This failure as the manifest's ``failed_job`` record."""
+        return {"stage": self.stage, "tau": self.tau, "window": self.target_label, "series": self.series,
+                "agent": self.agent, "sweep": self.sweep, "error": str(self.cause)}
+
 
 def _run_agent_window(payload: dict) -> list:
     """Fit every (series, agent) pair for one (tau, window) task."""
@@ -661,24 +666,22 @@ def _synth_payloads(plan: BacktestPlan, panel: SeriesPanel, fset: AgentForecastS
 
     ``Y`` is (T, N) realized values over the fit times; ``a``/``A`` are the
     (T, N, J) agent means and variances there, ``a_next``/``A_next`` the
-    (N, J) reports for the target.  The univariate synthesizer fits one
-    column at a time.
+    (N, J) reports for the target.  ``Y``, ``a`` and ``A`` are C-contiguous
+    prefix slices of one array over the last window's times.  The univariate
+    synthesizer fits one column at a time.
     """
     cfg = plan.cfg
     names = cfg.agent_names
     sids = panel.series_ids
     syn = cfg.factor if cfg.plan.factor else cfg.synthesis
-    _, report_times = plan.synth_input_times(plan.end)  # every window's report times are a prefix
-    a_all, A_all = fset.reports(plan.taus, report_times, sids, names)  # (levels, T, N, J) each
+    fit_all, report_all = plan.synth_input_times(plan.end)  # every window's times are a prefix of these
+    Y_all = np.stack([rec.y[rec.positions(fit_all)] for rec in map(panel.record, sids)], axis=1)  # (T, N)
+    a_all, A_all = fset.reports(plan.taus, report_all, sids, names)  # (levels, T, N, J) each
     payloads = []
     for level, tau in enumerate(plan.taus):
         for target in plan.synth_targets:
             fit_times, all_times = plan.synth_input_times(target)
             a, A = a_all[level, : all_times.size], A_all[level, : all_times.size]
-            Y = np.empty((fit_times.size, len(sids)))
-            for i, sid in enumerate(sids):
-                rec = panel.record(sid)
-                Y[:, i] = rec.y[rec.positions(fit_times)]
             payloads.append(
                 {
                     "tau": float(tau),
@@ -689,7 +692,7 @@ def _synth_payloads(plan: BacktestPlan, panel: SeriesPanel, fset: AgentForecastS
                     "cfg": plan.synth_configs[tau],
                     "mcmc": (syn.draws, syn.burn),
                     "write_joint_draws": cfg.factor.write_joint_draws,
-                    "Y": Y,
+                    "Y": Y_all[: fit_times.size],
                     "a": a[:-1],
                     "A": A[:-1],
                     "a_next": a[-1],
@@ -865,13 +868,17 @@ def _versions() -> dict:
     return {"quantsynth": __version__, "python": platform.python_version(), "numpy": np.__version__}
 
 
-def write_forecasts(rows, path, time_label: Callable) -> None:
-    """Forecast summary rows: ``series,time,tau,point,lo95,hi95,n_draws``."""
-    out = [
+def _forecast_cells(rows, time_label: Callable) -> list:
+    """Forecast rows as ``FORECAST_COLUMNS`` cells, sorted by (series, time, tau)."""
+    return [
         (series, time_label(t), *map(_repr_float, (tau, point, lo, hi)), int(n))
         for series, t, tau, point, lo, hi, n in sorted(rows, key=lambda r: (r[0], r[1], r[2]))
     ]
-    _write_csv(path, FORECAST_COLUMNS, out)
+
+
+def write_forecasts(rows, path, time_label: Callable) -> None:
+    """Forecast summary rows: ``series,time,tau,point,lo95,hi95,n_draws``."""
+    _write_csv(path, FORECAST_COLUMNS, _forecast_cells(rows, time_label))
 
 
 def read_forecasts(path) -> list:
@@ -890,24 +897,26 @@ def read_forecasts(path) -> list:
 
 
 def write_joint_draws(windows, path, time_label: Callable) -> None:
-    """Joint draws from :func:`stage_synthesize` as ``time,tau,draw,series,Q``, streamed window by window."""
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(JOINT_COLUMNS)
-        for t, tau, sids, draws in windows:
-            label, tau_cell = time_label(t), _repr_float(tau)
-            writer.writerows((label, tau_cell, r, sid, _repr_float(q))
-                             for r, values in enumerate(draws.tolist()) for sid, q in zip(sids, values))
+    """Joint draws from :func:`stage_synthesize` as ``time,tau,draw,series,Q``.
+
+    One row per (window, draw, series), in window order; each window's time and
+    tau cells are formatted once, and its rows stream to the file as they are made.
+    """
+    labelled = ((time_label(t), _repr_float(tau), sids, draws) for t, tau, sids, draws in windows)
+    _write_csv(path, JOINT_COLUMNS, (
+        (label, tau_cell, r, sid, _repr_float(q))
+        for label, tau_cell, sids, draws in labelled
+        for r, values in enumerate(draws.tolist()) for sid, q in zip(sids, values)
+    ))
 
 
 def write_reconstructed(keys, draws, path, time_label: Callable) -> None:
     """Reconstructed predictive draws: ``series,time,draw,value``, streamed row by row."""
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(RECONSTRUCTED_COLUMNS)
-        for (series, t), values in zip(keys, draws):
-            label = time_label(t)
-            writer.writerows((series, label, r, _repr_float(v)) for r, v in enumerate(values))
+    labelled = ((series, time_label(t)) for series, t in keys)
+    _write_csv(path, RECONSTRUCTED_COLUMNS, (
+        (series, label, r, _repr_float(v))
+        for (series, label), values in zip(labelled, draws) for r, v in enumerate(values.tolist())
+    ))
 
 
 def write_scores(panels: dict, path, time_label: Callable) -> None:
@@ -918,35 +927,25 @@ def write_scores(panels: dict, path, time_label: Callable) -> None:
         for series, row in zip(panel.series, panel.crps.tolist())
         for t, value in zip(panel.times.tolist(), row)
     )
-    out = [
-        (series, time_label(t), model, scheme, _report_float(v))
-        for series, t, model, scheme, v in rows
-    ]
-    _write_csv(path, SCORE_COLUMNS, out)
+    _write_csv(path, SCORE_COLUMNS, (
+        (series, time_label(t), model, scheme, _report_float(v)) for series, t, model, scheme, v in rows
+    ))
 
 
 def write_ratios(ratio_rows, path, time_label: Callable) -> None:
     """Cumulative score ratios: ``model,scheme,t_star,rcs``."""
-    out = [
+    _write_csv(path, RATIO_COLUMNS, (
         (model, scheme, time_label(t), _report_float(v))
         for model, scheme, t, v in sorted(ratio_rows, key=lambda r: (r[0], r[1], r[2]))
-    ]
-    _write_csv(path, RATIO_COLUMNS, out)
+    ))
 
 
 def write_pit(pit_rows, path, time_label: Callable) -> None:
     """PIT rows: ``model,series,time,pit``."""
-    out = [
+    _write_csv(path, PIT_COLUMNS, (
         (model, series, time_label(t), _report_float(v))
         for model, series, t, v in sorted(pit_rows, key=lambda r: (r[0], r[1], r[2]))
-    ]
-    _write_csv(path, PIT_COLUMNS, out)
-
-
-def _write_plot(rows, path, header) -> None:
-    """One plot table from :func:`emit_plots_data`, into ``plots/`` under the run directory."""
-    path.parent.mkdir(exist_ok=True)
-    _write_csv(path, header, rows)
+    ))
 
 
 def emit_plots_data(plan: BacktestPlan, panels: dict, rows: list, pit_rows: list) -> tuple:
@@ -955,9 +954,10 @@ def emit_plots_data(plan: BacktestPlan, panels: dict, rows: list, pit_rows: list
     Returns ``(rcs_curve, fan, pit_ecdf)`` as rows of CSV cells: cumulative
     score-ratio curves per series from the full-precision score ``panels``,
     the forecast fan (point and 95% band) of the synthesized forecast
-    ``rows``, and PIT empirical CDFs of ``pit_rows``.  It reads no file; the
-    fourth plot table, ``plots/correlation.csv``, comes from
-    :func:`stage_synthesize`, where the joint draws are.
+    ``rows``, whose cells are those of ``forecasts.csv`` without ``n_draws``
+    (one formatter makes both), and PIT empirical CDFs of ``pit_rows``.  It
+    reads no file; the fourth plot table, ``plots/correlation.csv``, comes
+    from :func:`stage_synthesize`, where the joint draws are.
     """
     reference = plan.cfg.reference_model
 
@@ -969,11 +969,7 @@ def emit_plots_data(plan: BacktestPlan, panels: dict, rows: list, pit_rows: list
         for t, v in zip(panel.times.tolist(), curve)
     ]
 
-    fan_rows = [
-        (series, plan.time_label(t), _repr_float(tau), _repr_float(point), _repr_float(lo),
-         _repr_float(hi))
-        for series, t, tau, point, lo, hi, _ in sorted(rows, key=lambda r: (r[0], r[1], r[2]))
-    ]
+    fan_rows = [cells[:-1] for cells in _forecast_cells(rows, plan.time_label)]  # without n_draws
 
     # PIT empirical CDF on a fixed grid of u values.
     pit_values: dict = {}
@@ -1079,7 +1075,7 @@ _WRITERS = {  # each called with the artifact, its path and the plan's time form
     "ratios.csv": lambda rows, path, label: write_ratios(rows, path, label),
     "reconstructed_draws.csv": lambda value, path, label: write_reconstructed(*value, path, label),
     **{
-        name: lambda rows, path, label, header=header: _write_plot(rows, path, header)
+        name: lambda rows, path, label, header=header: _write_csv(path, header, rows)
         for name, header in PLOT_COLUMNS.items()
     },
 }
@@ -1162,19 +1158,8 @@ def run_stages(cfg: RunConfig, names) -> RunManifest:
                 _WRITERS[name](value, out / name, plan.time_label)
                 manifest.outputs.append(name)
         manifest.complete = True
-    except JobError as exc:
-        manifest.failed_job = {
-            "stage": exc.stage,
-            "tau": exc.tau,
-            "window": exc.target_label,
-            "series": exc.series,
-            "agent": exc.agent,
-            "sweep": exc.sweep,
-            "error": str(exc.cause),
-        }
-        raise
     except Exception as exc:
-        manifest.failed_job = {"error": str(exc)}
+        manifest.failed_job = exc.failed_job if isinstance(exc, JobError) else {"error": str(exc)}
         raise
     finally:
         if pool is not None:

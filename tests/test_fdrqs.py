@@ -8,6 +8,7 @@ import oracles
 from oracles import gibbs_fdrqs_per_series, mgp_prior_omegas
 from quantsynth import fdrqs
 from quantsynth.distributions import mixture_constants
+from quantsynth.dlm import NormalGammaPrior
 from quantsynth.fdrqs import (
     FDRQSConfig,
     FDRQSDraws,
@@ -212,6 +213,17 @@ class TestGibbsFDRQS:
     def test_config_refuses_bad_hyperparameter(self, name, value):
         with pytest.raises(ValueError, match=f"{name} must be finite and positive, got {value}"):
             FDRQSConfig(tau=0.5, N=3, J=1, L=1, **{name: value})
+
+    @pytest.mark.parametrize("C0, message", [
+        (np.array([[1.0, 5.0], [0.0, 1.0]]), "C0 must be symmetric"),
+        (-np.eye(2), "C0 must be positive semidefinite"),
+    ])
+    def test_prior_scale_must_be_symmetric_and_psd(self, C0, message):
+        # One rule for the prior state scale of both synthesizers.
+        with pytest.raises(ValueError, match=message):
+            FDRQSConfig(tau=0.5, N=3, J=1, L=1, C0=C0)
+        with pytest.raises(ValueError, match=message):
+            NormalGammaPrior(m0=np.zeros(2), C0=C0, n0=1.0, s0=1.0)
 
     def test_config_validation(self):
         with pytest.raises(ValueError, match="L < N"):

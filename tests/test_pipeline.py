@@ -200,6 +200,13 @@ class TestIngest:
         )
         with pytest.raises(ValueError, match=re.escape(f"{p}: column name y_lag is reserved")):
             ingest(p, h=1)
+        # Read as a mapping, the later of two same-named columns would win, and a
+        # predictor named series would be written as a second series column.
+        for header in (("series", "time", "Y", "z", "z"), ("series", "time", "Y", "series")):
+            _write_levels(p, [("a", "0", 1.0, *["7"] * (len(header) - 3))], header=header)
+            message = f"{p}: header columns must be unique, got {header[-1]!r} twice"
+            with pytest.raises(ValueError, match=re.escape(message)):
+                ingest(p, h=1)
         with pytest.raises(ValueError, match="h must be >= 1"):
             ingest(p, h=0)
 
@@ -887,6 +894,55 @@ class TestBacktest:
             "sweep": 43, "error": "planted sweep failure",
         }
 
+    def test_job_error_names_the_failing_synthesis_series(self, mini_run, tmp_path, monkeypatch):
+        cfg, root, _ = mini_run
+        shutil.copy(root / "out" / "agent_forecasts.csv", tmp_path / "agent_forecasts.csv")
+        gibbs_drqs, calls = pipeline.gibbs_drqs, []
+
+        def failing_second_fit(*args, **kwargs):
+            # A DRQS window fits its series in order: alpha, beta, gamma.
+            calls.append(None)
+            if len(calls) == 2:
+                raise FloatingPointError("planted failure")
+            return gibbs_drqs(*args, **kwargs)
+
+        monkeypatch.setattr(pipeline, "gibbs_drqs", failing_second_fit)
+        with pytest.raises(pipeline.JobError) as info:
+            run_stages(dataclasses.replace(cfg, workers=1, out_dir=str(tmp_path)), ["synthesis"])
+        assert (info.value.stage, info.value.series, info.value.agent) == ("synthesis", "beta", None)
+        assert str(info.value) == (
+            "synthesis stage failed at tau=0.1, window=1997Q1, series=beta: planted failure"
+        )
+        manifest = json.loads((tmp_path / "manifest.json").read_text())
+        assert not manifest["complete"] and manifest["failed_job"] == {
+            "stage": "synthesis", "tau": 0.1, "window": "1997Q1", "series": "beta", "agent": None,
+            "sweep": None, "error": "planted failure",
+        }
+        assert not (tmp_path / "forecasts.csv").exists()
+
+    def test_evaluate_names_an_agent_curve_it_cannot_reconstruct(self, mini_run, tmp_path, capsys):
+        cfg, root, _ = mini_run
+        shutil.copy(root / "out" / "forecasts.csv", tmp_path / "forecasts.csv")
+        with open(root / "out" / "agent_forecasts.csv", newline="", encoding="utf-8") as fh:
+            header, *rows = list(csv.reader(fh))
+        # zlag's two lowest levels for gamma at 1997Q3 get one mean, below its other two.
+        cell = [r for r in rows if r[:3] == ["gamma", "1997Q3", "zlag"]]
+        low = repr(min(float(r[4]) for r in cell) - 1.0)
+        for r in cell[:2]:
+            r[4] = low
+        _write_levels(tmp_path / "agent_forecasts.csv", rows, header=header)
+        cfg_path = tmp_path / "run.yaml"
+        dump_config(cfg, cfg_path)
+        assert cli.main(["evaluate", "--config", str(cfg_path), "--out-dir", str(tmp_path)]) == 1
+        message = (
+            "PIT reconstruction failed for model zlag, series gamma, time 1997Q3: "
+            "two lowest quantiles coincide after rearrangement; left tail scale is zero"
+        )
+        assert capsys.readouterr().err == f"error: {message}\n"
+        manifest = json.loads((tmp_path / "manifest.json").read_text())
+        assert not manifest["complete"] and manifest["failed_job"] == {"error": message}
+        assert not (tmp_path / "scores.csv").exists()
+
     def test_job_error_names_the_failing_fit_from_a_worker(self, tmp_path):
         # A prior rate this large overflows the zlag agent's second sweep (sweep 1) in every job.
         write_level_panel(tmp_path / "levels.csv")
@@ -954,7 +1010,7 @@ class TestBacktest:
         assert got == GOLDEN_SHA256
 
     def test_synth_payloads_carry_the_stored_reports(self, mini_run):
-        """Every synthesis payload holds the stored agent reports of its window, bit for bit."""
+        """Every synthesis payload holds its window's realized values and agent reports, bit for bit."""
         cfg, root, _ = mini_run
         path = root / "out" / "agent_forecasts.csv"
         cells = {}
@@ -968,13 +1024,15 @@ class TestBacktest:
         payloads = pipeline._synth_payloads(plan, panel, agents.AgentForecastSet.from_csv(path))
         assert len(payloads) == len(plan.taus) * plan.synth_targets.size
         for p in payloads:
-            _, times = plan.synth_input_times(p["target"])
+            fit_times, times = plan.synth_input_times(p["target"])
             want = np.array([
                 [[cells[(sid, t, name, p["tau"])] for name in cfg.agent_names] for sid in panel.series_ids]
                 for t in times.tolist()
             ])  # (T + 1, N, J, 2)
             expected = {"a": want[:-1, ..., 0], "A": want[:-1, ..., 1],
-                        "a_next": want[-1, ..., 0], "A_next": want[-1, ..., 1]}
+                        "a_next": want[-1, ..., 0], "A_next": want[-1, ..., 1],
+                        "Y": np.array([[panel.record(sid).y_at(t) for sid in panel.series_ids]
+                                       for t in fit_times.tolist()])}
             for key, value in expected.items():
                 assert np.array_equal(p[key], value), (p["tau"], p["target"], key)
                 assert p[key].flags.c_contiguous, key
@@ -1246,7 +1304,7 @@ class TestCliErrors:
                 assert info.value.code == 2
                 assert f"unrecognized arguments: {flag} {value}" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
-        for command, _ in cli._COMMANDS:
+        for command in cli._COMMANDS:
             with pytest.raises(SystemExit) as info:
                 cli.main([command, "--help"])
             assert info.value.code == 0
@@ -1298,6 +1356,20 @@ class TestCliErrors:
         assert capsys.readouterr().err.startswith(f"error: config file {cfg_path} is not valid YAML")
         assert cli.main(["synth", "--config", str(tmp_path / "nosuch.yaml")]) == 1
         assert capsys.readouterr().err.startswith("error: [Errno 2]")
+
+    def test_config_without_a_panel_is_refused_naming_the_field(self, tmp_path, monkeypatch, capsys):
+        # An empty config and one with every section but data.panel_csv; each read "." as the panel before.
+        monkeypatch.chdir(tmp_path)
+        d = config_to_dict(backtest_config(tmp_path / "levels.csv", tmp_path / "out"))
+        del d["data"]["panel_csv"]
+        for text in ("", json.dumps(d)):
+            (tmp_path / "run.yaml").write_text(text)
+            for command in sorted(set(cli._COMMANDS) - {"synth-factor"}):  # refuses plan.factor first
+                assert cli.main([command, "--config", "run.yaml"]) == 1, command
+                assert capsys.readouterr().err == (
+                    "error: data.panel_csv is required: the config names no level panel\n"
+                ), command
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["run.yaml"]
 
     def test_mistyped_config_value_names_its_key(self, tmp_path, capsys):
         d = config_to_dict(backtest_config(tmp_path / "levels.csv", tmp_path / "out"))
