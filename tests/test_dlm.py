@@ -1,6 +1,7 @@
 """Filtering and backward-sampling checks against closed-form and dense oracles."""
 
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -206,6 +207,19 @@ class TestKnownVarianceFFBS:
         se = paths.std(axis=0) / np.sqrt(R)
         assert np.all(np.abs(paths.mean(axis=0) - post_mean) <= 3 * se)
         assert np.abs(np.cov(paths.T) - post_cov).max() < 0.05
+
+    def test_vector_filter_refuses_indefinite_predictive_covariance(self):
+        # A negative prior scale makes Q_0 indefinite: the N >= 2 filter names
+        # the step and Q_0's smallest eigenvalue, and warns of nothing first.
+        rng = np.random.default_rng(0)
+        T, N, p = 4, 2, 3
+        F, y = rng.normal(size=(T, N, p)), rng.normal(size=(T, N))
+        message = "singular predictive covariance at t=0: min eigenvalue -8.342e+02"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(np.linalg.LinAlgError, match=f"^{re.escape(message)}$"):
+                ffbs_known_variance(y, F, np.zeros((T, N)), np.ones((T, N)), np.zeros(p),
+                                    -1000.0 * np.eye(p), 0.9, rng)
 
     def test_rejects_nonpositive_variance(self):
         with pytest.raises(ValueError):
