@@ -47,6 +47,29 @@ The per-step products of both filters are 1-D/2-D and go through
 ``matmul`` gufunc's dispatch cost.  Stacked products (``psd_sqrt``, the
 noise of :func:`_sample_states`) keep ``@``.
 
+The linear algebra that runs once per sweep or per step -- the Cholesky
+factor and the two triangular solves of each vector-filter step, the eigh
+of :func:`psd_sqrt` and of ``drqs.latent_predictor_moments``, and FDRQS's
+stacked loading factorization and solves -- goes through :func:`_cholesky`,
+:func:`_solve` and :func:`_eigh`.  Each calls the gufunc of
+``numpy.linalg._umath_linalg`` (``cholesky_lo``, ``solve``, ``eigh_lo``)
+that ``np.linalg`` calls once its checks pass, on the same float64 arrays,
+so the bits are the same.  What they skip is the wrapper's checks,
+conversions and ``errstate``, which at these sizes cost more than LAPACK:
+a 6x6 Cholesky takes 4.3 us through ``np.linalg`` and 1.1 us as the gufunc,
+a 6x6 solve with 20 right-hand sides 7.0 against 3.6 us (2-CPU Xeon host,
+one BLAS thread).  The gufunc module is NumPy-private; ``tests/test_dlm.py``
+pins each helper to ``np.linalg`` bit for bit, so a NumPy release that
+changes it fails there.  A failed gufunc does not raise: it fills that
+matrix's output with NaN and sets the invalid flag.  The callers check one
+entry per matrix and raise ``LinAlgError`` (a failed solve says ``Singular
+matrix``, as ``np.linalg`` does); the two that can meet a failed Cholesky
+or solve, the vector filter and ``fdrqs.gibbs_fdrqs``, enter
+``np.errstate(invalid="ignore")`` once per call, so the flag warns of
+nothing.  ``eigh_lo`` sets the flag only if LAPACK fails to converge, and
+gives NaN eigenvalues for a NaN matrix; the PSD and latent-precision checks
+refuse a NaN eigenvalue.
+
 All evolution noise is discount-implied: the time-``t`` prior scale matrix is
 ``R_t = C_{t-1} / delta``.  Gamma laws are (shape, rate) throughout.
 """
@@ -57,6 +80,10 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+# NumPy-private: the gufuncs that np.linalg.cholesky, solve and eigh call once
+# their checks pass.  tests/test_dlm.py pins the helpers below to np.linalg bit
+# for bit, so a NumPy release that changes this module fails there.
+from numpy.linalg import _umath_linalg
 
 from .distributions import MixtureConstants
 
@@ -72,11 +99,26 @@ __all__ = [
     "psd_sqrt",
 ]
 
-# Eigenvalue handling for filtered state scale matrices: anything below
-# -PSD_FAIL_RATIO * trace(C) is a hard error, small negatives up to
-# PSD_CLIP_RATIO * max eigenvalue are clipped.
+# Eigenvalue handling for filtered state scale matrices: an eigenvalue below
+# -PSD_FAIL_RATIO * max(|trace(C)|, 1), for its own matrix C, is a hard error;
+# small negatives are clipped up to PSD_CLIP_RATIO * max eigenvalue.
 PSD_FAIL_RATIO = 1e-8
 PSD_CLIP_RATIO = 1e-12
+
+
+def _cholesky(a: np.ndarray) -> np.ndarray:
+    """Lower Cholesky factor of a float64 matrix or stack; a matrix that fails comes back all NaN."""
+    return _umath_linalg.cholesky_lo(a, signature="d->d")
+
+
+def _solve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``a^{-1} b`` for float64 ``a`` (..., M, M) and ``b`` (..., M, K); a singular ``a`` gives all NaN."""
+    return _umath_linalg.solve(a, b, signature="dd->d")
+
+
+def _eigh(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Ascending eigenvalues and eigenvectors of symmetric float64 matrices, from the lower triangle."""
+    return _umath_linalg.eigh_lo(a, signature="d->dd")
 
 
 def _check_discount(name: str, value) -> None:
@@ -135,20 +177,22 @@ class NormalGammaPrior:
 def psd_sqrt(C: np.ndarray) -> np.ndarray:
     """Symmetric square root of (a batch of) PSD matrices via eigendecomposition.
 
-    Eigenvalues below ``-1e-8 * trace`` are treated as a numerical failure;
-    small negative eigenvalues are clipped to ``1e-12`` of the largest one.
+    An eigenvalue below ``-1e-8 * max(|trace|, 1)`` of its own matrix, or a
+    NaN one, is treated as a numerical failure; small negative eigenvalues
+    are clipped to ``1e-12`` of the largest one.
     The symmetric (rather than Cholesky) root keeps the map equivariant under
     coordinate permutations, which the samplers rely on for agent
     exchangeability.
     """
     C = np.asarray(C, dtype=float)
     C = 0.5 * (C + C.swapaxes(-1, -2))
-    w, V = np.linalg.eigh(C)
+    w, V = _eigh(C)
     # The failure threshold is at most -PSD_FAIL_RATIO, so the trace is
-    # only needed when some smallest eigenvalue falls below that.
-    if w[..., 0].min() < -PSD_FAIL_RATIO:
+    # only needed when some smallest eigenvalue falls below that.  Written
+    # as "not >=", a NaN eigenvalue (a failed eigh) fails both tests.
+    if not w[..., 0].min() >= -PSD_FAIL_RATIO:
         trace = np.trace(C, axis1=-2, axis2=-1)
-        if np.any(w[..., 0] < -PSD_FAIL_RATIO * np.maximum(np.abs(trace), 1.0)):
+        if not np.all(w[..., 0] >= -PSD_FAIL_RATIO * np.maximum(np.abs(trace), 1.0)):
             raise np.linalg.LinAlgError(
                 "state scale matrix failed PSD check: "
                 f"min eigenvalue {w[..., 0].min():.3e} vs trace {np.max(np.abs(trace)):.3e}"
@@ -384,26 +428,30 @@ def ffbs_known_variance(
         m = np.empty((T, p))
         C = np.empty((T, p, p))
         m_prev, C_prev = m0, C0
-        for t in range(T):
-            R = C_prev / delta
-            Ft = F[t]
-            f_t = offsets[t] + Ft.dot(m_prev)
-            RFt = R.dot(Ft.T)  # (p, N)
-            Q = Ft.dot(RFt) + np.diag(obs_var[t])
-            Q = 0.5 * (Q + Q.T)
-            try:
-                Lq = np.linalg.cholesky(Q)
-            except np.linalg.LinAlgError:
-                w = np.linalg.eigvalsh(Q)
-                raise np.linalg.LinAlgError(
-                    f"singular predictive covariance at t={t}: min eigenvalue {w[0]:.3e}"
-                ) from None
-            e = y[t] - f_t
-            gain = np.linalg.solve(Lq.T, np.linalg.solve(Lq, RFt.T)).T  # R F' Q^{-1}, (p, N)
-            m[t] = m_prev + gain.dot(e)
-            C_t = R - gain.dot(Q).dot(gain.T)
-            C[t] = 0.5 * (C_t + C_t.T)
-            m_prev, C_prev = m[t], C[t]
+        # A failed helper fills its output with NaN and sets the invalid
+        # flag; the flag is silenced once per call, and the NaN checks raise.
+        with np.errstate(invalid="ignore"):
+            for t in range(T):
+                R = C_prev / delta
+                Ft = F[t]
+                f_t = offsets[t] + Ft.dot(m_prev)
+                RFt = R.dot(Ft.T)  # (p, N)
+                Q = Ft.dot(RFt) + np.diag(obs_var[t])
+                Q = 0.5 * (Q + Q.T)
+                Lq = _cholesky(Q)
+                if math.isnan(Lq[0, 0]):  # a failed factor is all NaN
+                    w = np.linalg.eigvalsh(Q)
+                    raise np.linalg.LinAlgError(
+                        f"singular predictive covariance at t={t}: min eigenvalue {w[0]:.3e}"
+                    )
+                e = y[t] - f_t
+                gain = _solve(Lq.T, _solve(Lq, RFt.T)).T  # R F' Q^{-1}, (p, N)
+                if math.isnan(gain[0, 0]):  # either solve failing leaves all of gain NaN
+                    raise np.linalg.LinAlgError("Singular matrix")
+                m[t] = m_prev + gain.dot(e)
+                C_t = R - gain.dot(Q).dot(gain.T)
+                C[t] = 0.5 * (C_t + C_t.T)
+                m_prev, C_prev = m[t], C[t]
 
     # A unit scale divides exactly, so this is the plain discount smoother draw.
     state = _sample_states(m, C, delta, rng.standard_normal((T, p)), np.ones(T))

@@ -25,7 +25,7 @@ import numpy as np
 from .distributions import (
     CHI_FLOOR, _chain_lengths, _gig_params, _validate_tau, mixture_constants, sample_gig_half,
 )
-from .dlm import DiscountConfig, NormalGammaPrior, ffbs_conjugate, psd_sqrt
+from .dlm import DiscountConfig, NormalGammaPrior, _eigh, ffbs_conjugate, psd_sqrt
 
 __all__ = [
     "DRQSConfig",
@@ -133,8 +133,8 @@ def latent_predictor_moments(
     prec = thp[:, :, None] * thp[:, None, :] / c[:, None, None]
     prec[:, idx, idx] += 1.0 / A_var
     rhs = thp * ((y - theta[:, 0] - k1 * v) / c)[:, None] + a_mean / A_var
-    w, V = np.linalg.eigh(prec)
-    if (w <= 0.0).any():
+    w, V = _eigh(prec)
+    if not (w > 0.0).all():  # a NaN eigenvalue (a failed eigh) fails too
         raise FloatingPointError("latent-predictor precision not positive definite")
     Vt = V.swapaxes(1, 2)
     cov = (V / w[:, None, :]) @ Vt

@@ -22,7 +22,8 @@ from .distributions import (
     CHI_FLOOR, _chain_lengths, _gig_params, _validate_tau, mixture_constants, sample_gig_half,
 )
 from .dlm import (
-    _check_discount, _check_hyperparameter, _check_psd, ffbs_known_variance, gbrw_filter_sample, psd_sqrt,
+    _check_discount, _check_hyperparameter, _check_psd, _cholesky, _solve, ffbs_known_variance,
+    gbrw_filter_sample, psd_sqrt,
 )
 from .drqs import QuantileForecast, _agent_reports, _evolve_scale, latent_predictor_moments
 
@@ -188,18 +189,17 @@ def _update_deltas(
 
 
 def _loading_factors(prec: np.ndarray, sids: list[str]) -> np.ndarray:
-    """Cholesky factors of the (N, K, K) loading precisions; a failure names its series."""
-    try:
-        return np.linalg.cholesky(prec)
-    except np.linalg.LinAlgError:
-        for sid, p in zip(sids, prec):
-            try:
-                np.linalg.cholesky(p)
-            except np.linalg.LinAlgError:
-                raise np.linalg.LinAlgError(
-                    f"loading precision factorization failed for series {sid}"
-                ) from None
-        raise
+    """Cholesky factors of the (N, K, K) loading precisions; a failure names its series.
+
+    A factorization that fails comes back all NaN, so a NaN leading entry marks it.
+    """
+    cf = _cholesky(prec)
+    failed = np.isnan(cf[:, 0, 0])
+    if failed.any():
+        raise np.linalg.LinAlgError(
+            f"loading precision factorization failed for series {sids[failed.argmax()]}"
+        )
+    return cf
 
 
 @dataclass
@@ -234,6 +234,10 @@ class FDRQSDraws:
         return np.einsum("njl,tjl->tnj", lam_b, u_b)
 
 
+# A failed LAPACK helper sets the invalid flag as well as filling its output
+# with NaN: one errstate per call keeps that from warning before the NaN
+# checks raise.
+@np.errstate(invalid="ignore")
 def gibbs_fdrqs(
     Y: np.ndarray,
     agents,
@@ -338,9 +342,11 @@ def gibbs_fdrqs(
                 rhs = util_t @ np.ascontiguousarray(((Y - k1 * v) * w_obs).T)[:, :, None]
                 cf = _loading_factors(prec, sids)
                 cf_t = cf.transpose(0, 2, 1)
-                h_hat = np.linalg.solve(cf_t, np.linalg.solve(cf, rhs))
-                noise = np.linalg.solve(cf_t, rng.standard_normal((N, K))[:, :, None])
+                h_hat = _solve(cf_t, _solve(cf, rhs))
+                noise = _solve(cf_t, rng.standard_normal((N, K))[:, :, None])
                 lam = (h_hat + noise)[:, :, 0]
+                if np.isnan(lam[:, 0]).any():  # a failed solve leaves its series' row NaN
+                    raise np.linalg.LinAlgError("Singular matrix")
                 lam_blocks = lam.reshape(N, J + 1, L).transpose(0, 2, 1)
                 phi_load = sample_local_precisions(lam_blocks, omegas, cfg.nu, rng)
                 deltas = _update_deltas(lam_blocks, phi_load, deltas, cfg.a1, cfg.a2, rng)

@@ -167,8 +167,9 @@ def ingest(panel_csv, h: int) -> SeriesPanel:
         raise ValueError(f"{path}: header must start with series,time,Y; got {','.join(header)}")
     _check_unique(f"{path}: header columns", header)
     predictor_names = list(header[3:])
-    if "y_lag" in predictor_names:
-        raise ValueError(f"{path}: column name y_lag is reserved for the lagged response")
+    for name, role in (("y", "the transformed response"), ("y_lag", "the lagged response")):
+        if name in predictor_names:
+            raise ValueError(f"{path}: column name {name} is reserved for {role}")
     quarterly = None  # the first row's time format, which every row must share
 
     def parse(cells):

@@ -20,8 +20,11 @@ from quantsynth.distributions import CHI_FLOOR, mixture_constants
 from quantsynth.dlm import (
     DiscountConfig,
     NormalGammaPrior,
+    _cholesky,
+    _eigh,
     _sample_precisions,
     _sample_states,
+    _solve,
     ffbs_conjugate,
     ffbs_known_variance,
     gbrw_filter_sample,
@@ -471,6 +474,107 @@ class TestKernelsMatchOracle:
             s = {"ones": np.ones(T), "random": rng.uniform(0.01, 30.0, size=T)}[scale]
             want = sample_states(m, C, delta, z, s)
             assert np.array_equal(_sample_states(m, C, delta, z, s), want), i
+
+
+def _spd(rng, n: int, *stack) -> np.ndarray:
+    """Symmetric positive definite ``(*stack, n, n)`` matrices on scales from 1e-4 to 1e4."""
+    A = rng.normal(size=(*stack, n, n)) * 10.0 ** rng.uniform(-2.0, 2.0, size=(*stack, 1, 1))
+    return A @ np.swapaxes(A, -1, -2) + 1e-3 * np.eye(n)
+
+
+def _same_eigh(C) -> bool:
+    got, want = _eigh(C), np.linalg.eigh(C)
+    return np.array_equal(got[0], want.eigenvalues) and np.array_equal(got[1], want.eigenvectors)
+
+
+class TestLapackHelpersMatchNumpy:
+    """``_cholesky``, ``_solve`` and ``_eigh`` give ``np.linalg``'s bits at the samplers' shapes.
+
+    The helpers call NumPy-private gufuncs; these pins are what fail if a
+    NumPy release gives them other bits.  Each call is written as the
+    sampler writes it, with the same transposed views.
+    """
+
+    def test_scale_stacks(self):
+        # psd_sqrt's (T, p, p) stacks of filtered scales, singular ones included.
+        for i, (C, _) in enumerate(_scale_cases(43, 120)):
+            C = 0.5 * (C + C.swapaxes(-1, -2))
+            assert _same_eigh(C), i
+        rng = np.random.default_rng(44)
+        for p in range(1, 7):
+            for T in (1, 16, 60, 250):
+                C = _spd(rng, p, T)
+                assert _same_eigh(C), (p, T)
+                assert np.array_equal(_cholesky(C), np.linalg.cholesky(C)), (p, T)
+
+    def test_vector_filter_shapes(self):
+        # One N x N predictive covariance per step, a (p, N) R F' and the two
+        # triangular solves of the gain, for N = 1..12 and p up to K = 20.
+        rng = np.random.default_rng(45)
+        for N in range(1, 13):
+            for p in (1, 3, 20):
+                Q = _spd(rng, N)
+                RFt = rng.normal(size=(p, N))
+                Lq = _cholesky(Q)
+                assert np.array_equal(Lq, np.linalg.cholesky(Q)), (N, p)
+                got = _solve(Lq.T, _solve(Lq, RFt.T)).T
+                want = np.linalg.solve(Lq.T, np.linalg.solve(Lq, RFt.T)).T
+                assert np.array_equal(got, want), (N, p)
+
+    def test_loading_shapes(self):
+        # FDRQS's stacked loading block: N (K, K) precisions, (N, K, 1) right-hand sides.
+        rng = np.random.default_rng(46)
+        for N in (2, 6, 10):
+            for K in (2, 8, 20):
+                prec = _spd(rng, K, N)
+                rhs = rng.normal(size=(N, K, 1))
+                z = rng.standard_normal((N, K))[:, :, None]
+                cf = _cholesky(prec)
+                want_cf = np.linalg.cholesky(prec)
+                assert np.array_equal(cf, want_cf), (N, K)
+                cf_t, want_t = cf.transpose(0, 2, 1), want_cf.transpose(0, 2, 1)
+                got = _solve(cf_t, _solve(cf, rhs))
+                assert np.array_equal(got, np.linalg.solve(want_t, np.linalg.solve(want_cf, rhs)))
+                assert np.array_equal(_solve(cf_t, z), np.linalg.solve(want_t, z)), (N, K)
+
+    def test_latent_precision_stacks(self):
+        # The latent-predictor precisions of all N series in one (N*T, J, J) stack.
+        rng = np.random.default_rng(47)
+        for NT in (16, 96, 1500):
+            for J in (1, 2, 3, 6):
+                th = rng.normal(size=(NT, J))
+                prec = th[:, :, None] * th[:, None, :] / rng.uniform(0.1, 5.0, size=(NT, 1, 1))
+                prec[:, np.arange(J), np.arange(J)] += 1.0 / rng.uniform(0.1, 2.0, size=(NT, J))
+                assert _same_eigh(prec), (NT, J)
+
+    def test_failed_matrix_comes_back_nan_without_a_warning(self):
+        # np.linalg refuses the whole stack; the helpers fill only the failed
+        # matrix with NaN, and under errstate(invalid="ignore") warn of nothing.
+        rng = np.random.default_rng(48)
+        stack = _spd(rng, 4, 5)
+        stack[2] = np.diag([1.0, 2.0, -1.0, 3.0])
+        singular = stack.copy()
+        singular[2] = np.ones((4, 4))
+        b = rng.normal(size=(5, 4, 2))
+        with pytest.raises(np.linalg.LinAlgError, match="not positive definite"):
+            np.linalg.cholesky(stack)
+        with pytest.raises(np.linalg.LinAlgError, match="Singular matrix"):
+            np.linalg.solve(singular, b)
+        with warnings.catch_warnings(), np.errstate(invalid="ignore"):
+            warnings.simplefilter("error")
+            cf, x = _cholesky(stack), _solve(singular, b)
+        ok = [0, 1, 3, 4]
+        assert np.isnan(cf[2]).all() and np.isnan(x[2]).all()
+        assert np.array_equal(cf[ok], np.linalg.cholesky(stack[ok]))
+        assert np.array_equal(x[ok], np.linalg.solve(singular[ok], b[ok]))
+
+    def test_nan_eigenvalue_fails_psd_check(self):
+        # eigh_lo gives a NaN eigenvalue, and no flag, for a NaN matrix.
+        C = np.stack([np.eye(2), np.full((2, 2), np.nan)])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(np.linalg.LinAlgError, match="min eigenvalue nan"):
+                psd_sqrt(C)
 
 
 class TestPrecisionRecursionsMatchOracle:

@@ -200,6 +200,13 @@ class TestIngest:
         )
         with pytest.raises(ValueError, match=re.escape(f"{p}: column name y_lag is reserved")):
             ingest(p, h=1)
+        # panel.csv names the transformed response y, so a predictor y would be a second y column.
+        _write_levels(
+            p, [("a", "0", 1.0, 2.0), ("a", "1", 1.5, 2.5)], header=("series", "time", "Y", "y")
+        )
+        message = f"{p}: column name y is reserved for the transformed response"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            ingest(p, h=1)
         # Read as a mapping, the later of two same-named columns would win, and a
         # predictor named series would be written as a second series column.
         for header in (("series", "time", "Y", "z", "z"), ("series", "time", "Y", "series")):
