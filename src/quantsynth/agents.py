@@ -78,6 +78,9 @@ class DQLMFit:
         return self.beta.shape[0]
 
 
+# A failed LAPACK helper sets the invalid flag (dlm's module docstring): one
+# errstate per call keeps it from warning before the NaN checks raise.
+@np.errstate(invalid="ignore")
 def fit_dqlm(
     y: np.ndarray,
     X: np.ndarray,

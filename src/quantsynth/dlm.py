@@ -61,14 +61,17 @@ a 6x6 solve with 20 right-hand sides 7.0 against 3.6 us (2-CPU Xeon host,
 one BLAS thread).  The gufunc module is NumPy-private; ``tests/test_dlm.py``
 pins each helper to ``np.linalg`` bit for bit, so a NumPy release that
 changes it fails there.  A failed gufunc does not raise: it fills that
-matrix's output with NaN and sets the invalid flag.  The callers check one
-entry per matrix and raise ``LinAlgError`` (a failed solve says ``Singular
-matrix``, as ``np.linalg`` does); the two that can meet a failed Cholesky
-or solve, the vector filter and ``fdrqs.gibbs_fdrqs``, enter
-``np.errstate(invalid="ignore")`` once per call, so the flag warns of
-nothing.  ``eigh_lo`` sets the flag only if LAPACK fails to converge, and
-gives NaN eigenvalues for a NaN matrix; the PSD and latent-precision checks
-refuse a NaN eigenvalue.
+matrix's output with NaN and sets the invalid flag (``eigh_lo`` fails on a
+NaN matrix of size 3 or more; smaller ones come back NaN without the flag).
+The callers check one entry per matrix and raise ``LinAlgError`` with
+``np.linalg``'s message (``Singular matrix``, ``Eigenvalues did not
+converge``); the vector filter keeps its ``singular predictive covariance``
+message and FDRQS names the failed series.  The PSD and latent-precision
+checks are written so that a NaN eigenvalue fails them.  The samplers
+(``agents.fit_dqlm``, ``drqs.gibbs_drqs``, ``fdrqs.gibbs_fdrqs``) and the
+vector filter enter ``np.errstate(invalid="ignore")`` once per call, so the
+flag warns of nothing; called on its own, :func:`psd_sqrt` warns before it
+raises on such a matrix.
 
 All evolution noise is discount-implied: the time-``t`` prior scale matrix is
 ``R_t = C_{t-1} / delta``.  Gamma laws are (shape, rate) throughout.
@@ -177,9 +180,10 @@ class NormalGammaPrior:
 def psd_sqrt(C: np.ndarray) -> np.ndarray:
     """Symmetric square root of (a batch of) PSD matrices via eigendecomposition.
 
-    An eigenvalue below ``-1e-8 * max(|trace|, 1)`` of its own matrix, or a
-    NaN one, is treated as a numerical failure; small negative eigenvalues
-    are clipped to ``1e-12`` of the largest one.
+    An eigenvalue below ``-1e-8 * max(|trace|, 1)`` of its own matrix is
+    treated as a numerical failure, and a NaN smallest one (a failed eigh)
+    raises ``np.linalg.eigh``'s own error; small negative eigenvalues are
+    clipped to ``1e-12`` of the largest one.
     The symmetric (rather than Cholesky) root keeps the map equivariant under
     coordinate permutations, which the samplers rely on for agent
     exchangeability.
@@ -189,10 +193,12 @@ def psd_sqrt(C: np.ndarray) -> np.ndarray:
     w, V = _eigh(C)
     # The failure threshold is at most -PSD_FAIL_RATIO, so the trace is
     # only needed when some smallest eigenvalue falls below that.  Written
-    # as "not >=", a NaN eigenvalue (a failed eigh) fails both tests.
+    # as "not >=", the test lets a NaN eigenvalue through to the checks.
     if not w[..., 0].min() >= -PSD_FAIL_RATIO:
+        if np.isnan(w[..., 0]).any():  # a failed eigh fills its matrix with NaN
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
         trace = np.trace(C, axis1=-2, axis2=-1)
-        if not np.all(w[..., 0] >= -PSD_FAIL_RATIO * np.maximum(np.abs(trace), 1.0)):
+        if np.any(w[..., 0] < -PSD_FAIL_RATIO * np.maximum(np.abs(trace), 1.0)):
             raise np.linalg.LinAlgError(
                 "state scale matrix failed PSD check: "
                 f"min eigenvalue {w[..., 0].min():.3e} vs trace {np.max(np.abs(trace)):.3e}"

@@ -134,7 +134,9 @@ def latent_predictor_moments(
     prec[:, idx, idx] += 1.0 / A_var
     rhs = thp * ((y - theta[:, 0] - k1 * v) / c)[:, None] + a_mean / A_var
     w, V = _eigh(prec)
-    if not (w > 0.0).all():  # a NaN eigenvalue (a failed eigh) fails too
+    if not (w > 0.0).all():  # written so that a NaN eigenvalue fails too
+        if np.isnan(w).any():  # a failed eigh fills its matrix with NaN
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
         raise FloatingPointError("latent-predictor precision not positive definite")
     Vt = V.swapaxes(1, 2)
     cov = (V / w[:, None, :]) @ Vt
@@ -143,6 +145,9 @@ def latent_predictor_moments(
     return f_hat, cov, root
 
 
+# A failed LAPACK helper sets the invalid flag (dlm's module docstring): one
+# errstate per call keeps it from warning before the NaN checks raise.
+@np.errstate(invalid="ignore")
 def gibbs_drqs(
     y: np.ndarray,
     agents,

@@ -234,9 +234,8 @@ class FDRQSDraws:
         return np.einsum("njl,tjl->tnj", lam_b, u_b)
 
 
-# A failed LAPACK helper sets the invalid flag as well as filling its output
-# with NaN: one errstate per call keeps that from warning before the NaN
-# checks raise.
+# A failed LAPACK helper sets the invalid flag (dlm's module docstring): one
+# errstate per call keeps it from warning before the NaN checks raise.
 @np.errstate(invalid="ignore")
 def gibbs_fdrqs(
     Y: np.ndarray,

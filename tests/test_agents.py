@@ -2,6 +2,7 @@
 
 import re
 import tempfile
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -9,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from quantsynth import dlm
 from quantsynth.agents import (
     AgentForecastSet,
     DQLMFit,
@@ -80,6 +82,20 @@ class TestFitDQLM:
     def test_spec_refuses_bad_hyperparameter(self, name, value):
         with pytest.raises(ValueError, match=f"{name} must be finite and positive, got {value}"):
             DQLMSpec(tau=0.5, **{name: value})
+
+    def test_failed_eigh_raises_without_a_warning(self, monkeypatch):
+        # Fault injection: psd_sqrt's eigh gets NaN (T, 3, 3) scales, on which
+        # the gufunc fails and sets the invalid flag.
+        eigh = dlm._eigh
+        monkeypatch.setattr(dlm, "_eigh", lambda a: eigh(np.full_like(a, np.nan)))
+        rng = np.random.default_rng(6)
+        X = np.column_stack([np.ones(12), rng.normal(size=(12, 2))])
+        with warnings.catch_warnings(), pytest.raises(
+            np.linalg.LinAlgError, match="^Eigenvalues did not converge$"
+        ) as info:
+            warnings.simplefilter("error")
+            fit_dqlm(rng.normal(size=12), X, DQLMSpec(tau=0.5), mcmc=(2, 2), rng=rng)
+        assert info.value.quantsynth_sweep == 0
 
     def test_rejects_nonfinite_design(self):
         X = np.ones((10, 1))

@@ -16,6 +16,7 @@ from oracles import (
     sample_precisions,
     sample_states,
 )
+from quantsynth import dlm
 from quantsynth.distributions import CHI_FLOOR, mixture_constants
 from quantsynth.dlm import (
     DiscountConfig,
@@ -223,6 +224,16 @@ class TestKnownVarianceFFBS:
             with pytest.raises(np.linalg.LinAlgError, match=f"^{re.escape(message)}$"):
                 ffbs_known_variance(y, F, np.zeros((T, N)), np.ones((T, N)), np.zeros(p),
                                     -1000.0 * np.eye(p), 0.9, rng)
+
+    def test_vector_filter_refuses_a_failed_solve(self, monkeypatch):
+        # Fault injection: a failed solve comes back all NaN, as the gufunc
+        # gives it for a singular matrix, and the step raises as np.linalg did.
+        monkeypatch.setattr(dlm, "_solve", lambda a, b: np.full(b.shape, np.nan))
+        rng = np.random.default_rng(0)
+        F, y = rng.normal(size=(3, 2, 2)), rng.normal(size=(3, 2))
+        with pytest.raises(np.linalg.LinAlgError, match="^Singular matrix$"):
+            ffbs_known_variance(y, F, np.zeros((3, 2)), np.ones((3, 2)), np.zeros(2), np.eye(2),
+                                0.9, rng)
 
     def test_rejects_nonpositive_variance(self):
         with pytest.raises(ValueError):
@@ -568,13 +579,18 @@ class TestLapackHelpersMatchNumpy:
         assert np.array_equal(cf[ok], np.linalg.cholesky(stack[ok]))
         assert np.array_equal(x[ok], np.linalg.solve(singular[ok], b[ok]))
 
-    def test_nan_eigenvalue_fails_psd_check(self):
-        # eigh_lo gives a NaN eigenvalue, and no flag, for a NaN matrix.
-        C = np.stack([np.eye(2), np.full((2, 2), np.nan)])
-        with warnings.catch_warnings():
+    @pytest.mark.parametrize("p", [2, 3])
+    def test_nan_matrix_fails_psd_check_with_numpy_message(self, p):
+        # eigh_lo gives a NaN matrix NaN eigenvalues; from 3x3 on it also sets
+        # the invalid flag, where np.linalg.eigh raises this same message.
+        C = np.stack([np.eye(p), np.full((p, p), np.nan)])
+        with warnings.catch_warnings(), np.errstate(invalid="ignore"):
             warnings.simplefilter("error")
-            with pytest.raises(np.linalg.LinAlgError, match="min eigenvalue nan"):
+            with pytest.raises(np.linalg.LinAlgError, match="^Eigenvalues did not converge$"):
                 psd_sqrt(C)
+        if p == 3:
+            with pytest.raises(np.linalg.LinAlgError, match="^Eigenvalues did not converge$"):
+                np.linalg.eigh(C)
 
 
 class TestPrecisionRecursionsMatchOracle:

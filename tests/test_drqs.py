@@ -1,10 +1,13 @@
 """Tests for the univariate quantile-synthesis sampler and forecaster."""
 
+import warnings
+
 import numpy as np
 import pytest
 from scipy.integrate import quad
 from scipy.stats import binomtest
 
+from quantsynth import drqs
 from quantsynth.distributions import mixture_constants
 from quantsynth.dlm import DiscountConfig, NormalGammaPrior, psd_sqrt
 from quantsynth.drqs import (
@@ -79,8 +82,32 @@ class TestLatentPredictorStep:
         assert abs(f_hat[0, 0] - m1) < 1e-7
         assert abs(cov[0, 0, 0] - (m2 - m1 * m1)) < 1e-7
 
+    def test_nan_precision_is_refused(self):
+        # A NaN weight gives a NaN eigenvalue, which the positivity check
+        # refuses with np.linalg.eigh's message for a failed eigh.
+        theta = np.array([[0.4, 1.3, 0.2], [0.4, np.nan, 0.2]])
+        ones = np.ones(2)
+        with pytest.raises(np.linalg.LinAlgError, match="^Eigenvalues did not converge$"):
+            latent_predictor_moments(ones, theta, ones, ones, np.zeros((2, 2)), np.ones((2, 2)),
+                                     mixture_constants(0.3))
+
 
 class TestGibbsDRQS:
+    def test_failed_eigh_raises_without_a_warning(self, monkeypatch):
+        # Fault injection: the latent-predictor eigh gets NaN (3, 3) matrices,
+        # on which the gufunc fails and sets the invalid flag.
+        eigh = drqs._eigh
+        monkeypatch.setattr(drqs, "_eigh", lambda a: eigh(np.full_like(a, np.nan)))
+        rng = np.random.default_rng(5)
+        y = rng.normal(size=8)
+        agents = (y[:, None] + rng.normal(0.0, 0.5, (8, 3)), np.full((8, 3), 0.3))
+        with warnings.catch_warnings(), pytest.raises(
+            np.linalg.LinAlgError, match="^Eigenvalues did not converge$"
+        ) as info:
+            warnings.simplefilter("error")
+            gibbs_drqs(y, agents, DRQSConfig(tau=0.5, J=3), mcmc=(2, 2), rng=rng)
+        assert info.value.quantsynth_sweep == 0
+
     def test_recovers_unit_weight_on_truth_telling_agent(self):
         # One agent reports the true quantile with tiny variance; the
         # posterior weight band should cover 1 at nearly every time.

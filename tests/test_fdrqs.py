@@ -1,5 +1,7 @@
 """Tests for the factor-structured multivariate synthesis model."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -203,10 +205,25 @@ class TestGibbsFDRQS:
         monkeypatch.setattr(fdrqs, "_update_deltas", lambda lam_b, phi, deltas, *rest: deltas)
         cfg = FDRQSConfig(tau=0.5, N=N, J=J, L=L)
         sids = [f"s{i}" for i in range(N)]
-        with pytest.raises(np.linalg.LinAlgError, match=f"failed for series s{k}$") as info:
+        with warnings.catch_warnings(), pytest.raises(
+            np.linalg.LinAlgError, match=f"failed for series s{k}$"
+        ) as info:
+            warnings.simplefilter("error")  # the failed factorization warns of nothing
             gibbs_fdrqs(Y, (a, np.full((T, N, J), 0.3)), cfg, mcmc=(5, 5), rng=rng,
                         series_ids=sids)
         assert info.value.quantsynth_sweep == 2
+
+    def test_failed_loading_solve_raises(self, monkeypatch):
+        # Fault injection: a failed solve comes back all NaN, as the gufunc
+        # gives it for a singular matrix, and the loading draw raises as np.linalg did.
+        monkeypatch.setattr(fdrqs, "_solve", lambda a, b: np.full(b.shape, np.nan))
+        T, N, J = 8, 3, 1
+        rng = np.random.default_rng(4)
+        Y = rng.normal(size=(T, N))
+        agents = (Y[:, :, None] + rng.normal(0.0, 0.5, (T, N, J)), np.full((T, N, J), 0.3))
+        with pytest.raises(np.linalg.LinAlgError, match="^Singular matrix$") as info:
+            gibbs_fdrqs(Y, agents, FDRQSConfig(tau=0.5, N=N, J=J, L=1), mcmc=(2, 2), rng=rng)
+        assert info.value.quantsynth_sweep == 0
 
     @pytest.mark.parametrize("value", [np.inf, np.nan, 0.0])
     @pytest.mark.parametrize("name", ["n0", "s0", "nu", "a1", "a2"])
